@@ -1,7 +1,7 @@
 // bench_speed — end-to-end simulation speed benchmark (BENCH_speed.json).
 //
 // Runs the base + redhip columns over the full workload list on three
-// engines — fast (batched traces, specialized run loops, heap scheduler),
+// engines — fast (batched traces, specialized run loops, tree scheduler),
 // reference (the original scalar loop, kept as the bit-identical oracle)
 // and parallel (the bound-weave engine, src/sim/parallel.cc) — and reports
 // per-run and aggregate host throughput in simulated Mrefs/s.  Every

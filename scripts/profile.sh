@@ -10,9 +10,15 @@
 #   * If `perf` is available: perf record -g over the run, then
 #     `perf report --stdio` truncated to the top TOP symbols.
 #   * Otherwise (containers routinely lack perf_event access or the tool
-#     itself): an instrumented -pg build and gprof's flat profile, same
-#     table shape.  gprof's mcount sampling skews small leaf functions but
-#     ranks the tag-array / probe / run-loop split the same way perf does.
+#     itself): the uninstrumented build runs under a SIGPROF program-counter
+#     sampler (scripts/sigprof_sampler.cc, loaded with LD_PRELOAD), and
+#     scripts/sigprof_report.py resolves the samples with `addr2line -i`.
+#     Code inlined into the run loop is charged to the inlined function, and
+#     nothing is instrumented, so unlike a gprof -pg build small leaf
+#     functions are not inflated and inlining is not blocked.
+#
+# Both profile a Release build (-O3, LTO) with -g added: the build a user
+# runs, plus line tables.
 #
 # The table is printed to stdout and saved to $BUILD_DIR/profile-report.txt
 # so before/after captures can be diffed; the summarized before/after for
@@ -70,10 +76,8 @@ run_args+=(${fwd_user[@]+"${fwd_user[@]}"})
 report="$BUILD_DIR/profile-report.txt"
 
 build() {
-  # $1: extra compiler/linker flags
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DREDHIP_NATIVE=$native_flag -DCMAKE_CXX_FLAGS="$1" \
-        -DCMAKE_EXE_LINKER_FLAGS="$1" >/dev/null
+  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+        -DREDHIP_NATIVE=$native_flag -DCMAKE_CXX_FLAGS="-g" >/dev/null
   cmake --build "$BUILD_DIR" --target "$target" -j "$(nproc)"
 }
 
@@ -82,7 +86,7 @@ mkdir -p "$BUILD_DIR"
 if command -v perf >/dev/null 2>&1 &&
     perf record -o /dev/null -- true >/dev/null 2>&1; then
   echo "== profiling with perf record (cycles, call graph) =="
-  build ""
+  build
   perf record -o "$BUILD_DIR/perf.data" -g --call-graph=dwarf \
       -- "$BUILD_DIR/$binary" "${run_args[@]}"
   {
@@ -92,15 +96,15 @@ if command -v perf >/dev/null 2>&1 &&
         | head -n "$TOP"
   } | tee "$report"
 else
-  echo "== perf unavailable; falling back to gprof (-pg build) =="
-  build "-pg"
-  (cd "$BUILD_DIR" && "./$binary" \
-      "${run_args[@]/#--out=$BUILD_DIR\//--out=}")
-  {
-    echo "# gprof flat profile — top $TOP symbols (self time)"
-    gprof -b -p "$BUILD_DIR/$binary" "$BUILD_DIR/gmon.out" \
-        | head -n "$((TOP + 5))"
-  } | tee "$report"
+  echo "== perf unavailable; sampling with SIGPROF (LD_PRELOAD) =="
+  build
+  sampler="$(cd "$BUILD_DIR" && pwd)/libsigprof.so"
+  c++ -O2 -shared -fPIC -o "$sampler" scripts/sigprof_sampler.cc -ldl
+  rm -f "$BUILD_DIR"/sigprof.out.*
+  SIGPROF_OUT="$BUILD_DIR/sigprof.out" LD_PRELOAD="$sampler" \
+      "$BUILD_DIR/$binary" "${run_args[@]}"
+  python3 scripts/sigprof_report.py --top "$TOP" "$BUILD_DIR"/sigprof.out.* \
+      | tee "$report"
 fi
 
 echo

@@ -14,7 +14,7 @@
 // generator state so restore repositions the source in O(state) instead of
 // replaying skip(refs_done).  Deliberately absent, because it is
 // regenerable or derived: refill buffers and pre-generated batches (cores
-// saved mid-batch fall back to the re-skip path), the scheduler heap, the
+// saved mid-batch fall back to the re-skip path), the scheduler tree, the
 // energy breakdown (finalize_result reprices from counters), and host-side
 // timings.  Layout changes must bump kCkptSchemaVersion (checkpoint_io.h).
 #include <cstdint>

@@ -163,7 +163,12 @@ HierarchyConfig parse_config_text(const std::string& text) {
 
     if (section.empty()) {
       if (key == "cores") {
-        c.cores = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        const std::uint64_t cores = parse_size(value, line_no, key);
+        if (cores < 1 || cores > HierarchyConfig::kMaxCores) {
+          fail(line_no, "key 'cores': " + value + " is outside [1, " +
+                            std::to_string(HierarchyConfig::kMaxCores) + "]");
+        }
+        c.cores = static_cast<std::uint32_t>(cores);
       } else if (key == "freq_ghz") {
         c.freq_ghz = parse_double(value, line_no, key);
       } else if (key == "scheme") {

@@ -15,7 +15,7 @@
 namespace redhip {
 
 // Which run loop executes the simulation.  kFast is the production engine
-// (batched traces, specialized loops, heap scheduler); kReference is the
+// (batched traces, specialized loops, tree scheduler); kReference is the
 // original engine kept as the bit-identical oracle — both produce the same
 // statistics (see tests/engine_equivalence_test), kReference just exists to
 // prove it and to anchor bench_speed.  kParallel is the intra-run

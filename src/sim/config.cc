@@ -51,6 +51,7 @@ std::string to_string(RecoveryPolicy p) {
 
 void HierarchyConfig::validate() const {
   REDHIP_CHECK_MSG(cores >= 1, "at least one core");
+  REDHIP_CHECK_MSG(cores <= kMaxCores, "at most 256 cores");
   REDHIP_CHECK_MSG(levels.size() >= 2, "need at least two cache levels");
   REDHIP_CHECK_MSG(levels.size() <= 15, "at most 15 cache levels");
   REDHIP_CHECK_MSG(freq_ghz > 0.0, "frequency must be positive");

@@ -59,6 +59,10 @@ struct LevelSpec {
 };
 
 struct HierarchyConfig {
+  // The core scheduler packs the core id into one byte of its key
+  // (sim/scheduler.h).
+  static constexpr std::uint32_t kMaxCores = 256;
+
   std::uint32_t cores = 8;
   double freq_ghz = 3.7;
   // Ordered L1..LN.  All but the last are private (one instance per core);

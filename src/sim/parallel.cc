@@ -593,19 +593,9 @@ void MulticoreSimulator::par_run_weave_only(std::uint64_t max_refs_per_core,
   // across cores between barriers.
   constexpr std::size_t kGenAhead = 8;
 
-  heap_.clear();
-  heap_.reserve(config_.cores);
-  for (CoreId c = 0; c < config_.cores; ++c) {
-    CoreState& cs = cores_[c];
-    if (max_refs_per_core == 0 || cs.refs_done >= max_refs_per_core) {
-      cs.exhausted = true;
-    }
-    if (!cs.exhausted) heap_.push_back(HeapSlot::make(cs.clock, c));
-  }
-  // Restored runs resume with unequal clocks (see run_loop).
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_sift_down(i);
+  CoreScheduler sched = start_scheduler(max_refs_per_core);
 
-  while (!heap_.empty()) {
+  while (!sched.done()) {
     // Kick generators for every core running low.  Workers touch only their
     // GenLane::fresh/gen_* and the core's TraceSource; the weave touches
     // only `ready` until wait_idle() below orders everything.
@@ -641,8 +631,8 @@ void MulticoreSimulator::par_run_weave_only(std::uint64_t max_refs_per_core,
     // Consume buffered batches while the workers refill; identical to the
     // fast engine's run loop with runtime feature flags (the flags never
     // change the execution sequence, only skip no-op work).
-    while (!heap_.empty()) {
-      const CoreId best = heap_.front().core();
+    while (!sched.done()) {
+      const CoreId best = sched.top();
       CoreState& cs = cores_[best];
       if (cs.buf_pos == cs.buf_len) {
         GenLane& g = gen[best];
@@ -657,7 +647,7 @@ void MulticoreSimulator::par_run_weave_only(std::uint64_t max_refs_per_core,
         }
         if (cs.buf_len == 0) {
           cs.exhausted = true;
-          heap_pop_top();
+          sched.retire();
           continue;
         }
       }
@@ -682,10 +672,9 @@ void MulticoreSimulator::par_run_weave_only(std::uint64_t max_refs_per_core,
       if (obs_ != nullptr) obs_note_ref(best, ref_lat, cs);
       if (++cs.refs_done >= max_refs_per_core) {
         cs.exhausted = true;
-        heap_pop_top();
+        sched.retire();
       } else {
-        heap_.front() = HeapSlot::make(cs.clock, best);
-        heap_sift_down(0);
+        sched.advance(cs.clock);
       }
     }
 

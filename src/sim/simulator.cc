@@ -873,49 +873,24 @@ Cycles MulticoreSimulator::access_for_test(CoreId core, const MemRef& ref) {
   return lat;
 }
 
-// Binary min-heap over (clock, core id).  Only sift-down is ever needed:
-// the scheduler exclusively advances the top slot's clock (keys never
-// decrease) or removes the top slot.
-void MulticoreSimulator::heap_sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) return;
-    std::size_t m = l;
-    const std::size_t r = l + 1;
-    if (r < n && heap_[r] < heap_[l]) m = r;
-    if (!(heap_[m] < heap_[i])) return;
-    std::swap(heap_[i], heap_[m]);
-    i = m;
-  }
-}
-
-void MulticoreSimulator::heap_pop_top() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) heap_sift_down(0);
-}
-
-template <bool kFault, bool kPrefetch, bool kAutoDisable>
-void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
-  REDHIP_CHECK_MSG(config_.cores <= 256,
-                   "the packed scheduler key holds the core id in one byte");
-  heap_.clear();
-  heap_.reserve(cores_.size());
+CoreScheduler MulticoreSimulator::start_scheduler(
+    std::uint64_t max_refs_per_core) {
+  std::vector<std::uint64_t> keys(config_.cores, CoreScheduler::kRetired);
   for (CoreId c = 0; c < config_.cores; ++c) {
     CoreState& cs = cores_[c];
     if (max_refs_per_core == 0 || cs.refs_done >= max_refs_per_core) {
       cs.exhausted = true;
     }
-    if (!cs.exhausted) heap_.push_back(HeapSlot::make(cs.clock, c));
+    if (!cs.exhausted) keys[c] = CoreScheduler::key(cs.clock, c);
   }
-  // A cold start pushes every core at clock 0 in id order (already a valid
-  // heap); a checkpoint-restored run resumes with unequal clocks, so the
-  // invariant is established explicitly.
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_sift_down(i);
+  return CoreScheduler(keys);
+}
 
-  while (!heap_.empty()) {
-    const CoreId best = heap_.front().core();
+template <bool kFault, bool kPrefetch, bool kAutoDisable>
+void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
+  CoreScheduler sched = start_scheduler(max_refs_per_core);
+  while (!sched.done()) {
+    const CoreId best = sched.top();
     CoreState& cs = cores_[best];
     if (cs.buf_pos == cs.buf_len) {
       // An empty refill buffer is a safe checkpoint boundary: the scheduler
@@ -948,7 +923,7 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
       }
       if (cs.buf_len == 0) {
         cs.exhausted = true;
-        heap_pop_top();
+        sched.retire();
         continue;
       }
     }
@@ -992,10 +967,9 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
     // interleave.  Scheduling must stay strictly per-reference.
     if (++cs.refs_done >= max_refs_per_core) {
       cs.exhausted = true;
-      heap_pop_top();
+      sched.retire();
     } else {
-      heap_.front() = HeapSlot::make(cs.clock, best);
-      heap_sift_down(0);
+      sched.advance(cs.clock);
     }
   }
 }

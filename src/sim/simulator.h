@@ -27,6 +27,7 @@
 #include "sim/ckpt_control.h"
 #include "sim/config.h"
 #include "sim/sampling.h"
+#include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "trace/mem_ref.h"
 
@@ -56,12 +57,13 @@ class MulticoreSimulator {
   // Run until every core has executed `max_refs_per_core` references (or its
   // trace ended).  Returns the priced result.  May be called once.
   //
-  // This is the fast-path engine: per-core batched trace refill, a binary
-  // min-heap core scheduler, and a run loop specialized at compile time on
-  // the (fault x prefetch x auto-disable) feature mask so runs with a
-  // feature off never test for it per reference.  Statistics are
-  // bit-identical to run_reference() — same interleave, same RNG
-  // consumption — locked in by tests/engine_equivalence_test.
+  // This is the fast-path engine: per-core batched trace refill, a
+  // tournament-tree core scheduler (sim/scheduler.h), and a run loop
+  // specialized at compile time on the (fault x prefetch x auto-disable)
+  // feature mask so runs with a feature off never test for it per
+  // reference.  Statistics are bit-identical to run_reference() — same
+  // interleave, same RNG consumption — locked in by
+  // tests/engine_equivalence_test.
   SimResult run(std::uint64_t max_refs_per_core);
 
   // The original (pre-fast-path) engine, kept verbatim: scalar
@@ -334,25 +336,9 @@ class MulticoreSimulator {
   double sample_cumulative_energy_j(Cycles max_clock) const;
   void sample_close_window(std::uint64_t window_index);
 
-  // Min-clock core scheduler: a binary min-heap of (clock, core) packed
-  // into one 64-bit key, `clock << 8 | core`.  A single integer compare
-  // reproduces the lexicographic order — and the deterministic tie-break
-  // (lowest core id among the minimum clocks) — because the core id
-  // occupies the low byte; the sift loop compiles branch-light.  Clocks
-  // stay far below 2^56 for any realistic run length and the core count is
-  // checked against the byte at heap build, so the packing is lossless.
-  // The common operation is "advance the top core's clock", one sift-down.
-  struct HeapSlot {
-    std::uint64_t key;
-    static HeapSlot make(Cycles clock, CoreId core) {
-      REDHIP_DCHECK(clock < (Cycles{1} << 56));
-      return HeapSlot{(clock << 8) | core};
-    }
-    CoreId core() const { return static_cast<CoreId>(key & 0xFF); }
-    bool operator<(const HeapSlot& o) const { return key < o.key; }
-  };
-  void heap_sift_down(std::size_t i);
-  void heap_pop_top();
+  // Mark cores that have reached `max_refs_per_core` exhausted and build the
+  // min-clock scheduler over the rest from their current clocks.
+  CoreScheduler start_scheduler(std::uint64_t max_refs_per_core);
 
   // --- Checkpoint polling ----------------------------------------------------
   // Called at safe boundaries only (between references on the serial
@@ -470,7 +456,6 @@ class MulticoreSimulator {
   Cycles recal_stall_cycles_ = 0;
   // Stall cycles applied uniformly to every core (see CoreState::clock).
   Cycles global_stall_cycles_ = 0;
-  std::vector<HeapSlot> heap_;
   bool ran_ = false;
 
   // Statistical-sampling state.  The open-window snapshot and the closed

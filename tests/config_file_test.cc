@@ -143,6 +143,36 @@ TEST(ConfigFile, BadNumericValuesNameTheLineAndKey) {
   }
 }
 
+TEST(ConfigFile, CoreCountOutsideOneTo256IsRejectedBeforeNarrowing) {
+  // 2^32 + 1 would narrow to 1 core; 300 does not fit the scheduler's
+  // one-byte core id.
+  for (const std::string v : {"0", "300", "4294967297", "1K"}) {
+    try {
+      parse_config_text("\ncores = " + v + "\n[level]\nsize=8K\n");
+      FAIL() << "cores = " << v << " should have thrown";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("key 'cores'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(v), std::string::npos) << msg;
+      EXPECT_NE(msg.find("[1, 256]"), std::string::npos) << msg;
+    }
+  }
+  for (const std::string v : {"1", "256"}) {
+    const HierarchyConfig c = parse_config_text(
+        "cores = " + v + "\n[level]\nsize=8K\n[level]\nsize=64K\n");
+    EXPECT_EQ(std::to_string(c.cores), v);
+  }
+}
+
+TEST(ConfigFile, ValidateRejectsMoreCoresThanTheScheduler) {
+  HierarchyConfig c = HierarchyConfig::scaled(8, Scheme::kBase);
+  c.cores = HierarchyConfig::kMaxCores;
+  EXPECT_NO_THROW(c.validate());
+  c.cores = 300;
+  EXPECT_THROW(c.validate(), std::logic_error);
+}
+
 TEST(ConfigFile, ParsesFaultAndAuditSections) {
   const HierarchyConfig c = parse_config_text(R"(
 scheme = redhip

@@ -1,4 +1,4 @@
-// The fast engine (run(): batched trace refill, heap scheduler, run loops
+// The fast engine (run(): batched trace refill, tree scheduler, run loops
 // specialized on the feature mask) must be a pure reimplementation of the
 // reference engine (run_reference(): the original scalar loop): same
 // interleave, same RNG consumption, bit-identical statistics.  These tests
@@ -95,6 +95,27 @@ TEST(EngineEquivalence, AllSpecializedLoopInstantiations) {
       }
     };
     expect_engines_agree(spec, "feature mask " + std::to_string(mask));
+  }
+}
+
+// Core counts off the figure matrix's 8: padded scheduler leaves (1, 3, 5,
+// 12) and both sides of the LLC directory's <= 8-core gate (12, 16 run
+// without it).  json_report covers every priced figure, not just counters.
+TEST(EngineEquivalence, CoreCountsAroundSchedulerAndDirectoryGates) {
+  for (std::uint32_t cores : {1u, 3u, 5u, 12u, 16u}) {
+    RunSpec spec = small_spec(BenchmarkId::kMix, Scheme::kRedhip,
+                              InclusionPolicy::kInclusive);
+    spec.refs_per_core = 10'000;
+    spec.tweak = [cores](HierarchyConfig& config) { config.cores = cores; };
+    const std::string what = std::to_string(cores) + " cores";
+    spec.engine = SimEngine::kFast;
+    const SimResult fast = run_spec(spec);
+    spec.engine = SimEngine::kReference;
+    const SimResult ref = run_spec(spec);
+    EXPECT_TRUE(stats_identical(fast, ref)) << what;
+    EXPECT_EQ(fast.total_refs, std::uint64_t{cores} * spec.refs_per_core)
+        << what;
+    EXPECT_EQ(to_json(fast), to_json(ref)) << what;
   }
 }
 
