@@ -1,13 +1,12 @@
 // bench_speed — end-to-end simulation speed benchmark (BENCH_speed.json).
 //
-// Runs the base + redhip columns over the full workload list on three
-// engines — fast (batched traces, specialized run loops, tree scheduler),
-// reference (the original scalar loop, kept as the bit-identical oracle)
-// and parallel (the bound-weave engine, src/sim/parallel.cc) — and reports
-// per-run and aggregate host throughput in simulated Mrefs/s.  Every
-// (workload, column) cell is checked for statistically identical results
-// across all engines, so a speed number is only ever reported for a
-// correct engine.
+// Runs the base + redhip columns over the full workload list on both
+// engines — fast (batched traces, specialized run loops, tree scheduler)
+// and reference (the original scalar loop, kept as the bit-identical
+// oracle) — and reports per-run and aggregate host throughput in simulated
+// Mrefs/s.  Every (workload, column) cell is checked for statistically
+// identical results across the engines, so a speed number is only ever
+// reported for a correct engine.
 //
 // `--repeat=N` measures each engine N times and reports best-of-N (the
 // headline `matrix_wall_seconds`: least-interference estimate) alongside
@@ -28,40 +27,39 @@
 // (scripts/bench_speed.sh fills both; the compiler version itself is baked
 // in at build time).
 //
-// A fourth leg re-measures the fast engine with periodic checkpointing on
+// A third leg re-measures the fast engine with periodic checkpointing on
 // (src/ckpt, interval from --ckpt-interval) and reports the crash-safety
 // tax as `ckpt.overhead_pct`, budgeted at <= 2%: the fraction of the run's
-// own process-CPU time spent inside save_checkpoint (which self-times).
+// own process-CPU time spent inside save_checkpoint (which self-times on
+// the saving thread's CPU clock).
 // Checkpointing must not change a single statistic, so the leg is also
 // checked cell-by-cell against the uninstrumented fast run.
 //
-// A fifth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
+// A fourth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
 // sampling: one long exact fast-engine run against the same spec sampled
-// (--sampled-bench/-period/-window/-warmup/-warm-mode), reported as
-// `sampling` in the JSON.  The sampled run's 95% CIs must cover the exact
-// run's IPC, L1 hit rate and total energy or the benchmark fails;
-// --sampled-min-speedup=X additionally gates the wall-clock ratio (the
-// committed BENCH_speed.json carries the 500M-ref warm-engine configuration
-// from scripts/bench_speed.sh).
+// (--sampled-bench/-period/-window/-warmup), reported as `sampling` in the
+// JSON.  The sampled run's 95% CIs must cover the exact run's IPC, L1 hit
+// rate and total energy or the benchmark fails; --sampled-min-speedup=X
+// additionally gates the wall-clock ratio (the committed BENCH_speed.json
+// carries the 500M-ref configuration from scripts/bench_speed.sh).
 //
 // The same leg then measures warm-state snapshot reuse — the sweep-farm
 // scenario the shareable window snapshots exist for: a seeding run of the
 // identical cell drops geometrically spaced warm snapshots, and a second
 // run restores the deepest one, skipping every skip/warm phase before it.
 // The resumed run must reproduce the cold run's SamplingReport bit for bit
-// (run.cc's resume contract, pinned by tests/warm_engine_test.cc) and its
+// (run.cc's resume contract, pinned by tests/ckpt_restore_test.cc) and its
 // wall-clock ratio is gated by --sampled-min-resumed-speedup.
 //
 // Usage: bench_speed [--scale=8] [--refs=1000000] [--seed=42] [--jobs=N]
-//                    [--threads=N] [--repeat=N] [--out=BENCH_speed.json]
+//                    [--repeat=N] [--out=BENCH_speed.json]
 //                    [--cpu-model=TEXT] [--compiler-flags=TEXT]
 //                    [--pre-pr-wall=SECONDS] [--pre-pr-note=TEXT]
-//                    [--skip-reference] [--skip-parallel] [--skip-ckpt]
+//                    [--skip-reference] [--skip-ckpt]
 //                    [--ckpt-interval=REFS] [--ckpt-budget-pct=2.0]
 //                    [--sampled-refs=N] [--sampled-bench=mcf]
 //                    [--sampled-period=N] [--sampled-window=N]
 //                    [--sampled-warmup=N] [--sampled-min-speedup=X]
-//                    [--sampled-warm-mode=warm|full]
 //                    [--sampled-min-resumed-speedup=X]
 #include <algorithm>
 #include <cstdio>
@@ -219,7 +217,6 @@ int main(int argc, char** argv) {
   const double pre_pr_wall = cli.get_double("pre-pr-wall", 0.0);
   const std::string pre_pr_note = cli.get("pre-pr-note", "");
   const bool skip_reference = cli.get_bool("skip-reference", false);
-  const bool skip_parallel = cli.get_bool("skip-parallel", false);
   const bool skip_ckpt = cli.get_bool("skip-ckpt", false);
   // Default: one mid-run save per 8M-ref bench cell (the previous 4M
   // default fired twice per cell and recorded 3.33% under the old paired
@@ -263,22 +260,8 @@ int main(int argc, char** argv) {
     if (!check_identical(opts, columns, fast, ref, "fast", "reference")) {
       return 1;
     }
-  }
-
-  EngineLeg par;
-  if (!skip_parallel) {
-    par = measure(opts, SimEngine::kParallel, columns, repeat,
-                  "parallel engine:");
-    if (!check_identical(opts, columns, fast, par, "fast", "parallel")) {
-      return 1;
-    }
-  }
-  if (!skip_reference || !skip_parallel) {
-    std::size_t engines = 1;
-    if (!skip_reference) ++engines;
-    if (!skip_parallel) ++engines;
-    std::printf("engines bit-identical across all %zu runs (%zu engines)\n",
-                opts.benches.size() * columns.size(), engines);
+    std::printf("engines bit-identical across all %zu runs\n",
+                opts.benches.size() * columns.size());
   }
 
   // Crash-safety tax: the fast engine again, now writing a checkpoint every
@@ -287,8 +270,9 @@ int main(int argc, char** argv) {
   // measures a full run including every checkpoint write.
   //
   // The overhead is measured *within* the checkpointing run:
-  // save_checkpoint self-times on process CPU (ckpt_profile_*), and the tax
-  // is that save CPU as a fraction of the run's own CPU, median over
+  // save_checkpoint self-times on its thread's CPU clock (ckpt_profile_*),
+  // and the tax is that save CPU as a fraction of the run's own process CPU
+  // (every worker's), median over
   // repeats.  A paired plain-vs-checkpointing comparison across two runs —
   // wall clock or CPU time — cannot resolve a ~1% effect on a shared host:
   // run-to-run variance is an order of magnitude larger (paired CPU ratios
@@ -387,12 +371,6 @@ int main(int argc, char** argv) {
         cli.get_uint64("sampled-period", 6'000'000);
     sspec.sampling.window_refs = cli.get_uint64("sampled-window", 10'000);
     sspec.sampling.warmup_refs = cli.get_uint64("sampled-warmup", 100'000);
-    // warm (default) exercises the specialized warm engine — the configuration
-    // whose speedup the JSON advertises; full measures the pre-warm-engine
-    // baseline (bit-identical sampled semantics, slower warm phases).
-    sspec.sampling.warm_mode = cli.get("sampled-warm-mode", "warm") == "full"
-                                   ? SampleWarmMode::kFull
-                                   : SampleWarmMode::kWarm;
     const SimResult sampled = run_spec(sspec);
 
     const double exact_ipc =
@@ -494,7 +472,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Duty cycle: the fraction of the run actually simulated (warm +
-    // window) rather than skipped — the knob the warm engine cheapens.
+    // window) rather than skipped.
     const std::uint64_t total_agg = sr.skipped_refs + sr.warmed_refs +
                                     sr.measured_refs;
     const double duty_cycle =
@@ -513,7 +491,7 @@ int main(int argc, char** argv) {
         ",\n  \"sampling\": {\n"
         "    \"bench\": \"%s\",\n    \"refs_per_core\": %llu,\n"
         "    \"period_refs\": %llu,\n    \"window_refs\": %llu,\n"
-        "    \"warmup_refs\": %llu,\n    \"warm_mode\": \"%s\",\n"
+        "    \"warmup_refs\": %llu,\n"
         "    \"windows\": %llu,\n"
         "    \"duty_cycle\": %.6f,\n    \"warm_mrefs_per_s\": %.2f,\n"
         "    \"exact_wall_seconds\": %.3f,\n"
@@ -532,7 +510,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(sspec.sampling.period_refs),
         static_cast<unsigned long long>(sspec.sampling.window_refs),
         static_cast<unsigned long long>(sspec.sampling.warmup_refs),
-        to_string(sspec.sampling.warm_mode),
         static_cast<unsigned long long>(sr.windows), duty_cycle,
         warm_mrefs_per_s, exact.host_seconds,
         sampled.host_seconds, speedup, resumed.host_seconds, resumed_speedup,
@@ -551,11 +528,11 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "    \"scale\": %u,\n    \"refs_per_core\": %llu,\n"
                 "    \"seed\": %llu,\n    \"jobs\": %zu,\n"
-                "    \"threads\": %u,\n    \"repeat\": %u,\n",
+                "    \"repeat\": %u,\n",
                 opts.scale,
                 static_cast<unsigned long long>(opts.refs_per_core),
                 static_cast<unsigned long long>(opts.seed), opts.jobs,
-                opts.threads, repeat);
+                repeat);
   os << buf;
   // Host metadata: the committed BENCH_speed.json must name the machine and
   // toolchain behind its numbers, or the numbers are unreproducible trivia.
@@ -567,7 +544,6 @@ int main(int argc, char** argv) {
      << "\",\n";
   os << "    \"engines\": [\"fast\"";
   if (!skip_reference) os << ", \"reference\"";
-  if (!skip_parallel) os << ", \"parallel\"";
   os << "],\n";
   os << "    \"columns\": [";
   for (std::size_t c = 0; c < columns.size(); ++c) {
@@ -585,16 +561,6 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), ",\n  \"speedup_vs_reference\": %.3f",
                   fast.best().wall_seconds > 0.0
                       ? ref.best().wall_seconds / fast.best().wall_seconds
-                      : 0.0);
-    os << buf;
-  }
-  if (!skip_parallel) {
-    os << ",\n";
-    append_engine_block(os, "parallel_engine", opts, columns, par);
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"parallel_speedup_vs_fast\": %.3f",
-                  par.best().wall_seconds > 0.0
-                      ? fast.best().wall_seconds / par.best().wall_seconds
                       : 0.0);
     os << buf;
   }
@@ -635,10 +601,6 @@ int main(int argc, char** argv) {
   if (pre_pr_wall > 0.0 && fast.best().wall_seconds > 0.0) {
     std::printf("speedup vs pre-PR engine: %.2fx\n",
                 pre_pr_wall / fast.best().wall_seconds);
-  }
-  if (!skip_parallel && par.best().wall_seconds > 0.0) {
-    std::printf("parallel speedup vs fast: %.2fx\n",
-                fast.best().wall_seconds / par.best().wall_seconds);
   }
   return 0;
 }

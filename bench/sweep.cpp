@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   job.refs_per_core = opts.refs_per_core;
   job.prefetch = defaults.prefetch;
   job.seed = opts.seed;
-  job.threads = defaults.threads;
   job.sampling = defaults.sampling;
   job.cell_timeout = opts.cell_timeout;
   for (BenchmarkId id : opts.benches) job.benches.push_back(to_string(id));

@@ -10,12 +10,11 @@
 // that scripts/plot_epochs.py renders; see DESIGN.md "Observability".
 //
 //   ./quickstart [--scale 8] [--refs 200000] [--bench mcf]
-//                [--engine fast|reference|parallel] [--threads N]
+//                [--engine fast|reference]
 //                [--trace-events redhip-events.jsonl] [--json report.json]
 //                [--ckpt-file run.ckpt] [--ckpt-interval N] [--ckpt-restore]
 //                [--sample-mode interval --sample-period N
-//                 --sample-window M --sample-warmup W
-//                 --sample-warm-mode warm|full]
+//                 --sample-window M --sample-warmup W]
 //
 // --sample-mode=interval turns on SMARTS-style statistical sampling (see
 // DESIGN.md "Statistical sampling"): the run fast-forwards between
@@ -27,8 +26,7 @@
 //
 // --json writes the ReDHiP run's full json_report to a file.  Engines are
 // bit-identical, so the document (and the event trace) must compare equal
-// byte for byte across --engine values — CI's parallel smoke job runs
-// exactly that cmp.
+// byte for byte across --engine values.
 //
 // --ckpt-file makes the ReDHiP run crash-safe: SIGTERM/SIGINT checkpoint
 // at the next safe boundary and exit with code 75; --ckpt-interval N also
@@ -73,16 +71,6 @@ int main(int argc, char** argv) {
     sampling.period_refs = opts.get_uint64("sample-period", 1'000'000);
     sampling.window_refs = opts.get_uint64("sample-window", 10'000);
     sampling.warmup_refs = opts.get_uint64("sample-warmup", 100'000);
-    // warm (default): the specialized warm engine rebuilds state between
-    // windows at a fraction of full-fidelity cost; full: bit-identical to
-    // pre-warm-engine sampled runs.
-    const std::string warm = opts.get("sample-warm-mode", "warm");
-    if (warm == "full") {
-      sampling.warm_mode = SampleWarmMode::kFull;
-    } else {
-      REDHIP_CHECK_MSG(warm == "warm",
-                       "unknown --sample-warm-mode: " + warm);
-    }
   } else {
     REDHIP_CHECK_MSG(sample_mode == "off",
                      "unknown --sample-mode: " + sample_mode);
@@ -113,12 +101,10 @@ int main(int argc, char** argv) {
     spec.engine = SimEngine::kFast;
   } else if (engine == "reference") {
     spec.engine = SimEngine::kReference;
-  } else if (engine == "parallel") {
-    spec.engine = SimEngine::kParallel;
   } else {
-    REDHIP_CHECK_MSG(false, "unknown engine: " + engine);
+    REDHIP_CHECK_MSG(false,
+                     "unknown engine: " + engine + " (expected fast|reference)");
   }
-  spec.threads = static_cast<std::uint32_t>(opts.get_int("threads", 0));
   spec.sampling = sampling;  // both legs sampled, so the comparison is like
                              // for like
 

@@ -2,9 +2,9 @@
 # Build the tracked speed benchmark and measure end-to-end simulation speed,
 # writing BENCH_speed.json at the repo root.
 #
-# Three engines are measured on every invocation: fast, the in-binary
+# Both engines are measured on every invocation: fast and the in-binary
 # reference engine (the original run loop, kept alive as the bit-identical
-# oracle), and the parallel bound-weave engine.  Each leg runs REPEAT times
+# oracle).  Each leg runs REPEAT times
 # and the JSON reports best-of-N alongside median-of-N — both for the
 # aggregate matrix wall time and per run: every runs[] row carries
 # host_seconds (min) / host_seconds_median and the matching mrefs_per_s /
@@ -14,10 +14,9 @@
 # provenance is recorded in its own config block (cpu model, core count,
 # compiler flags — filled in below).
 #
-# Cells run sequentially (--jobs=1) so per-cell wall times are clean and
-# the parallel engine's intra-run threads (--threads, default: all cores)
-# are the only parallelism — cell-level and run-level pools would otherwise
-# nest and oversubscribe the host, making both numbers meaningless.
+# Cells run sequentially (--jobs=1) so per-cell wall times are clean: cells
+# sharing the host's cores would time each other's cache and memory
+# traffic, not their own.
 #
 # Because this is a same-host measurement, the build is tuned for the host:
 # -march=native plus a two-pass profile-guided build (instrument, run a
@@ -37,7 +36,6 @@
 #                     seed-commit engine measured on this host)
 #   REPEAT=N          measurements per engine (default 3; the JSON carries
 #                     best and median)
-#   THREADS=N         parallel-engine worker threads (default 0 = all cores)
 #   JOBS=N            concurrent matrix cells (default 1; see above)
 #   SAMPLED_REFS=N    refs/core for the statistical-sampling leg (default
 #                     62500000 = 500M aggregate at 8 cores; 0 skips the
@@ -59,7 +57,6 @@ PGO=${REDHIP_PGO:-1}
 NATIVE=${REDHIP_NATIVE:-1}
 TRAIN_REFS=${TRAIN_REFS:-200000}
 REPEAT=${REPEAT:-3}
-THREADS=${THREADS:-0}
 JOBS=${JOBS:-1}
 SAMPLED_REFS=${SAMPLED_REFS:-62500000}
 
@@ -98,7 +95,7 @@ if [[ "$PGO" == 1 ]]; then
   configure_and_build "-fprofile-generate=$prof_dir"
   mkdir -p "$prof_dir"
   # Train on the same matrix shape the measurement runs (every workload,
-  # all engines), just with few references per core.  A sampled leg rides
+  # both engines), just with few references per core.  A sampled leg rides
   # along so the skip/warm loops get profile coverage too — without it
   # -fprofile-use marks them cold and deoptimizes exactly the code the
   # sampled speedup gate measures (observed: skip throughput dropped ~40%
@@ -127,7 +124,6 @@ flags="-O3"
 
 args=(--out=BENCH_speed.json
       --jobs="$JOBS"
-      --threads="$THREADS"
       --repeat="$REPEAT"
       --cpu-model="$cpu_model"
       --compiler-flags="$flags")

@@ -2,7 +2,7 @@
 # Profile the fast engine's per-reference critical path and print a
 # top-symbols table.
 #
-# Drives `bench_speed` fast-engine-only (reference/parallel/ckpt legs
+# Drives `bench_speed` fast-engine-only (reference/ckpt legs
 # skipped — they would pollute the profile with code the fast path never
 # runs) over the full workload matrix at a reduced ref count, then reports
 # where the host cycles went:
@@ -37,9 +37,7 @@
 # under an interval plan whose wall time is dominated by the skip + warm
 # phases (period 1M, warmup 100k, window 10k per core), so the table ranks
 # skip_with_gaps and the warm loop rather than the measured-window run loop.
-# Extra flags go to quickstart — in particular `--sample-warm-mode=full`
-# captures the pre-warm-engine baseline, which is how the before/after
-# warm-loop table in DESIGN.md ("Statistical sampling") was produced.
+# Extra flags go to quickstart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -68,8 +66,8 @@ if [[ "$sampled" == 1 ]]; then
 else
   target=bench_speed
   binary=bench/bench_speed
-  run_args=(--refs=400000 --scale=8 --skip-reference --skip-parallel
-            --skip-ckpt --out="$BUILD_DIR/profile-bench.json")
+  run_args=(--refs=400000 --scale=8 --skip-reference --skip-ckpt
+            --out="$BUILD_DIR/profile-bench.json")
 fi
 run_args+=(${fwd_user[@]+"${fwd_user[@]}"})
 

@@ -15,9 +15,8 @@
 // *miss* (the exact case ReDHiP exists to skip in hardware) therefore costs
 // one dense 16-byte load instead of a 64-byte entry sweep, and the AVX-512
 // path compares a whole set in a single 16-bit-lane vector op.  The lane is
-// derived state: every mutation that changes residency rewrites it, and the
-// restore paths (parallel-engine set rewind, checkpoint restore) rebuild it
-// from the entries.
+// derived state: every mutation that changes residency rewrites it, and
+// checkpoint restore rebuilds it from the entries.
 #pragma once
 
 #include <cstdint>
@@ -142,39 +141,17 @@ class TagArray {
   bool mark_dirty(LineAddr line);
 
   // Whether every piece of per-set state lives inside the packed entries
-  // (LRU with <= 16 ways, the paper machine's configuration).  When true,
-  // save_set/restore_set below capture the *complete* state of one set,
-  // which is what lets the parallel engine speculate hits on this array and
-  // rewind them on a back-invalidation conflict.  Policies with side state
-  // (tree-PLRU, NRU, the random policy's RNG) are not self-contained and
-  // disable speculation (src/sim/parallel.cc falls back to its weave-only
-  // mode).  The partial-tag lane is derived from the entries, so it never
-  // needs to be captured — restore_set rebuilds it.
+  // (LRU with <= 16 ways, the paper machine's configuration).  Policies with
+  // side state (tree-PLRU, NRU, the random policy's RNG) are not
+  // self-contained.  The partial-tag lane is derived from the entries, so it
+  // never needs to be captured.
   bool state_is_self_contained() const { return embedded_lru_; }
 
-  // Raw per-set state for the parallel engine's speculation undo log; only
-  // meaningful when state_is_self_contained().  `out` must hold ways()
-  // words.  The caller may only bracket mutations that preserve residency
-  // (hit promotions, dirty marks) — the valid count is not re-derived.  The
-  // partial-tag lane is recomputed on restore (a residency-preserving
-  // bracket leaves it unchanged, but rebuilding is cheap and keeps the
-  // lane-mirrors-entries invariant unconditional).
-  void save_set(std::uint64_t set, std::uint64_t* out) const {
-    const Entry* e = set_begin(set);
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) out[w] = e[w];
-  }
-  void restore_set(std::uint64_t set, const std::uint64_t* saved) {
-    Entry* e = set_begin(set);
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) e[w] = saved[w];
-    rebuild_lane(set);
-  }
-
-  // Whole-array snapshot for checkpoint/restore — the array-granularity
-  // sibling of save_set/restore_set, under the same gate: the packed
-  // entries are the *complete* state only when state_is_self_contained()
-  // (src/ckpt refuses to checkpoint otherwise).  Restore recounts the
-  // valid-line tally from the valid bits rather than trusting the caller,
-  // and rebuilds the derived partial-tag lanes.
+  // Whole-array snapshot for checkpoint/restore: the packed entries are the
+  // *complete* state only when state_is_self_contained() (src/ckpt refuses
+  // to checkpoint otherwise).  Restore recounts the valid-line tally from
+  // the valid bits rather than trusting the caller, and rebuilds the derived
+  // partial-tag lanes.
   const std::vector<std::uint64_t>& ckpt_entries() const { return entries_; }
   bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries) {
     if (entries.size() != entries_.size()) return false;

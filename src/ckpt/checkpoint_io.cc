@@ -16,10 +16,10 @@ constexpr FileEnvelope kEnvelope{"RDHPCKPT", kCkptSchemaVersion, "checkpoint"};
 
 std::atomic<bool> g_stop_requested{false};
 
-// Cumulative CPU microseconds and call count of save_checkpoint since the
+// Cumulative CPU nanoseconds and call count of save_checkpoint since the
 // last ckpt_profile_reset().  Relaxed atomics: readers only look between
 // runs, never mid-save.
-std::atomic<std::uint64_t> g_save_cpu_us{0};
+std::atomic<std::uint64_t> g_save_cpu_ns{0};
 std::atomic<std::uint64_t> g_save_count{0};
 
 void handle_shutdown_signal(int) {
@@ -34,6 +34,14 @@ void handle_shutdown_signal(int) {
     std::signal(SIGTERM, SIG_DFL);
     std::signal(SIGINT, SIG_DFL);
   }
+}
+
+// CPU time consumed so far by the calling thread, in nanoseconds.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000 +
+         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -52,19 +60,14 @@ std::uint64_t ckpt_key(const std::string& bench, std::uint32_t scale,
 
 Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
                        std::uint64_t key) {
-  const std::clock_t t0 = std::clock();
+  const std::uint64_t t0 = thread_cpu_ns();
   ByteWriter w;
   sim.ckpt_serialize(w);
   const std::string payload(reinterpret_cast<const char*>(w.buffer().data()),
                             w.buffer().size());
   const Status st =
       write_file_atomic(path, seal_envelope(kEnvelope, key, payload));
-  const std::clock_t t1 = std::clock();
-  if (t1 > t0) {
-    g_save_cpu_us.fetch_add(
-        static_cast<std::uint64_t>(t1 - t0) * 1'000'000 / CLOCKS_PER_SEC,
-        std::memory_order_relaxed);
-  }
+  g_save_cpu_ns.fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
   g_save_count.fetch_add(1, std::memory_order_relaxed);
   return st;
 }
@@ -94,13 +97,13 @@ bool evict_checkpoint(const std::string& path) {
 }
 
 void ckpt_profile_reset() {
-  g_save_cpu_us.store(0, std::memory_order_relaxed);
+  g_save_cpu_ns.store(0, std::memory_order_relaxed);
   g_save_count.store(0, std::memory_order_relaxed);
 }
 
 double ckpt_profile_save_cpu_seconds() {
-  return static_cast<double>(g_save_cpu_us.load(std::memory_order_relaxed)) /
-         1e6;
+  return static_cast<double>(g_save_cpu_ns.load(std::memory_order_relaxed)) /
+         1e9;
 }
 
 std::uint64_t ckpt_profile_save_count() {

@@ -59,14 +59,14 @@ Status load_checkpoint(const std::string& path, std::uint64_t key,
 // Returns true when a file was actually removed.
 bool evict_checkpoint(const std::string& path);
 
-// Save-cost accounting: save_checkpoint() self-times on process CPU and
-// accumulates into a process-wide counter, so the crash-safety tax can be
-// measured as (save CPU / run CPU) *within* a single run — a paired
-// plain-vs-checkpointing comparison across two runs cannot resolve a ~1%
-// effect on a shared host, where run-to-run variance is an order of
-// magnitude larger.  std::clock() counts all threads, so the numerator is
-// only meaningful when saves happen while the rest of the process is at a
-// safe boundary (true for every engine: saves are serial points).
+// Save-cost accounting: save_checkpoint() self-times on the saving thread's
+// CPU clock (CLOCK_THREAD_CPUTIME_ID) and accumulates into a process-wide
+// counter, so the crash-safety tax can be measured as (total save CPU /
+// process run CPU) *within* a single run — a paired plain-vs-checkpointing
+// comparison across two runs cannot resolve a ~1% effect on a shared host,
+// where run-to-run variance is an order of magnitude larger.  The thread
+// clock keeps concurrent workers (--jobs=N) from being charged to a save
+// that merely overlaps them.
 void ckpt_profile_reset();
 double ckpt_profile_save_cpu_seconds();
 std::uint64_t ckpt_profile_save_count();

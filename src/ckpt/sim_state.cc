@@ -112,8 +112,7 @@ void load_sample_snapshot(ByteReader& r, SampleSnapshot& s) {
 
 bool MulticoreSimulator::ckpt_supported() const {
   // A checkpoint must capture tag-array state completely; packed entries
-  // are the whole state only for embedded-LRU arrays (the same gate the
-  // parallel engine's speculation rollback uses).
+  // are the whole state only for embedded-LRU arrays.
   for (const TagArray& a : private_) {
     if (!a.state_is_self_contained()) return false;
   }

@@ -32,9 +32,9 @@ class CpiAccumulator {
 
   std::uint32_t cpi_centi() const { return cpi_centi_; }
   std::uint64_t remainder_centi() const { return remainder_centi_; }
-  // Rewind support for the parallel engine's speculation rollback: restore
-  // a remainder previously read via remainder_centi().  Always < 100 after
-  // any advance(), so the value round-trips through a byte.
+  // Checkpoint restore: reinstate a remainder previously read via
+  // remainder_centi().  Always < 100 after any advance(), so the value
+  // round-trips through a byte.
   void set_remainder_centi(std::uint64_t r) {
     REDHIP_DCHECK(r < 100);
     remainder_centi_ = r;

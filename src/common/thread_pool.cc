@@ -41,21 +41,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-void ThreadPool::run_phase(const std::function<void(std::size_t)>& fn,
-                           std::size_t n) {
-  if (n == 0) return;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    REDHIP_CHECK_MSG(!stop_, "ThreadPool::run_phase after shutdown");
-    for (std::size_t i = 0; i < n; ++i) {
-      queue_.push([&fn, i] { fn(i); });
-    }
-    in_flight_ += n;
-  }
-  cv_.notify_all();
-  wait_idle();
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return in_flight_ == 0; });

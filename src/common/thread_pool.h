@@ -1,8 +1,6 @@
 // A small work-queue thread pool used by the experiment harness to run
 // independent simulations concurrently (each simulation is single-threaded
-// and deterministic; parallelism across runs never changes results), and by
-// the parallel engine to run the per-core bound phases of one simulation
-// (see run_phase below and src/sim/parallel.cc).
+// and deterministic; parallelism across runs never changes results).
 //
 // Error discipline: a task that throws no longer takes the process down
 // (an exception escaping a std::thread is std::terminate).  The pool
@@ -39,15 +37,6 @@ class ThreadPool {
   // Drain the queue and join every worker.  Idempotent; called by the
   // destructor.  After shutdown, submit() throws.
   void shutdown();
-
-  // Phase/barrier support for intra-run engines: run fn(0), ..., fn(n-1)
-  // as one batch and block until every call has finished (a barrier).  The
-  // batch is enqueued under a single lock acquisition with one wakeup
-  // broadcast — an engine issuing thousands of phases per run cares about
-  // per-phase overhead, not just per-task overhead.  `fn` must tolerate
-  // concurrent invocations with distinct indices.  Rethrows the first task
-  // exception after the phase drains, like wait_idle().
-  void run_phase(const std::function<void(std::size_t)>& fn, std::size_t n);
 
   std::size_t size() const { return workers_.size(); }
 

@@ -31,7 +31,6 @@ void write_job(ByteWriter& w, const FarmJob& job) {
   w.u64(job.refs_per_core);
   w.boolean(job.prefetch);
   w.u64(job.seed);
-  w.u32(job.threads);
   w.u8(static_cast<std::uint8_t>(job.sampling.mode));
   w.u64(job.sampling.period_refs);
   w.u64(job.sampling.window_refs);
@@ -41,6 +40,9 @@ void write_job(ByteWriter& w, const FarmJob& job) {
   write_string_list(w, job.axis_specs);
 }
 
+// Fails closed on an enum byte outside its type's range: build_sweep_spec
+// casts these bytes straight into the enums, and an engine no switch
+// matches would run nothing and report a zeroed result.
 bool read_job(ByteReader& r, FarmJob& job) {
   job.bench = r.str();
   job.scheme = r.u8();
@@ -50,12 +52,18 @@ bool read_job(ByteReader& r, FarmJob& job) {
   job.refs_per_core = r.u64();
   job.prefetch = r.boolean();
   job.seed = r.u64();
-  job.threads = r.u32();
-  job.sampling.mode = static_cast<SampleMode>(r.u8());
+  const std::uint8_t mode = r.u8();
+  job.sampling.mode = static_cast<SampleMode>(mode);
   job.sampling.period_refs = r.u64();
   job.sampling.window_refs = r.u64();
   job.sampling.warmup_refs = r.u64();
   job.cell_timeout = r.f64();
+  if (job.scheme > static_cast<std::uint8_t>(Scheme::kPartialTag) ||
+      job.inclusion > static_cast<std::uint8_t>(InclusionPolicy::kExclusive) ||
+      job.engine > static_cast<std::uint8_t>(SimEngine::kReference) ||
+      mode > static_cast<std::uint8_t>(SampleMode::kInterval)) {
+    return false;
+  }
   return read_string_list(r, job.benches) &&
          read_string_list(r, job.axis_specs) && r.ok();
 }
@@ -102,7 +110,6 @@ SweepSpec build_sweep_spec(const FarmJob& job) {
   spec.base.refs_per_core = job.refs_per_core;
   spec.base.prefetch = job.prefetch;
   spec.base.seed = job.seed;
-  spec.base.threads = job.threads;
   spec.base.sampling = job.sampling;
 
   // The context make_named_axis consumes: both sides must resolve
@@ -112,7 +119,6 @@ SweepSpec build_sweep_spec(const FarmJob& job) {
   opts.refs_per_core = job.refs_per_core;
   opts.seed = job.seed;
   opts.engine = static_cast<SimEngine>(job.engine);
-  opts.threads = job.threads;
   opts.sampling = job.sampling;
   opts.benches.clear();
   for (const std::string& name : job.benches) {

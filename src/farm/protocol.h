@@ -45,7 +45,6 @@ struct FarmJob {
   std::uint64_t refs_per_core = 0;
   bool prefetch = false;
   std::uint64_t seed = 0;
-  std::uint32_t threads = 0;
   SamplingPlan sampling;
   // Per-cell wall-clock budget; the worker starts the clock when the cell
   // begins executing (never charging queue or network wait).

@@ -7,7 +7,7 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "harness/thread_pool.h"
+#include "common/thread_pool.h"
 
 namespace redhip {
 
@@ -23,12 +23,10 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
     o.engine = SimEngine::kFast;
   } else if (engine == "reference") {
     o.engine = SimEngine::kReference;
-  } else if (engine == "parallel") {
-    o.engine = SimEngine::kParallel;
   } else {
-    REDHIP_CHECK_MSG(false, "unknown engine: " + engine);
+    REDHIP_CHECK_MSG(false,
+                     "unknown engine: " + engine + " (expected fast|reference)");
   }
-  o.threads = static_cast<std::uint32_t>(cli.get_int("threads", 0));
   o.trace_events = cli.get("trace-events", "");
   o.obs_epoch_refs = cli.get_uint64("obs-epoch", 100'000);
   o.cache_dir = cli.get("cache-dir", "");
@@ -46,15 +44,6 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
     o.sampling.period_refs = cli.get_uint64("sample-period", 1'000'000);
     o.sampling.window_refs = cli.get_uint64("sample-window", 10'000);
     o.sampling.warmup_refs = cli.get_uint64("sample-warmup", 100'000);
-    const std::string warm = cli.get("sample-warm-mode", "warm");
-    if (warm == "warm") {
-      o.sampling.warm_mode = SampleWarmMode::kWarm;
-    } else if (warm == "full") {
-      o.sampling.warm_mode = SampleWarmMode::kFull;
-    } else {
-      REDHIP_CHECK_MSG(false, "unknown --sample-warm-mode: " + warm +
-                                  " (expected warm|full)");
-    }
   } else {
     REDHIP_CHECK_MSG(sample_mode == "off",
                      "unknown --sample-mode: " + sample_mode);
@@ -184,7 +173,6 @@ std::vector<std::vector<SimResult>> run_matrix(
       spec.refs_per_core = opts.refs_per_core;
       spec.seed = opts.seed;
       spec.engine = opts.engine;
-      spec.threads = opts.threads;
       spec.sampling = opts.sampling;
       // A run aborted by the invariant auditor under a *transient*
       // injected fault (RecoveryPolicy::kAbortRetry) is retried a bounded

@@ -20,9 +20,6 @@ struct ExperimentOptions {
   bool csv = false;
   std::size_t jobs = 0;  // 0 = hardware concurrency
   SimEngine engine = SimEngine::kFast;
-  // Worker threads inside each simulation (--engine=parallel only; the
-  // single-threaded engines ignore it).  0 = hardware concurrency.
-  std::uint32_t threads = 0;
   std::vector<BenchmarkId> benches;
   // Observability (src/obs): when `trace_events` names a directory, every
   // matrix cell runs with obs enabled and writes its JSONL event trace to
@@ -55,15 +52,14 @@ struct ExperimentOptions {
   // sim/sampling.h); default off — every reference simulated exactly.
   SamplingPlan sampling;
 
-  // Parses --scale/--refs/--seed/--csv/--jobs/--bench/--engine/--threads
+  // Parses --scale/--refs/--seed/--csv/--jobs/--bench/--engine
   // plus --trace-events/--obs-epoch, --cache-dir/--resume,
   // --ckpt-dir/--ckpt-interval/--cell-timeout and
   // --sample-mode/--sample-period/--sample-window/--sample-warmup (or the
   // REDHIP_BENCH_* environment equivalents).  --bench limits the workload
-  // list to one named benchmark; --engine selects fast (default), the
-  // reference oracle loop, or the parallel bound-weave engine (--threads
-  // sizes its pool).  refs and seed are parsed with full 64-bit range (a
-  // seed is an arbitrary u64, and ref counts past 2^31 are legitimate).
+  // list to one named benchmark; --engine selects fast (default) or the
+  // reference oracle loop.  refs and seed are parsed with full 64-bit range
+  // (a seed is an arbitrary u64, and ref counts past 2^31 are legitimate).
   static ExperimentOptions parse(const CliOptions& cli);
 };
 

@@ -248,12 +248,6 @@ std::string to_json(const SimResult& r) {
     w.value(r.sampling.plan.window_refs);
     w.key("warmup_refs");
     w.value(r.sampling.plan.warmup_refs);
-    // Emitted only for the warm engine so full-mode reports stay
-    // byte-identical to pre-warm-engine builds.
-    if (r.sampling.plan.warm_mode != SampleWarmMode::kFull) {
-      w.key("warm_mode");
-      w.value(to_string(r.sampling.plan.warm_mode));
-    }
     w.key("windows");
     w.value(r.sampling.windows);
     w.key("skipped_refs");

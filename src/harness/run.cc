@@ -13,7 +13,6 @@ std::string engine_name(SimEngine e) {
   switch (e) {
     case SimEngine::kFast: return "fast";
     case SimEngine::kReference: return "reference";
-    case SimEngine::kParallel: return "parallel";
   }
   return "unknown";
 }
@@ -195,12 +194,6 @@ SimResult run_spec(const RunSpec& spec) {
     case SimEngine::kReference:
       r = sim->run_reference(spec.refs_per_core);
       break;
-    case SimEngine::kParallel: {
-      ParallelOptions po;
-      po.threads = spec.threads;
-      r = sim->run_parallel(spec.refs_per_core, po);
-      break;
-    }
   }
   r.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

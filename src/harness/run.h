@@ -18,11 +18,9 @@ namespace redhip {
 // (batched traces, specialized loops, tree scheduler); kReference is the
 // original engine kept as the bit-identical oracle — both produce the same
 // statistics (see tests/engine_equivalence_test), kReference just exists to
-// prove it and to anchor bench_speed.  kParallel is the intra-run
-// bound-weave engine (src/sim/parallel.cc): per-core private-level work on
-// ThreadPool lanes, shared-level events applied in deterministic order on
-// one thread — same bit-identity contract as the other two.
-enum class SimEngine : std::uint8_t { kFast, kReference, kParallel };
+// prove it and to anchor bench_speed.  The numeric values are part of the
+// sweep cache key (sweep_cache_key) and the farm wire format.
+enum class SimEngine : std::uint8_t { kFast = 0, kReference = 1 };
 std::string engine_name(SimEngine e);
 
 struct RunSpec {
@@ -34,10 +32,6 @@ struct RunSpec {
   bool prefetch = false;
   std::uint64_t seed = 42;
   SimEngine engine = SimEngine::kFast;
-  // Worker threads for SimEngine::kParallel (0 = hardware concurrency);
-  // ignored by the single-threaded engines.  Never affects results, only
-  // wall time.
-  std::uint32_t threads = 0;
   // Statistical sampling (src/sim/sampling.h).  Off by default — every
   // reference simulated at full fidelity.  When enabled, run_spec validates
   // the plan against refs_per_core up front (throws INVALID_ARGUMENT on a

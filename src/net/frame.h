@@ -23,7 +23,7 @@ namespace redhip {
 // Bump on any change to the frame layout or to a message payload schema
 // (src/farm/protocol.h): a coordinator and worker from different builds
 // then refuse each other instead of misinterpreting bytes.
-inline constexpr std::uint32_t kFarmProtocolVersion = 1;
+inline constexpr std::uint32_t kFarmProtocolVersion = 2;
 
 // Frames are control messages plus one serialized SimResult; 64 MiB is far
 // above any legitimate payload and bounds what a corrupt length field can

@@ -1,12 +1,12 @@
 // CkptControl — the simulator-side contract of the checkpoint subsystem.
 //
 // The simulator itself never does file I/O and never depends on src/ckpt;
-// it only *polls*: at each safe boundary (a point where the serial engines
-// are between references and the parallel engine has quiesced speculation)
-// it consults this struct and, when an action is due, either invokes the
-// injected save callback or throws one of the control-flow exceptions
-// below.  Everything policy-shaped — intervals, signal handling, deadlines,
-// file formats — lives above the simulator, in src/ckpt and the harness.
+// it only *polls*: at each safe boundary (a point where the engine is
+// between references) it consults this struct and, when an action is due,
+// either invokes the injected save callback or throws one of the
+// control-flow exceptions below.  Everything policy-shaped — intervals,
+// signal handling, deadlines, file formats — lives above the simulator, in
+// src/ckpt and the harness.
 #pragma once
 
 #include <atomic>

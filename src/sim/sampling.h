@@ -28,21 +28,6 @@ enum class SampleMode : std::uint8_t { kOff = 0, kInterval = 1 };
 
 const char* to_string(SampleMode m);
 
-// How the functional warmup before each window is simulated.
-//  kWarm: the warm engine — a specialized access loop that updates every
-//         warm-relevant structure (tags/LRU, predictor rows, CBF, PT
-//         occupancy, prefetcher training, L1 hit/miss counts and recal
-//         stalls) but elides pure-accounting counters (per-level probe/
-//         fill/eviction/writeback tallies, memory traffic, prefetch issue
-//         stats) and all timing.  Window estimates are unchanged — deltas
-//         never straddle a warm phase — but cumulative counters in a
-//         sampled SimResult cover less of the gap activity than kFull.
-//  kFull: today's behavior, bit-identical to pre-warm-engine sampled runs —
-//         every warmed reference goes through the ordinary access path.
-enum class SampleWarmMode : std::uint8_t { kWarm = 0, kFull = 1 };
-
-const char* to_string(SampleWarmMode m);
-
 // How a sampled run partitions each core's reference stream.  Validated
 // against the run length by validate(); an invalid plan never produces NaN
 // confidence intervals — it is rejected up front as INVALID_ARGUMENT.
@@ -51,7 +36,6 @@ struct SamplingPlan {
   std::uint64_t period_refs = 0;  // per-core references per sampling period
   std::uint64_t window_refs = 0;  // measured references at each period's end
   std::uint64_t warmup_refs = 0;  // functionally-warmed refs before a window
-  SampleWarmMode warm_mode = SampleWarmMode::kWarm;
 
   bool enabled() const { return mode != SampleMode::kOff; }
   std::uint64_t windows_for(std::uint64_t refs_per_core) const {

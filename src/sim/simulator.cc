@@ -163,7 +163,6 @@ const TagArray& MulticoreSimulator::level_array(std::uint32_t level,
 
 // ----------------------------------------------------------- event recording
 
-template <bool kWarm>
 MulticoreSimulator::ProbeOutcome MulticoreSimulator::probe(std::uint32_t lvl,
                                                            CoreId core,
                                                            LineAddr line,
@@ -172,10 +171,7 @@ MulticoreSimulator::ProbeOutcome MulticoreSimulator::probe(std::uint32_t lvl,
   const LevelTiming& t = level_timing_[lvl];
   LevelEvents& ev = events_[lvl];
 
-  // Warm engine: L1 access/hit/miss counts stay exact (window snapshots,
-  // auto-disable epochs and the obs epoch series read them); every other
-  // tally here is pure accounting.
-  if (!kWarm || lvl == 0) ++ev.accesses;
+  ++ev.accesses;
   ProbeOutcome out;
   // Writes dirty the L1 copy (write-allocate, writeback policy).
   const TagArray::LookupResult r =
@@ -185,10 +181,10 @@ MulticoreSimulator::ProbeOutcome MulticoreSimulator::probe(std::uint32_t lvl,
   // Same counters and latencies as deriving them from the LevelSpec per
   // probe (a phased miss never reads the data array; a parallel access
   // always reads both); the sums were just hoisted into level_timing_.
-  if constexpr (!kWarm) ++ev.tag_probes;
+  ++ev.tag_probes;
   if (r.hit) {
-    if constexpr (!kWarm) ++ev.data_probes;
-    if (!kWarm || lvl == 0) ++ev.hits;
+    ++ev.data_probes;
+    ++ev.hits;
     out.latency = t.hit_latency;
     if (llc_dir_on_ && is_shared(lvl)) {
       // Remember the line's LLC slot for the top-private directory update
@@ -197,34 +193,26 @@ MulticoreSimulator::ProbeOutcome MulticoreSimulator::probe(std::uint32_t lvl,
       dir_memo_way_ = r.way;
     }
   } else {
-    if constexpr (!kWarm) {
-      if (!t.phased) ++ev.data_probes;
-    }
-    if (!kWarm || lvl == 0) ++ev.misses;
+    if (!t.phased) ++ev.data_probes;
+    ++ev.misses;
     out.latency = t.miss_latency;
   }
-  if constexpr (!kWarm) {
-    if (r.was_prefetched && !prefetchers_.empty()) ++prefetch_events_.useful;
-  }
+  if (r.was_prefetched && !prefetchers_.empty()) ++prefetch_events_.useful;
   return out;
 }
 
-template <bool kWarm>
 void MulticoreSimulator::note_writeback(std::uint32_t lvl, CoreId core,
                                         LineAddr victim) {
   if (!config_.model_writebacks) return;
   if (is_shared(lvl)) {
-    if constexpr (!kWarm) ++memory_writebacks_;
+    ++memory_writebacks_;
     return;
   }
   // The inclusive level below holds a copy; it absorbs the dirty data.
-  // The dirty bit is cache state (it decides future writeback cascades), so
-  // the warm engine keeps the mark and elides only the tally.
-  if constexpr (!kWarm) ++events_[lvl + 1].writebacks;
+  ++events_[lvl + 1].writebacks;
   level_array(lvl + 1, core).mark_dirty(victim);
 }
 
-template <bool kWarm>
 void MulticoreSimulator::fill_at(std::uint32_t lvl, CoreId core, LineAddr line,
                                  bool prefetched, bool dirty,
                                  bool known_absent) {
@@ -273,7 +261,7 @@ void MulticoreSimulator::fill_at(std::uint32_t lvl, CoreId core, LineAddr line,
       dir_memo_way_ = r.way;
     }
   }
-  if constexpr (!kWarm) ++events_[lvl].fills;
+  ++events_[lvl].fills;
   // Eviction is reported before the fill: predictors that mirror the cache
   // exactly (the partial-tag baseline) must see the victim leave before the
   // newcomer arrives, or their per-set occupancy transiently overflows.
@@ -283,13 +271,11 @@ void MulticoreSimulator::fill_at(std::uint32_t lvl, CoreId core, LineAddr line,
   if (is_shared(lvl) && llc_pred_) llc_pred_->on_fill(line);
   if (!r.evicted) return;
 
-  if constexpr (!kWarm) {
-    ++events_[lvl].evictions;
-    if (r.victim_was_prefetched && !prefetchers_.empty()) {
-      ++prefetch_events_.useless;
-    }
+  ++events_[lvl].evictions;
+  if (r.victim_was_prefetched && !prefetchers_.empty()) {
+    ++prefetch_events_.useless;
   }
-  if (r.victim_was_dirty) note_writeback<kWarm>(lvl, core, r.victim);
+  if (r.victim_was_dirty) note_writeback(lvl, core, r.victim);
   if (is_shared(lvl)) {
     // Inclusive LLC (both the inclusive and hybrid policies): the victim
     // must leave every private cache.  With the directory only the cores
@@ -297,33 +283,26 @@ void MulticoreSimulator::fill_at(std::uint32_t lvl, CoreId core, LineAddr line,
     // would provably find nothing, so skipping it changes no statistic.
     if (llc_dir_on_) {
       for (CoreId c = 0; victim_cores != 0; ++c, victim_cores >>= 1) {
-        if (victim_cores & 1) back_invalidate_core<kWarm>(lvl, c, r.victim);
+        if (victim_cores & 1) back_invalidate_core(lvl, c, r.victim);
       }
     } else {
-      back_invalidate_all_cores<kWarm>(lvl, r.victim);
+      back_invalidate_all_cores(lvl, r.victim);
     }
   } else if (config_.inclusion == InclusionPolicy::kInclusive) {
     // Private levels are inclusive of the levels above them.
-    back_invalidate_core<kWarm>(lvl, core, r.victim);
+    back_invalidate_core(lvl, core, r.victim);
   }
 }
 
-template <bool kWarm>
 void MulticoreSimulator::back_invalidate_all_cores(std::uint32_t below_level,
                                                    LineAddr victim) {
   for (CoreId c = 0; c < config_.cores; ++c) {
-    back_invalidate_core<kWarm>(below_level, c, victim);
+    back_invalidate_core(below_level, c, victim);
   }
 }
 
-template <bool kWarm>
 void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
                                               CoreId core, LineAddr victim) {
-  // Parallel engine: `core`'s lane may have speculated references past this
-  // event's cycle that hit `victim` in its L1 — those hits are wrong the
-  // moment the invalidation lands, so the lane is rolled back first (see
-  // src/sim/parallel.cc).  Null outside the speculative weave.
-  if (par_lanes_ != nullptr) par_note_back_invalidate(core, victim);
   // The L1 memo's residency guarantee ends here: this is the only path
   // that removes an L1 line outside the owning core's own access.
   if (cores_[core].l1_last_line == victim) {
@@ -343,13 +322,13 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
     for (std::uint32_t lvl = below_level; lvl-- > 0;) {
       bool was_dirty = false;
       if (!level_array(lvl, core).invalidate(victim, &was_dirty)) return;
-      if constexpr (!kWarm) ++events_[lvl].invalidations;
+      ++events_[lvl].invalidations;
       if (was_dirty && config_.model_writebacks) {
         if (below_level + 1 < config_.num_levels()) {
-          if constexpr (!kWarm) ++events_[below_level + 1].writebacks;
+          ++events_[below_level + 1].writebacks;
           level_array(below_level + 1, core).mark_dirty(victim);
         } else {
-          if constexpr (!kWarm) ++memory_writebacks_;
+          ++memory_writebacks_;
         }
       }
     }
@@ -360,13 +339,13 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
   for (std::uint32_t lvl = 0; lvl < below_level; ++lvl) {
     bool was_dirty = false;
     if (level_array(lvl, core).invalidate(victim, &was_dirty)) {
-      if constexpr (!kWarm) ++events_[lvl].invalidations;
+      ++events_[lvl].invalidations;
       if (was_dirty && config_.model_writebacks) {
         if (below_level + 1 < config_.num_levels()) {
-          if constexpr (!kWarm) ++events_[below_level + 1].writebacks;
+          ++events_[below_level + 1].writebacks;
           level_array(below_level + 1, core).mark_dirty(victim);
         } else {
-          if constexpr (!kWarm) ++memory_writebacks_;
+          ++memory_writebacks_;
         }
       }
       return;
@@ -374,7 +353,6 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
   }
 }
 
-template <bool kWarm>
 void MulticoreSimulator::insert_with_cascade(std::uint32_t lvl, CoreId core,
                                              LineAddr line,
                                              std::uint32_t last_level,
@@ -385,7 +363,7 @@ void MulticoreSimulator::insert_with_cascade(std::uint32_t lvl, CoreId core,
     TagArray& arr = level_array(l, core);
     REDHIP_DCHECK(!arr.contains(incoming));
     const TagArray::FillResult r = arr.fill(incoming, false, incoming_dirty);
-    if constexpr (!kWarm) ++events_[l].fills;
+    ++events_[l].fills;
     if (l >= 1 && config_.inclusion == InclusionPolicy::kExclusive &&
         config_.scheme == Scheme::kRedhip) {
       RedhipTable* t =
@@ -393,7 +371,7 @@ void MulticoreSimulator::insert_with_cascade(std::uint32_t lvl, CoreId core,
       t->on_fill(incoming);
     }
     if (!r.evicted) return;
-    if constexpr (!kWarm) ++events_[l].evictions;
+    ++events_[l].evictions;
     incoming = r.victim;  // the victim moves down one level, dirt and all
     incoming_dirty = r.victim_was_dirty;
   }
@@ -402,9 +380,9 @@ void MulticoreSimulator::insert_with_cascade(std::uint32_t lvl, CoreId core,
   // the LLC copy absorbs the dirty data).
   if (incoming_dirty && config_.model_writebacks) {
     if (last_level + 1 == config_.num_levels()) {
-      if constexpr (!kWarm) ++memory_writebacks_;
+      ++memory_writebacks_;
     } else {
-      if constexpr (!kWarm) ++events_[last_level + 1].writebacks;
+      ++events_[last_level + 1].writebacks;
       level_array(last_level + 1, core).mark_dirty(incoming);
     }
   }
@@ -567,11 +545,6 @@ void MulticoreSimulator::evaluate_auto_disable() {
 // ------------------------------------------------------------- access paths
 
 Cycles MulticoreSimulator::access(CoreId core, const MemRef& ref) {
-  return access_impl<false>(core, ref);
-}
-
-template <bool kWarm>
-Cycles MulticoreSimulator::access_impl(CoreId core, const MemRef& ref) {
   const LineAddr line = ref.addr >> l1_shift_;
   const bool is_write = ref.is_write;
   CoreState& cs = cores_[core];
@@ -585,10 +558,8 @@ Cycles MulticoreSimulator::access_impl(CoreId core, const MemRef& ref) {
     // L1 only ever receives demand fills.
     LevelEvents& ev = events_[0];
     ++ev.accesses;
-    if constexpr (!kWarm) {
-      ++ev.tag_probes;
-      ++ev.data_probes;
-    }
+    ++ev.tag_probes;
+    ++ev.data_probes;
     ++ev.hits;
     if (is_write && config_.model_writebacks && !cs.l1_last_dirty) {
       level_array(0, core).mark_dirty(line);
@@ -599,13 +570,13 @@ Cycles MulticoreSimulator::access_impl(CoreId core, const MemRef& ref) {
   Cycles lat;
   switch (config_.inclusion) {
     case InclusionPolicy::kInclusive:
-      lat = access_inclusive<kWarm>(core, line, is_write);
+      lat = access_inclusive(core, line, is_write);
       break;
     case InclusionPolicy::kHybrid:
-      lat = access_hybrid<kWarm>(core, line, is_write);
+      lat = access_hybrid(core, line, is_write);
       break;
     case InclusionPolicy::kExclusive:
-      lat = access_exclusive<kWarm>(core, line, is_write);
+      lat = access_exclusive(core, line, is_write);
       break;
     default:
       lat = 0;
@@ -618,12 +589,11 @@ Cycles MulticoreSimulator::access_impl(CoreId core, const MemRef& ref) {
   return lat;
 }
 
-template <bool kWarm>
 Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
                                             bool is_write) {
   const std::uint32_t n = config_.num_levels();
   const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe<kWarm>(0, core, line, is_write);
+  ProbeOutcome l1 = probe(0, core, line, is_write);
   Cycles lat = l1.latency;
   if (l1.hit) return lat;
 
@@ -632,11 +602,9 @@ Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
   // The core guarantee: a bypass may never hide on-chip data.  audit_bypass
   // enforces it (debug check, or the online auditor under injected faults).
   if (p == Prediction::kAbsent && audit_bypass(line)) {
-    if constexpr (!kWarm) {
-      for (std::uint32_t lvl = 1; lvl < n; ++lvl) ++events_[lvl].skipped;
-      ++memory_accesses_;
-      ++demand_memory_accesses_;
-    }
+    for (std::uint32_t lvl = 1; lvl < n; ++lvl) ++events_[lvl].skipped;
+    ++memory_accesses_;
+    ++demand_memory_accesses_;
     lat += config_.memory_latency;
     // Absence is proven when the bypass was audited (the auditor read the
     // LLC tags; inclusion extends the proof to every private level) or when
@@ -645,13 +613,13 @@ Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
     // tolerate a resident line.
     const bool bypass_absent = config_.audit.enabled || injector_ == nullptr;
     for (std::uint32_t lvl = n; lvl-- > 0;) {
-      fill_at<kWarm>(lvl, core, line, false, dirty && lvl == 0, bypass_absent);
+      fill_at(lvl, core, line, false, dirty && lvl == 0, bypass_absent);
     }
     return lat;
   }
 
   for (std::uint32_t lvl = 1; lvl < n; ++lvl) {
-    const ProbeOutcome o = probe<kWarm>(lvl, core, line);
+    const ProbeOutcome o = probe(lvl, core, line);
     lat += o.latency;
     if (o.hit) {
       if (llc_pred_) ++llc_pred_->events().true_positives;
@@ -659,51 +627,46 @@ Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
       // adds lines between the probe and the fill (back-invalidations only
       // remove), so the fills are known-absent.
       for (std::uint32_t l = lvl; l-- > 0;) {
-        fill_at<kWarm>(l, core, line, false, dirty && l == 0, true);
+        fill_at(l, core, line, false, dirty && l == 0, true);
       }
       return lat;
     }
   }
   if (llc_pred_) ++llc_pred_->events().false_positives;
   lat += config_.memory_latency;
-  if constexpr (!kWarm) {
-    ++memory_accesses_;
-    ++demand_memory_accesses_;
-  }
+  ++memory_accesses_;
+  ++demand_memory_accesses_;
   // Full miss: every level probed and missed, so every fill is known-absent.
   for (std::uint32_t lvl = n; lvl-- > 0;) {
-    fill_at<kWarm>(lvl, core, line, false, dirty && lvl == 0, true);
+    fill_at(lvl, core, line, false, dirty && lvl == 0, true);
   }
   return lat;
 }
 
-template <bool kWarm>
 Cycles MulticoreSimulator::access_hybrid(CoreId core, LineAddr line,
                                          bool is_write) {
   const std::uint32_t n = config_.num_levels();
   const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe<kWarm>(0, core, line, is_write);
+  ProbeOutcome l1 = probe(0, core, line, is_write);
   Cycles lat = l1.latency;
   if (l1.hit) return lat;
 
   note_l1_miss();
   const Prediction p = query_llc_predictor(line, lat);
   if (p == Prediction::kAbsent && audit_bypass(line)) {
-    if constexpr (!kWarm) {
-      for (std::uint32_t lvl = 1; lvl < n; ++lvl) ++events_[lvl].skipped;
-      ++memory_accesses_;
-      ++demand_memory_accesses_;
-    }
+    for (std::uint32_t lvl = 1; lvl < n; ++lvl) ++events_[lvl].skipped;
+    ++memory_accesses_;
+    ++demand_memory_accesses_;
     lat += config_.memory_latency;
     // Same absence proof as the inclusive bypass: audited, or no injector.
-    fill_at<kWarm>(n - 1, core, line, false, false,
-                   config_.audit.enabled || injector_ == nullptr);  // incl LLC
-    insert_with_cascade<kWarm>(0, core, line, n - 2, dirty);  // private chain
+    fill_at(n - 1, core, line, false, false,
+            config_.audit.enabled || injector_ == nullptr);  // incl LLC
+    insert_with_cascade(0, core, line, n - 2, dirty);  // private chain
     return lat;
   }
 
   for (std::uint32_t lvl = 1; lvl < n; ++lvl) {
-    const ProbeOutcome o = probe<kWarm>(lvl, core, line);
+    const ProbeOutcome o = probe(lvl, core, line);
     lat += o.latency;
     if (!o.hit) continue;
     if (llc_pred_) ++llc_pred_->events().true_positives;
@@ -711,29 +674,26 @@ Cycles MulticoreSimulator::access_hybrid(CoreId core, LineAddr line,
     if (!is_shared(lvl)) {
       // Move (not copy) out of the exclusive private level.
       level_array(lvl, core).invalidate(line, &was_dirty);
-      if constexpr (!kWarm) ++events_[lvl].invalidations;
+      ++events_[lvl].invalidations;
     }
-    insert_with_cascade<kWarm>(0, core, line, n - 2, dirty || was_dirty);
+    insert_with_cascade(0, core, line, n - 2, dirty || was_dirty);
     return lat;
   }
   if (llc_pred_) ++llc_pred_->events().false_positives;
   lat += config_.memory_latency;
-  if constexpr (!kWarm) {
-    ++memory_accesses_;
-    ++demand_memory_accesses_;
-  }
+  ++memory_accesses_;
+  ++demand_memory_accesses_;
   // The LLC probe above missed, so its fill is known-absent.
-  fill_at<kWarm>(n - 1, core, line, false, false, true);
-  insert_with_cascade<kWarm>(0, core, line, n - 2, dirty);
+  fill_at(n - 1, core, line, false, false, true);
+  insert_with_cascade(0, core, line, n - 2, dirty);
   return lat;
 }
 
-template <bool kWarm>
 Cycles MulticoreSimulator::access_exclusive(CoreId core, LineAddr line,
                                             bool is_write) {
   const std::uint32_t n = config_.num_levels();
   const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe<kWarm>(0, core, line, is_write);
+  ProbeOutcome l1 = probe(0, core, line, is_write);
   Cycles lat = l1.latency;
   if (l1.hit) return lat;
 
@@ -766,10 +726,10 @@ Cycles MulticoreSimulator::access_exclusive(CoreId core, LineAddr line,
   for (std::uint32_t lvl = 1; lvl < n; ++lvl) {
     if (!predicted[lvl]) {
       REDHIP_DCHECK(!level_array(lvl, core).contains(line));
-      if constexpr (!kWarm) ++events_[lvl].skipped;
+      ++events_[lvl].skipped;
       continue;
     }
-    const ProbeOutcome o = probe<kWarm>(lvl, core, line);
+    const ProbeOutcome o = probe(lvl, core, line);
     lat += o.latency;
     if (redhip) {
       RedhipTable* t =
@@ -784,28 +744,21 @@ Cycles MulticoreSimulator::access_exclusive(CoreId core, LineAddr line,
       // Exclusive move to L1; victims cascade down, the LLC victim drops.
       bool was_dirty = false;
       level_array(lvl, core).invalidate(line, &was_dirty);
-      if constexpr (!kWarm) ++events_[lvl].invalidations;
-      insert_with_cascade<kWarm>(0, core, line, n - 1, dirty || was_dirty);
+      ++events_[lvl].invalidations;
+      insert_with_cascade(0, core, line, n - 1, dirty || was_dirty);
       return lat;
     }
   }
   lat += config_.memory_latency;
-  if constexpr (!kWarm) {
-    ++memory_accesses_;
-    ++demand_memory_accesses_;
-  }
-  insert_with_cascade<kWarm>(0, core, line, n - 1, dirty);
+  ++memory_accesses_;
+  ++demand_memory_accesses_;
+  insert_with_cascade(0, core, line, n - 1, dirty);
   return lat;
 }
 
 // ------------------------------------------------------------------ prefetch
 
 void MulticoreSimulator::run_prefetches(CoreId core, const MemRef& ref) {
-  run_prefetches_impl<false>(core, ref);
-}
-
-template <bool kWarm>
-void MulticoreSimulator::run_prefetches_impl(CoreId core, const MemRef& ref) {
   prefetch_queue_.clear();
   prefetchers_[core]->observe(ref.pc, ref.addr, prefetch_queue_);
   const std::uint32_t n = config_.num_levels();
@@ -813,12 +766,12 @@ void MulticoreSimulator::run_prefetches_impl(CoreId core, const MemRef& ref) {
 
   for (const LineAddr q : prefetch_queue_) {
     // Filter against the near caches (one small tag probe).
-    if constexpr (!kWarm) ++events_[1].tag_probes;
+    ++events_[1].tag_probes;
     if (level_array(0, core).contains(q) || level_array(1, core).contains(q)) {
-      if constexpr (!kWarm) ++pev.redundant;
+      ++pev.redundant;
       continue;
     }
-    if constexpr (!kWarm) ++pev.issued;
+    ++pev.issued;
 
     // When combined with ReDHiP the prefetch probe consults the PT first and
     // skips the doomed L3/L4 lookups — this is how ReDHiP "offsets the
@@ -834,13 +787,9 @@ void MulticoreSimulator::run_prefetches_impl(CoreId core, const MemRef& ref) {
     }
     if (!go_to_memory) {
       for (std::uint32_t lvl = 2; lvl < n; ++lvl) {
-        if constexpr (!kWarm) {
-          ++events_[lvl].tag_probes;  // prefetch probes: tag-only until hit
-        }
+        ++events_[lvl].tag_probes;  // prefetch probes: tag-only until hit
         if (level_array(lvl, core).contains(q)) {
-          if constexpr (!kWarm) {
-            ++events_[lvl].data_probes;  // read the line to copy it upward
-          }
+          ++events_[lvl].data_probes;  // read the line to copy it upward
           found_lvl = lvl;
           break;
         }
@@ -850,14 +799,14 @@ void MulticoreSimulator::run_prefetches_impl(CoreId core, const MemRef& ref) {
       if (llc_pred_ && found_lvl == 0) ++llc_pred_->events().false_positives;
     }
     if (go_to_memory) {
-      if constexpr (!kWarm) ++memory_accesses_;
+      ++memory_accesses_;
       found_lvl = n;  // fill every level below L2
     }
     // Install downward-first to keep inclusion, down to L2 (not L1: the
     // prefetcher sits beside L2).  Only the L2 copy carries the mark used
     // for useful/useless accounting.
     for (std::uint32_t lvl = found_lvl; lvl-- > 1;) {
-      fill_at<kWarm>(lvl, core, q, /*prefetched=*/lvl == 1);
+      fill_at(lvl, core, q, /*prefetched=*/lvl == 1);
     }
   }
 }
@@ -1175,21 +1124,6 @@ void MulticoreSimulator::sample_skip_to(std::uint64_t target_refs_per_core) {
 }
 
 void MulticoreSimulator::sample_warm_to(std::uint64_t target_refs_per_core) {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (sampling_.warm_mode == SampleWarmMode::kFull) {
-    sample_warm_loop<false>(target_refs_per_core);
-  } else {
-    sample_warm_loop<true>(target_refs_per_core);
-  }
-  // Two clock reads per period — noise next to the 100k-ref warm body —
-  // buys the warm-engine throughput figure bench_speed reports.
-  sample_warm_host_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-}
-
-template <bool kWarm>
-void MulticoreSimulator::sample_warm_loop(std::uint64_t target_refs_per_core) {
   // Functional warming: tags, predictor, PT/CBF and prefetch tables see
   // every reference through the ordinary access path, but time stands still
   // — no CPI/clock advance, no per-reference observability, no auto-disable
@@ -1197,17 +1131,10 @@ void MulticoreSimulator::sample_warm_loop(std::uint64_t target_refs_per_core) {
   // snapshot deltas; recalibrations triggered here keep the PT coherent and
   // their stall lands between windows, where the deltas never look.
   //
-  // kWarm instantiates the warm engine: the same traversal with the
-  // pure-accounting counters compiled out (see SampleWarmMode) and run_loop's
-  // software-pipeline hint pulling the next reference's tag lanes toward the
-  // host caches — after a multi-megaref skip the tag arrays are host-cold,
-  // which is where full-fidelity warming spends most of its time.
-  //
   // Cores advance round-robin in absolute-position chunks (same rationale
   // as sample_skip_to): the shared-LLC interleave is deterministic and a
-  // restore mid-warm continues it exactly.  Both instantiations keep the
-  // identical chunk interleave, so warm and full modes present the same
-  // access order to the shared LLC.
+  // restore mid-warm continues it exactly.
+  const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t chunk = kRefillBatch;
   const bool prefetch = !prefetchers_.empty();
   while (true) {
@@ -1219,31 +1146,14 @@ void MulticoreSimulator::sample_warm_loop(std::uint64_t target_refs_per_core) {
           target_refs_per_core, (cs.refs_done / chunk + 1) * chunk);
       const std::size_t want = static_cast<std::size_t>(end - cs.refs_done);
       const std::size_t got = cs.trace->next_batch(cs.buf.data(), want);
-      if constexpr (kWarm) {
-        for (std::size_t i = 0; i < got; ++i) {
-          cs.lines[i] = cs.buf[i].addr >> l1_shift_;
-        }
-        if (got > 0 && cs.lines[0] != cs.l1_last_line) {
-          prefetch_next_ref(c, cs.lines[0]);
-        }
-      }
       for (std::size_t i = 0; i < got; ++i) {
         const MemRef& ref = cs.buf[i];
-        if constexpr (kWarm) {
-          // Pipeline stage 2 (same shape as run_loop): while this reference
-          // simulates, pull the successor's tag lanes.
-          if (i + 1 < got && cs.lines[i + 1] != cs.lines[i]) {
-            prefetch_next_ref(c, cs.lines[i + 1]);
-          }
-        }
         if (prefetch) {
           const std::uint64_t misses_before = events_[0].misses;
-          access_impl<kWarm>(c, ref);
-          if (events_[0].misses != misses_before) {
-            run_prefetches_impl<kWarm>(c, ref);
-          }
+          access(c, ref);
+          if (events_[0].misses != misses_before) run_prefetches(c, ref);
         } else {
-          access_impl<kWarm>(c, ref);
+          access(c, ref);
         }
       }
       cs.refs_done += got;
@@ -1261,6 +1171,11 @@ void MulticoreSimulator::sample_warm_loop(std::uint64_t target_refs_per_core) {
     cs.buf_pos = 0;
     cs.buf_len = 0;
   }
+  // Two clock reads per period — noise next to the 100k-ref warm body —
+  // buy the warm throughput figure bench_speed reports.
+  sample_warm_host_seconds_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 SampleSnapshot MulticoreSimulator::sample_snapshot() const {
@@ -1328,24 +1243,6 @@ void MulticoreSimulator::sample_close_window(std::uint64_t window_index) {
 }
 
 // --------------------------------------------------------- checkpoint polling
-
-bool MulticoreSimulator::ckpt_should_act() const {
-  const CkptControl& ctl = *ckpt_ctl_;
-  if (ctl.stop_flag != nullptr &&
-      ctl.stop_flag->load(std::memory_order_relaxed)) {
-    return true;
-  }
-  if (ctl.has_deadline && std::chrono::steady_clock::now() >= ctl.deadline) {
-    return true;
-  }
-  const std::uint64_t total = ckpt_refs_done();
-  if (ctl.save_at_refs > 0 && !ckpt_save_at_done_ &&
-      total >= ctl.save_at_refs) {
-    return true;
-  }
-  return ctl.interval_refs > 0 &&
-         total - ckpt_last_save_refs_ >= ctl.interval_refs;
-}
 
 void MulticoreSimulator::ckpt_poll_slow() {
   CkptControl& ctl = *ckpt_ctl_;

@@ -33,20 +33,6 @@
 
 namespace redhip {
 
-// Options for MulticoreSimulator::run_parallel (the bound-weave engine,
-// src/sim/parallel.cc).  None of these change simulated results — the
-// engine is bit-identical to run()/run_reference() by construction — they
-// only trade wall time against memory and scheduling overhead.
-struct ParallelOptions {
-  // Worker threads for the bound phases; 0 = hardware concurrency.  The
-  // weave phase always runs on the calling thread.
-  std::uint32_t threads = 0;
-  // Per-lane speculation window: how many references one core may run ahead
-  // of the weave before parking.  Small windows stress the window-boundary
-  // logic (the tests use 2..64); large windows amortize phase barriers.
-  std::uint32_t window_refs = 8192;
-};
-
 class MulticoreSimulator {
  public:
   // `traces[c]` feeds core c; `cpi_centi[c]` prices its non-memory gaps.
@@ -73,16 +59,6 @@ class MulticoreSimulator {
   // run-once restriction (use a fresh instance per engine).
   SimResult run_reference(std::uint64_t max_refs_per_core);
 
-  // The bound-weave parallel engine (src/sim/parallel.cc).  Private levels
-  // of each core run speculatively on ThreadPool lanes over bounded
-  // windows; every shared-level / predictor / memory-bound event is applied
-  // in deterministic (issue cycle, core, sequence) order on the calling
-  // thread.  Bit-identical to run() and run_reference() — statistics,
-  // json_report and the JSONL event trace — for every configuration, at any
-  // thread count.  Same run-once restriction as the other engines.
-  SimResult run_parallel(std::uint64_t max_refs_per_core,
-                         const ParallelOptions& opts = {});
-
   // --- Single-access hooks used by unit tests --------------------------------
   // Execute one reference on one core and return its latency.
   Cycles access_for_test(CoreId core, const MemRef& ref);
@@ -102,12 +78,6 @@ class MulticoreSimulator {
   const HierarchyConfig& config() const { return config_; }
   // Null unless config.obs.enabled (see src/obs/collector.h).
   const ObsCollector* obs_for_test() const { return obs_.get(); }
-  // Parallel-engine diagnostics (valid after run_parallel): whether the run
-  // used lane speculation (vs the weave-only fallback) and how many
-  // speculation windows were rolled back by back-invalidation conflicts.
-  bool parallel_speculated_for_test() const { return par_speculated_; }
-  std::uint64_t parallel_rollbacks_for_test() const { return par_rollbacks_; }
-
   // --- Statistical sampling (src/sim/sampling.h) -----------------------------
   // Install a sampling plan before running; every engine then executes the
   // skip / warm / measure schedule and reports per-metric estimates with
@@ -128,8 +98,8 @@ class MulticoreSimulator {
     if (ctl != nullptr && obs_ != nullptr) obs_->ckpt_enable_capture();
   }
   // Whether a checkpoint of this simulator can be complete: every tag array
-  // must keep its full state in the packed entries (the same
-  // state_is_self_contained() gate the parallel engine's speculation uses).
+  // must keep its full state in the packed entries
+  // (TagArray::state_is_self_contained()).
   bool ckpt_supported() const;
   // Payload codec, defined in src/ckpt/sim_state.cc — the subsystem that
   // owns the on-disk format; member functions so they keep private access.
@@ -176,8 +146,8 @@ class MulticoreSimulator {
     Cycles clock = 0;
     std::uint64_t refs_done = 0;
     bool exhausted = false;
-    // Batched refill buffer (fast engine only; the reference engine calls
-    // trace->next() per reference).
+    // Batched refill buffer (the fast engine's refills and the sampled warm
+    // loop; the reference engine calls trace->next() per reference).
     std::vector<MemRef> buf;
     std::uint32_t buf_pos = 0;
     std::uint32_t buf_len = 0;
@@ -203,20 +173,7 @@ class MulticoreSimulator {
     Cycles latency = 0;
     bool was_prefetched = false;
   };
-  // Most event-recording and access-path members are templated on `kWarm`.
-  // kWarm = false is the ordinary full-fidelity path.  kWarm = true is the
-  // warm engine used by sampled warmups (sample_warm_to): every state
-  // mutation — tag arrays/LRU, dirty bits, directory, predictor rows and
-  // events, CBF/PT, prefetcher training, L1 access/hit/miss counts, recal
-  // and stall accounting — is identical, but pure-accounting counters that
-  // no later decision reads (per-level probe/fill/eviction/invalidation/
-  // writeback/skip tallies, lvl >= 1 access/hit/miss counts, memory traffic,
-  // simulator-level prefetch issue stats) are elided.  Window metrics never
-  // see the difference: they are snapshot deltas over L1 counts, clocks and
-  // linearly-priced energy, and warm phases sit entirely between snapshots.
-  //
   // `is_write` only matters at L1, where a write hit dirties the line.
-  template <bool kWarm>
   ProbeOutcome probe(std::uint32_t lvl, CoreId core, LineAddr line,
                      bool is_write = false);
 
@@ -228,37 +185,25 @@ class MulticoreSimulator {
   // bypass verified LLC absence, which inclusion extends upward), so the
   // resident re-scan inside fill_if_absent is skipped.  Prefetch fills must
   // pass false — a prefetch can race a demand fill of the same line.
-  template <bool kWarm>
   void fill_at(std::uint32_t lvl, CoreId core, LineAddr line, bool prefetched,
                bool dirty = false, bool known_absent = false);
   // Dirty-eviction bookkeeping for a victim leaving `lvl`.
-  template <bool kWarm>
   void note_writeback(std::uint32_t lvl, CoreId core, LineAddr victim);
   // Remove an LLC victim from every private level (inclusive/hybrid).
-  template <bool kWarm>
   void back_invalidate_all_cores(std::uint32_t below_level, LineAddr victim);
-  template <bool kWarm>
   void back_invalidate_core(std::uint32_t below_level, CoreId core,
                             LineAddr victim);
 
   // Exclusive/hybrid: insert at `lvl` and cascade the victim downward; the
   // cascade stops before `stop_level` (exclusive: past the LLC, victims are
   // dropped; hybrid: private victims stop at L3 since the LLC keeps a copy).
-  template <bool kWarm>
   void insert_with_cascade(std::uint32_t lvl, CoreId core, LineAddr line,
                            std::uint32_t last_level, bool dirty = false);
 
   // --- Access paths per inclusion policy -------------------------------------
-  // Non-template entry point for the full-fidelity engines (also called
-  // from parallel.cc); the warm engine calls access_impl<true> directly.
   Cycles access(CoreId core, const MemRef& ref);
-  template <bool kWarm>
-  Cycles access_impl(CoreId core, const MemRef& ref);
-  template <bool kWarm>
   Cycles access_inclusive(CoreId core, LineAddr line, bool is_write);
-  template <bool kWarm>
   Cycles access_hybrid(CoreId core, LineAddr line, bool is_write);
-  template <bool kWarm>
   Cycles access_exclusive(CoreId core, LineAddr line, bool is_write);
 
   // Predictor bookkeeping shared by the access paths.
@@ -276,10 +221,8 @@ class MulticoreSimulator {
   // Auto-disable (paper §IV): epoch evaluation of predictor usefulness.
   void evaluate_auto_disable();
 
-  // Prefetch handling (inclusive only).  Same wrapper split as access().
+  // Prefetch handling (inclusive only).
   void run_prefetches(CoreId core, const MemRef& ref);
-  template <bool kWarm>
-  void run_prefetches_impl(CoreId core, const MemRef& ref);
 
   // --- Observability (src/obs; obs_ is null when disabled) -------------------
   // Emit the run_begin event (both engines, config-derived fields only).
@@ -323,13 +266,7 @@ class MulticoreSimulator {
   void sample_skip_to(std::uint64_t target_refs_per_core);
   // Functionally warm every core to `target` refs with clocks, CPI,
   // per-reference observability and auto-disable epoch ticking frozen.
-  // Dispatches on the plan's warm mode: kFull drives the ordinary access
-  // path (bit-identical to pre-warm-engine sampled runs); kWarm drives the
-  // specialized warm loop (same state evolution, elided pure accounting,
-  // software-pipelined prefetch hints).  Both interleave cores identically.
   void sample_warm_to(std::uint64_t target_refs_per_core);
-  template <bool kWarm>
-  void sample_warm_loop(std::uint64_t target_refs_per_core);
   SampleSnapshot sample_snapshot() const;
   // Current counters priced cumulatively (the ledger is linear, so window
   // energy is the difference of two boundary prices).
@@ -341,13 +278,11 @@ class MulticoreSimulator {
   CoreScheduler start_scheduler(std::uint64_t max_refs_per_core);
 
   // --- Checkpoint polling ----------------------------------------------------
-  // Called at safe boundaries only (between references on the serial
-  // engines; after a full speculation quiesce on the parallel engine).
-  // When checkpointing is off the cost is one pointer test.
-  bool ckpt_should_act() const;  // side-effect-free; parallel quiesce gate
-  void ckpt_poll_slow();         // save and/or throw, see ckpt_control.h
+  // Called at safe boundaries only (between references).  When
+  // checkpointing is off the cost is one pointer test.
+  void ckpt_poll_slow();  // save and/or throw, see ckpt_control.h
   void ckpt_poll() {
-    if (ckpt_ctl_ != nullptr && ckpt_should_act()) ckpt_poll_slow();
+    if (ckpt_ctl_) ckpt_poll_slow();
   }
 
   HierarchyConfig config_;
@@ -372,10 +307,9 @@ class MulticoreSimulator {
   // same access before the top-private fill claims the line's slot, so the
   // way is already known and the find_way re-scan is skipped.  Trusted only
   // on an exact line match, and sound because an LLC line's way changes
-  // only via an LLC fill (which refreshes the memo); the parallel engine's
-  // speculative rewind never touches the shared array (it restores L1 sets
-  // only), and prefetch fills that miss the memo simply fall back to the
-  // scan.  Maintained only while llc_dir_on_.
+  // only via an LLC fill (which refreshes the memo), and prefetch fills that
+  // miss the memo simply fall back to the scan.  Maintained only while
+  // llc_dir_on_.
   LineAddr dir_memo_line_ = kNoLine;
   std::uint32_t dir_memo_way_ = 0;
 
@@ -480,44 +414,6 @@ class MulticoreSimulator {
   // polls every kCkptPollStride references via this countdown.
   static constexpr std::uint64_t kCkptPollStride = 1024;
   std::uint64_t ckpt_countdown_ = kCkptPollStride;
-
-  // --- Parallel engine state (src/sim/parallel.cc) ---------------------------
-  struct ParLane;  // per-core speculation lane, defined in parallel.cc
-  // How the weave folds committed speculative L1 hits into the statistics.
-  // Every L1 hit contributes the same {access, tag probe, data probe, hit}
-  // counter delta, so when neither observability nor auto-disable is on the
-  // merge order is irrelevant and hits commit as bulk counter adds; epoch
-  // accounting needs boundary-exact ref counts; full observability needs the
-  // exact per-reference merge (latency histogram + epoch series).
-  enum class ParCommitMode : std::uint8_t { kBulk, kEpochBulk, kOrdered };
-  bool parallel_can_speculate() const;
-  void par_run_speculative(std::uint64_t max_refs_per_core,
-                           const ParallelOptions& opts);
-  void par_run_weave_only(std::uint64_t max_refs_per_core,
-                          const ParallelOptions& opts);
-  // Bound phase: run one lane's L1-hit speculation until it parks (first L1
-  // miss, window cap, or end of its reference quota).  Called concurrently
-  // for distinct lanes; touches only lane/core-private state.
-  void par_lane_step(ParLane& lane, std::uint64_t max_refs_per_core,
-                     std::uint32_t window_refs);
-  // Weave phase: commit entries and apply events in deterministic
-  // (issue cycle, core) order until the globally-next item is a runnable
-  // lane's future reference.
-  void par_weave(std::uint64_t max_refs_per_core, ParCommitMode mode);
-  void par_commit_until(Cycles key, CoreId core, ParCommitMode mode);
-  void par_execute_event(ParLane& lane, std::uint64_t max_refs_per_core);
-  // Conflict hook: called by back_invalidate_core while the speculative
-  // weave is applying an event, before it touches `core`'s L1.  Rolls the
-  // lane back when an uncommitted speculated reference touched `victim`.
-  void par_note_back_invalidate(CoreId core, LineAddr victim);
-  // Discard a lane's speculation from log index `j` on: restore the touched
-  // L1 sets and the core's micro-state, requeue the discarded references
-  // (and any parked event) for replay.  Used by conflict rollback (j = the
-  // first conflicting entry) and by the checkpoint quiesce (j = committed).
-  void par_rewind_lane(ParLane& lane, std::size_t j);
-  std::vector<ParLane>* par_lanes_ = nullptr;  // non-null during the weave
-  bool par_speculated_ = false;
-  std::uint64_t par_rollbacks_ = 0;
 };
 
 }  // namespace redhip

@@ -252,12 +252,9 @@ SweepAxis llc_capacity_axis(const std::string& axis,
   return out;
 }
 
-// Statistical sampling: "off" or "period/window[/warmup[/warm|full]]" in
-// decimal counts (e.g. "6M/10K/100K"; an omitted warmup means none — see
-// DESIGN.md "Statistical sampling" for why that biases the windows).  The
-// optional fourth segment selects the warm engine (default) or the
-// full-fidelity warming escape hatch; cells that differ only in it are
-// distinct cache cells (the plan digest is part of the key).  The plan's fit
+// Statistical sampling: "off" or "period/window[/warmup]" in decimal counts
+// (e.g. "6M/10K/100K"; an omitted warmup means none — see DESIGN.md
+// "Statistical sampling" for why that biases the windows).  The plan's fit
 // against refs_per_core is validated by run_spec at run time (refs may
 // themselves be swept); only the shape is checked here.
 SweepAxis sample_axis(const std::string& axis,
@@ -275,23 +272,13 @@ SweepAxis sample_axis(const std::string& axis,
         if (slash == std::string::npos) break;
         start = slash + 1;
       }
-      bool warm_ok = true;
-      if (parts.size() == 4) {
-        if (parts[3] == "warm") {
-          plan.warm_mode = SampleWarmMode::kWarm;
-        } else if (parts[3] == "full") {
-          plan.warm_mode = SampleWarmMode::kFull;
-        } else {
-          warm_ok = false;
-        }
-      }
-      if (parts.size() < 2 || parts.size() > 4 || !warm_ok ||
+      if (parts.size() < 2 || parts.size() > 3 ||
           !parse_count(parts[0], plan.period_refs) ||
           !parse_count(parts[1], plan.window_refs) ||
           (parts.size() >= 3 && !parse_count(parts[2], plan.warmup_refs))) {
         axis_error(axis,
-                   "expected off or period/window[/warmup[/warm|full]] "
-                   "counts (e.g. 6M/10K/100K), got '" + v + "'");
+                   "expected off or period/window[/warmup] counts "
+                   "(e.g. 6M/10K/100K), got '" + v + "'");
       }
       plan.mode = SampleMode::kInterval;
     }

@@ -8,7 +8,7 @@
 
 #include "ckpt/checkpoint_io.h"
 #include "common/check.h"
-#include "harness/thread_pool.h"
+#include "common/thread_pool.h"
 #include "sim/config_digest.h"
 #include "sweep/config_digest.h"
 

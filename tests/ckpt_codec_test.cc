@@ -7,6 +7,8 @@
 // carries no diagnostic.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -14,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/checkpoint_io.h"
@@ -226,6 +229,41 @@ TEST_F(CkptCodecTest, TrailingGarbageIsDataLoss) {
   auto sim = build_sim(spec_);
   const Status st = load_checkpoint(mut_path, key_of(spec_), *sim);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+}
+
+// Save cost is charged on the saving thread's CPU clock: a sibling thread
+// burning CPU during the saves (a --jobs=N worker) must not be billed to
+// them.  Process CPU would read about twice the saves' wall time here.
+TEST_F(CkptCodecTest, SaveCpuExcludesOtherThreads) {
+  auto sim = build_sim(spec_);
+  const std::uint64_t key = key_of(spec_);
+  const std::string path = (dir_ / "timed.ckpt").string();
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread spinner([&] {
+    started.store(true);
+    volatile std::uint64_t sink = 0;
+    while (!stop.load(std::memory_order_relaxed)) sink = sink + 1;
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  ckpt_profile_reset();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(save_checkpoint(*sim, path, key).ok());
+  }
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  stop.store(true);
+  spinner.join();
+
+  EXPECT_EQ(ckpt_profile_save_count(), 20u);
+  EXPECT_GT(ckpt_profile_save_cpu_seconds(), 0.0);
+  EXPECT_LE(ckpt_profile_save_cpu_seconds(), wall * 1.2)
+      << "save CPU " << ckpt_profile_save_cpu_seconds() << "s over " << wall
+      << "s of wall time";
 }
 
 TEST_F(CkptCodecTest, EvictRemovesTheFile) {

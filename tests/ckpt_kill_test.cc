@@ -5,7 +5,7 @@
 // and must reproduce the uninterrupted run bit for bit: stats_identical,
 // byte-identical json_report, byte-identical JSONL event trace.  Covered:
 // every specialized fast-engine feature mask (fault x prefetch x
-// auto-disable), and all three engines on one configuration.
+// auto-disable), and both engines on one configuration.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -81,12 +81,6 @@ std::uint64_t key_of(const RunSpec& spec) {
     case SimEngine::kReference:
       sim->run_reference(spec.refs_per_core);
       break;
-    case SimEngine::kParallel: {
-      ParallelOptions po;
-      po.threads = 2;
-      sim->run_parallel(spec.refs_per_core, po);
-      break;
-    }
   }
   _exit(2);  // ran to completion — the kill never fired
 }
@@ -196,12 +190,10 @@ TEST_F(CkptKillTest, AllFeatureMasksSurviveSigkill) {
   }
 }
 
-// All three engines on one configuration (the fast engine is covered above;
-// this pins the reference scalar loop and the parallel bound-weave engine,
-// whose safe boundary is a fully-quiesced weave commit point).
+// Both engines on one configuration (the fast engine is covered above; this
+// pins the reference scalar loop, whose safe boundary is its poll stride).
 TEST_F(CkptKillTest, EveryEngineSurvivesSigkill) {
-  for (SimEngine engine :
-       {SimEngine::kFast, SimEngine::kReference, SimEngine::kParallel}) {
+  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
     RunSpec spec = traced_spec("unused.jsonl");
     spec.engine = engine;
     kill_and_resume(spec, std::string("engine-") + engine_name(engine));
@@ -215,8 +207,7 @@ TEST_F(CkptKillTest, EveryEngineSurvivesSigkill) {
 // skip cursor and the sampling plan echo, and the resumed run must still
 // reproduce every window, estimate and event line bit for bit.
 TEST_F(CkptKillTest, SampledRunSurvivesSigkillInAFastForwardGap) {
-  for (SimEngine engine :
-       {SimEngine::kFast, SimEngine::kReference, SimEngine::kParallel}) {
+  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
     RunSpec spec = traced_spec("unused.jsonl");
     spec.engine = engine;
     spec.sampling.mode = SampleMode::kInterval;

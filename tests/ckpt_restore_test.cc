@@ -2,9 +2,10 @@
 // that checkpoints mid-way, is discarded, and then resumes from the file in
 // a fresh process-equivalent simulator must be indistinguishable from an
 // uninterrupted run: stats_identical, byte-identical json_report, and a
-// byte-identical JSONL event trace — on all three engines.  A corrupted
+// byte-identical JSONL event trace — on both engines.  A corrupted
 // checkpoint degrades to a cold start (with the file evicted), never to a
-// wrong result.
+// wrong result.  Sampled runs' shareable warm snapshots restore across run
+// lengths and engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,8 +72,7 @@ void expect_same_run(const SimResult& a, const SimResult& b,
 }
 
 TEST_F(CkptRestoreTest, SaveRestoreBitIdenticalOnEveryEngine) {
-  for (SimEngine engine :
-       {SimEngine::kFast, SimEngine::kReference, SimEngine::kParallel}) {
+  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
     const std::string name = engine_name(engine);
     const std::string ckpt = (dir_ / (name + ".ckpt")).string();
 
@@ -219,6 +219,84 @@ TEST_F(CkptRestoreTest, SweepWarmupSharingIsBitIdentical) {
     files += e.is_regular_file() ? 1 : 0;
   }
   EXPECT_EQ(files, 1u);
+}
+
+TEST(WindowSnapshot, PathDerivation) {
+  EXPECT_EQ(window_snapshot_path("run.ckpt", 0), "run_w0.ckpt");
+  EXPECT_EQ(window_snapshot_path("a/b/run.ckpt", 3), "a/b/run_w3.ckpt");
+  EXPECT_EQ(window_snapshot_path("run", 7), "run_w7");
+}
+
+// A sampled run of `windows` windows (period 8k refs/core, 2k warmup).
+RunSpec sampled_spec(std::uint64_t windows) {
+  RunSpec spec;
+  spec.bench = BenchmarkId::kMcf;
+  spec.scheme = Scheme::kRedhip;
+  spec.scale = 32;
+  spec.seed = 4242;
+  spec.sampling.mode = SampleMode::kInterval;
+  spec.sampling.period_refs = 8'000;
+  spec.sampling.window_refs = 800;
+  spec.sampling.warmup_refs = 2'000;
+  spec.refs_per_core = 8'000 * windows;
+  return spec;
+}
+
+// Sharing property: a sampled run with checkpointing drops warm snapshots at
+// window opens 0, 1, 3, 7, ... (w+1 a power of two), and a *different* run
+// of the same cell — here a shorter ref count and then a different engine,
+// the two axes deliberately excluded from the snapshot key — cold-starts
+// from the deepest snapshot its own window count still contains and
+// produces output bit-identical to running from scratch.
+// warm_host_seconds is the witness that the resume actually happened: it
+// is accumulated on the host, never checkpointed, so a run that skipped
+// all its warm phases reports only no-op dispatch overhead (sub-µs timer
+// reads) where a genuine cold start pays for warming tens of thousands of
+// references — orders of magnitude apart.
+TEST_F(CkptRestoreTest, WindowSnapshotsShareWarmStateAcrossRefsAndEngine) {
+  const std::string ckpt = (dir_ / "cell.ckpt").string();
+
+  RunSpec writer = sampled_spec(6);
+  writer.ckpt_path = ckpt;
+  run_spec(writer);
+  // Six windows -> snapshots at opens 0, 1 and 3 (7 never opens); the main
+  // checkpoint was never requested (no interval, no save-at).
+  for (std::uint64_t w : {0ull, 1ull, 3ull}) {
+    EXPECT_TRUE(std::filesystem::exists(window_snapshot_path(ckpt, w))) << w;
+  }
+  EXPECT_FALSE(std::filesystem::exists(window_snapshot_path(ckpt, 7)));
+  EXPECT_FALSE(std::filesystem::exists(ckpt));
+
+  // A 4-window run of the same cell: the oracle is a plain cold start.
+  RunSpec shorter = sampled_spec(4);
+  const SimResult cold = run_spec(shorter);
+  EXPECT_GT(cold.warm_host_seconds, 0.0);
+
+  shorter.ckpt_path = ckpt;
+  shorter.ckpt_restore = true;
+  const SimResult resumed = run_spec(shorter);
+  EXPECT_TRUE(stats_identical(cold, resumed));
+  // Restored at window 3's open: windows 0-2 and every warm phase were
+  // skipped entirely.
+  EXPECT_LT(resumed.warm_host_seconds, cold.warm_host_seconds * 0.1);
+
+  // Engine is not part of the address either: the reference engine resumes
+  // from the fast engine's snapshot, bit-identically.
+  shorter.engine = SimEngine::kReference;
+  const SimResult ref_resumed = run_spec(shorter);
+  EXPECT_TRUE(stats_identical(cold, ref_resumed));
+  EXPECT_LT(ref_resumed.warm_host_seconds, cold.warm_host_seconds * 0.1);
+
+  // A torn deepest snapshot is evicted with a DATA_LOSS warning and the
+  // scan falls back to the next-deepest — never a wrong result.
+  shorter.engine = SimEngine::kFast;
+  {
+    std::ofstream torn(window_snapshot_path(ckpt, 3),
+                       std::ios::binary | std::ios::trunc);
+    torn << "torn";
+  }
+  const SimResult fallback = run_spec(shorter);
+  EXPECT_TRUE(stats_identical(cold, fallback));
 }
 
 }  // namespace

@@ -45,25 +45,6 @@ TEST(CliParse, DefaultsSurviveAbsence) {
   EXPECT_EQ(opts.engine, SimEngine::kFast);
 }
 
-TEST(CliParse, SampleWarmModeSelection) {
-  // Default for sampled runs is the warm engine; "full" is the escape hatch
-  // that reproduces pre-warm-engine sampled behavior bit for bit.
-  EXPECT_EQ(ExperimentOptions::parse(make_cli({"--sample-mode=interval"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kWarm);
-  EXPECT_EQ(ExperimentOptions::parse(
-                make_cli({"--sample-mode=interval", "--sample-warm-mode=warm"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kWarm);
-  EXPECT_EQ(ExperimentOptions::parse(
-                make_cli({"--sample-mode=interval", "--sample-warm-mode=full"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kFull);
-  EXPECT_THROW(ExperimentOptions::parse(make_cli(
-                   {"--sample-mode=interval", "--sample-warm-mode=fast"})),
-               std::logic_error);
-}
-
 TEST(CliParse, ZeroSkipSamplingPlanIsRejectedByValidation) {
   // The parse layer accepts the numbers; SamplingPlan::validate rejects the
   // zero-skip geometry with a diagnostic naming all three flags.
@@ -84,6 +65,17 @@ TEST(CliParse, EngineSelection) {
             SimEngine::kFast);
   EXPECT_EQ(ExperimentOptions::parse(make_cli({"--engine=reference"})).engine,
             SimEngine::kReference);
+  // Anything else is a usage error that names the engines that exist.
+  for (const char* bad : {"--engine=parallel", "--engine=turbo"}) {
+    try {
+      ExperimentOptions::parse(make_cli({bad}));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("fast|reference"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(CliParse, NegativeUnsignedIsRejectedNotWrapped) {

@@ -83,7 +83,7 @@ void expect_caches_identical(const fs::path& a, const fs::path& b) {
 TEST(FarmProtocol, JobRoundTripsEveryField) {
   FarmJob job = tiny_job();
   job.prefetch = true;
-  job.threads = 3;
+  job.engine = static_cast<std::uint8_t>(SimEngine::kReference);
   job.cell_timeout = 12.5;
   job.sampling.mode = SampleMode::kInterval;
   job.sampling.period_refs = 1'000;
@@ -101,12 +101,39 @@ TEST(FarmProtocol, JobRoundTripsEveryField) {
   EXPECT_EQ(out.refs_per_core, job.refs_per_core);
   EXPECT_EQ(out.prefetch, job.prefetch);
   EXPECT_EQ(out.seed, job.seed);
-  EXPECT_EQ(out.threads, job.threads);
   EXPECT_EQ(out.sampling.mode, job.sampling.mode);
   EXPECT_EQ(out.sampling.period_refs, job.sampling.period_refs);
   EXPECT_EQ(out.cell_timeout, job.cell_timeout);
   EXPECT_EQ(out.benches, job.benches);
   EXPECT_EQ(out.axis_specs, job.axis_specs);
+
+  // Enum bytes outside their type's range fail closed as a malformed job:
+  // an engine no run_spec case matches would run nothing and report a
+  // zeroed result.
+  const auto rejected = [](FarmJob bad, const char* what) {
+    const Result<FarmJob> r = deserialize_job(serialize_job(bad));
+    EXPECT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << what;
+    EXPECT_NE(r.status().message().find("malformed job"), std::string::npos)
+        << what << ": " << r.status().message();
+    EXPECT_EQ(decode_welcome(encode_welcome(bad, 1, 0)).status().code(),
+              StatusCode::kDataLoss)
+        << what;
+  };
+  FarmJob bad = job;
+  bad.engine = 2;
+  rejected(bad, "engine 2");
+  bad.engine = 255;
+  rejected(bad, "engine 255");
+  bad = job;
+  bad.scheme = 255;
+  rejected(bad, "scheme 255");
+  bad = job;
+  bad.inclusion = 255;
+  rejected(bad, "inclusion 255");
+  bad = job;
+  bad.sampling.mode = static_cast<SampleMode>(255);
+  rejected(bad, "sampling mode 255");
 }
 
 TEST(FarmProtocol, MalformedPayloadsAreDataLoss) {
@@ -227,7 +254,9 @@ TEST_F(FarmTest, SigkilledWorkerOnlyCostsARelease) {
   }
   EXPECT_GE(rep.releases, 1u);  // the killed worker's cell was re-queued
   for (const WorkerProgress& w : rep.workers) {
-    if (w.name == "local-0") EXPECT_EQ(w.completed, 0u);
+    if (w.name == "local-0") {
+      EXPECT_EQ(w.completed, 0u);
+    }
   }
   // The survivors finished everything, and the merged cache is exactly
   // what an undisturbed single-process sweep writes.

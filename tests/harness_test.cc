@@ -5,10 +5,10 @@
 #include <atomic>
 #include <numeric>
 
+#include "common/thread_pool.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/run.h"
-#include "harness/thread_pool.h"
 
 namespace redhip {
 namespace {
@@ -108,6 +108,53 @@ TEST(ExperimentTest, MatrixMatchesIndividualRuns) {
   EXPECT_EQ(m[1][1].exec_cycles, direct.exec_cycles);
   EXPECT_EQ(m[1][1].predictor.predicted_absent,
             direct.predictor.predicted_absent);
+}
+
+// The scheduling-cost estimate must weight run length and scale, not just
+// the per-reference cost — a scale-1 heavyweight or a long run must sort
+// ahead of a short scale-8 one (the bug this fixed: sweeps ordered on the
+// per-reference cost alone, leaving scale-1 stragglers last).
+TEST(ExperimentTest, RunCostOrdersByScaleAndLength) {
+  RunSpec spec;
+  spec.bench = BenchmarkId::kMcf;
+  spec.scheme = Scheme::kBase;
+  spec.scale = 8;
+  spec.refs_per_core = 100'000;
+
+  RunSpec big_scale = spec;
+  big_scale.scale = 1;
+  EXPECT_GT(estimated_run_cost(big_scale), estimated_run_cost(spec));
+
+  RunSpec long_run = spec;
+  long_run.refs_per_core = 1'000'000;
+  EXPECT_GT(estimated_run_cost(long_run), estimated_run_cost(spec));
+
+  // The per-reference ordering still shows through at equal scale/length.
+  RunSpec predictor = spec;
+  predictor.scheme = Scheme::kRedhip;
+  EXPECT_GT(estimated_run_cost(predictor), estimated_run_cost(spec));
+}
+
+// queue_wait_seconds is host-side telemetry: run_matrix fills it, and like
+// host_seconds it must never participate in the bit-identity contract.
+TEST(ExperimentTest, QueueWaitIsHostSideOnly) {
+  ExperimentOptions opts;
+  opts.scale = 8;
+  opts.refs_per_core = 2'000;
+  opts.jobs = 1;
+  opts.benches = {BenchmarkId::kBlas};
+  std::vector<SchemeColumn> columns(1);
+  columns[0].label = "base";
+  columns[0].scheme = Scheme::kBase;
+  const auto results = run_matrix(opts, columns);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].size(), 1u);
+  EXPECT_GE(results[0][0].queue_wait_seconds, 0.0);
+
+  SimResult a = results[0][0];
+  SimResult b = a;
+  b.queue_wait_seconds = a.queue_wait_seconds + 123.0;
+  EXPECT_TRUE(stats_identical(a, b));
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

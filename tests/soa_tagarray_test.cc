@@ -1,9 +1,9 @@
 // SoA tag-array equivalence: the partial-tag-lane layout must be
 // observably identical to a plain per-way model (tagarray_fuzz.h), the
-// derived lanes must survive both restore paths (parallel-engine set
-// rewind, checkpoint restore), and a randomized sample of full simulations
-// must stay bit-identical between the fast and reference engines across
-// schemes, inclusion policies, and every specialized-loop feature mask.
+// derived lanes must survive checkpoint restore, and a randomized sample of
+// full simulations must stay bit-identical between the fast and reference
+// engines across schemes, inclusion policies, and every specialized-loop
+// feature mask.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -99,34 +99,6 @@ TEST(SoaTagArray, CheckpointRoundTripRebuildsLanes) {
   small.size_bytes /= 2;
   TagArray other(small);
   EXPECT_FALSE(other.ckpt_restore_entries(arr.ckpt_entries()));
-}
-
-TEST(SoaTagArray, SaveRestoreSetRewindsLanes) {
-  CacheGeometry g;
-  g.ways = 8;
-  g.size_bytes = 64 * 8 * std::uint64_t{64};
-  TagArray arr(g);
-  ASSERT_TRUE(arr.state_is_self_contained());
-  churn(arr, g, 0xAB, 20'000);
-
-  // Reference copy of the whole array (checkpoint path, verified above).
-  TagArray before(g);
-  ASSERT_TRUE(before.ckpt_restore_entries(arr.ckpt_entries()));
-
-  for (std::uint64_t set = 0; set < g.sets(); set += 7) {
-    std::vector<std::uint64_t> saved(arr.ways());
-    arr.save_set(set, saved.data());
-    // Residency-preserving mutations only (the documented bracket): hit
-    // promotions and dirty marks on the set's resident lines.
-    std::vector<LineAddr> lines;
-    arr.visit_valid_in_set(set, [&](LineAddr l) { lines.push_back(l); });
-    for (LineAddr l : lines) {
-      arr.lookup(l, /*is_write=*/true);
-      arr.mark_dirty(l);
-    }
-    arr.restore_set(set, saved.data());
-  }
-  expect_arrays_equivalent(arr, before, g, 0x5EED);
 }
 
 // Randomized full-simulation equivalence: a deterministic sample of

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "sim/sampling.h"
 #include "sweep/aggregate.h"
+#include "sweep/axes.h"
 #include "sweep/config_digest.h"
 #include "sweep/sweep.h"
 
@@ -127,6 +129,56 @@ TEST(SweepKey, WorkloadScaleRefsSeedAndEngineAreAllKeyed) {
   s = base;
   s.engine = SimEngine::kReference;
   EXPECT_NE(sweep_cache_key(s), k0);
+}
+
+TEST(SweepKey, SamplingPlanDigestIsPinned) {
+  // The plan digest is part of every sampled sweep-cache key and window
+  // snapshot key, so existing cache cells and snapshots stay addressable
+  // only while this value holds.
+  SamplingPlan plan;
+  plan.mode = SampleMode::kInterval;
+  plan.period_refs = 1'000'000;
+  plan.window_refs = 10'000;
+  plan.warmup_refs = 100'000;
+  EXPECT_EQ(sampling_digest(plan), 0xa2a62033951dd283ull);
+
+  SamplingPlan off;
+  EXPECT_EQ(sampling_digest(off), 0u);
+}
+
+TEST(SweepAxes, SampleAxisParsesPeriodWindowWarmup) {
+  const SweepAxis axis =
+      make_named_axis("sample=off,6M/10K/100K,2M/5K", ExperimentOptions{});
+  ASSERT_EQ(axis.values.size(), 3u);
+  RunSpec s;
+  axis.values[0].apply(s);
+  EXPECT_FALSE(s.sampling.enabled());
+  axis.values[1].apply(s);
+  EXPECT_EQ(s.sampling.mode, SampleMode::kInterval);
+  EXPECT_EQ(s.sampling.period_refs, 6'000'000u);
+  EXPECT_EQ(s.sampling.window_refs, 10'000u);
+  EXPECT_EQ(s.sampling.warmup_refs, 100'000u);
+  axis.values[2].apply(s);
+  EXPECT_EQ(s.sampling.period_refs, 2'000'000u);
+  EXPECT_EQ(s.sampling.window_refs, 5'000u);
+  EXPECT_EQ(s.sampling.warmup_refs, 0u);
+}
+
+TEST(SweepAxes, SampleAxisRejectsMalformedValues) {
+  // A fourth segment, a lone period and a non-count segment are all
+  // rejected with the shape the axis expects.
+  for (const char* spec : {"sample=6M/10K/100K/warm", "sample=6M/10K/100K/full",
+                           "sample=6M", "sample=6M/ten"}) {
+    try {
+      make_named_axis(spec, ExperimentOptions{});
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "expected off or period/window[/warmup] counts"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
 }
 
 TEST(SweepKey, TracePathDoesNotChangeTheKey) {
