@@ -43,7 +43,7 @@
 // additionally gates the wall-clock ratio (the committed BENCH_speed.json
 // carries the 500M-ref configuration from scripts/bench_speed.sh).
 //
-// The same leg then measures warm-state snapshot reuse — the sweep-farm
+// The same leg then measures warm-state snapshot reuse — the sweep
 // scenario the shareable window snapshots exist for: a seeding run of the
 // identical cell drops geometrically spaced warm snapshots, and a second
 // run restores the deepest one, skipping every skip/warm phase before it.

@@ -28,9 +28,9 @@ namespace redhip {
 // Unique temp names make concurrent writers of the same path safe (last
 // rename wins with a complete file either way).  The temp name embeds the
 // pid *and* a per-process counter: the counter alone disambiguates threads
-// but collides across processes (two farm workers on one host both start
-// at 0), and two writers sharing a temp file can rename a torn hybrid into
-// place.  Keep the format in sync with is_orphan_temp_name()
+// but collides across processes (two `sweep` runs sharing one --cache-dir
+// both start at 0), and two writers sharing a temp file can rename a torn
+// hybrid into place.  Keep the format in sync with is_orphan_temp_name()
 // (sweep/result_cache.h): ".tmp" + [0-9_]*.
 inline Status write_file_atomic(const std::filesystem::path& path,
                                 const std::string& content) {

@@ -19,7 +19,7 @@ namespace redhip {
 // original engine kept as the bit-identical oracle — both produce the same
 // statistics (see tests/engine_equivalence_test), kReference just exists to
 // prove it and to anchor bench_speed.  The numeric values are part of the
-// sweep cache key (sweep_cache_key) and the farm wire format.
+// sweep cache key (sweep_cache_key).
 enum class SimEngine : std::uint8_t { kFast = 0, kReference = 1 };
 std::string engine_name(SimEngine e);
 

@@ -346,6 +346,21 @@ SweepAxis make_named_axis(const std::string& axis_spec,
   axis_error(axis_spec, "unknown axis '" + name + "' (known: " + known + ")");
 }
 
+SweepSpec make_sweep_spec(const ExperimentOptions& opts,
+                          const std::vector<std::string>& axis_specs) {
+  SweepSpec spec;
+  spec.base.scheme = Scheme::kRedhip;
+  spec.base.engine = opts.engine;
+  spec.base.scale = opts.scale;
+  spec.base.refs_per_core = opts.refs_per_core;
+  spec.base.seed = opts.seed;
+  spec.base.sampling = opts.sampling;
+  for (const std::string& axis : axis_specs) {
+    spec.axes.push_back(make_named_axis(axis, opts));
+  }
+  return spec;
+}
+
 const std::vector<std::string>& known_axis_names() {
   static const std::vector<std::string> kNames = {
       "workload", "scheme", "inclusion",    "prefetch", "table-size",

@@ -1,6 +1,7 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include "ckpt/checkpoint_io.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "sim/ckpt_control.h"
 #include "sim/config_digest.h"
 #include "sweep/config_digest.h"
 
@@ -68,6 +70,8 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
   return cells;
 }
 
+namespace {
+
 // One cell, with the same retry policy run_matrix applies.  A transient
 // injected fault reseeds the fault stream (nothing else) and tries again,
 // bounded by kMaxTransientAttempts; the reseed changes the config digest,
@@ -107,6 +111,8 @@ void run_cell_with_retry(SweepCell& cell) {
     }
   }
 }
+
+}  // namespace
 
 SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
   const auto start = std::chrono::steady_clock::now();
@@ -209,6 +215,13 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
       // queue behind long jobs gets its full budget; queue wait is reported
       // (queue_wait_seconds) but never charged against the deadline.
       if (cell_timeout > 0.0) cell.spec.deadline_seconds = cell_timeout;
+      // A stop requested while this cell sat in the queue: leave it for the
+      // resumed sweep rather than building its machine only to checkpoint
+      // it at the first safe boundary.
+      const std::atomic<bool>* stop = cell.spec.stop_flag;
+      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+        throw GracefulShutdownRequest("stop requested before the cell started");
+      }
       run_cell_with_retry(cell);
       if (!cell.status.ok()) return;  // timed out twice; nothing to persist
       cell.result.queue_wait_seconds = queue_wait;
@@ -234,6 +247,7 @@ std::vector<std::vector<SimResult>> sweep_matrix(
   spec.base.refs_per_core = opts.refs_per_core;
   spec.base.seed = opts.seed;
   spec.base.engine = opts.engine;
+  spec.base.sampling = opts.sampling;
 
   SweepAxis bench_axis{"workload", {}};
   for (BenchmarkId id : opts.benches) {

@@ -107,13 +107,10 @@ struct SweepRunOptions {
 // Expansion only (no simulation): cells with spec/coord/labels/key filled.
 std::vector<SweepCell> expand(const SweepSpec& spec);
 
-// One cell under the sweep's retry policy: a transient injected fault
-// reseeds the fault stream and retries (bounded); a deadline abort retries
-// once, and a second timeout lands in cell.status as kDeadlineExceeded.
-// Shared by the local executor and the farm worker (src/farm) so a cell
-// behaves identically wherever it runs.
-void run_cell_with_retry(SweepCell& cell);
-
+// When spec.base.stop_flag is set mid-sweep, running cells checkpoint at
+// their next safe boundary (under opt.ckpt_dir), queued cells never start,
+// and run_sweep throws GracefulShutdownRequest once the pool drains; every
+// cell that completed first is already in the cache.
 SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt = {});
 
 // run_matrix's (benchmark x scheme-column) contract on the sweep engine:

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "harness/run.h"
+#include "sim/ckpt_control.h"
+#include "sweep/aggregate.h"
 #include "sweep/config_digest.h"
 #include "sweep/result_cache.h"
 #include "sweep/sweep.h"
@@ -311,6 +314,83 @@ TEST_F(SweepCacheTest, CellTimeoutAppliesAtExecutionNotEnqueue) {
   for (const SweepCell& cell : warm.cells) {
     // Never executed, never given a deadline.
     EXPECT_EQ(cell.spec.deadline_seconds, 0.0);
+  }
+}
+
+TEST_F(SweepCacheTest, StopFlagStopsTheSweepAndStoresNoStoppedCell) {
+  // Two of four cells are already cached, as after an earlier interrupted
+  // run; the other two are stopped by a flag that is already set.
+  SweepRunOptions opt;
+  opt.cache_dir = (dir_ / "cache").string();
+  opt.ckpt_dir = (dir_ / "ckpt").string();
+  const SweepOutcome cold = run_sweep(four_cell_spec(), opt);
+  ResultCache cache(opt.cache_dir);
+  cache.discard(cold.cells[1].key);
+  cache.discard(cold.cells[2].key);
+  fs::remove_all(opt.ckpt_dir);
+
+  std::atomic<bool> stop{true};
+  SweepSpec spec = four_cell_spec();
+  spec.base.stop_flag = &stop;
+  EXPECT_THROW(run_sweep(spec, opt), GracefulShutdownRequest);
+
+  EXPECT_TRUE(cache.load(cold.cells[0].key).ok());
+  EXPECT_TRUE(cache.load(cold.cells[3].key).ok());
+  EXPECT_EQ(cache.load(cold.cells[1].key).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache.load(cold.cells[2].key).status().code(),
+            StatusCode::kNotFound);
+  // Queued cells never started, so none of them left a checkpoint.
+  EXPECT_TRUE(fs::is_empty(opt.ckpt_dir));
+
+  // The stop flag is not part of the key: the resumed sweep finds the
+  // cached cells and simulates only the stopped ones.
+  stop = false;
+  const SweepOutcome resumed = run_sweep(spec, opt);
+  EXPECT_EQ(resumed.stats.cache_hits, 2u);
+  EXPECT_EQ(resumed.stats.simulated, 2u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(
+        stats_identical(cold.cells[i].result, resumed.cells[i].result));
+  }
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+using SweepExecutor = SweepCacheTest;
+
+TEST_F(SweepExecutor, JobsCountNeverChangesResultsOrCache) {
+  // Cells run side by side share nothing but the cache directory, so the
+  // worker count must not show in any result: the CSV report and every
+  // cache file are byte-identical between one job and four.
+  std::vector<std::string> csv;
+  for (std::size_t jobs : {1u, 4u}) {
+    SweepRunOptions opt;
+    opt.cache_dir = (dir_ / ("jobs" + std::to_string(jobs))).string();
+    opt.jobs = jobs;
+    const SweepOutcome out = run_sweep(four_cell_spec(), opt);
+    EXPECT_EQ(out.stats.simulated, 4u);
+    csv.push_back(sweep_report_csv(out));
+  }
+  EXPECT_EQ(csv[0], csv[1]);
+
+  std::vector<std::string> names[2];
+  for (int i = 0; i < 2; ++i) {
+    const fs::path dir = dir_ / (i == 0 ? "jobs1" : "jobs4");
+    for (const auto& e : fs::directory_iterator(dir)) {
+      names[i].push_back(e.path().filename().string());
+    }
+    std::sort(names[i].begin(), names[i].end());
+  }
+  ASSERT_EQ(names[0].size(), 4u);
+  ASSERT_EQ(names[0], names[1]);
+  for (const std::string& n : names[0]) {
+    EXPECT_EQ(slurp(dir_ / "jobs1" / n), slurp(dir_ / "jobs4" / n))
+        << "cache entry " << n;
   }
 }
 

@@ -181,6 +181,81 @@ TEST(SweepAxes, SampleAxisRejectsMalformedValues) {
   }
 }
 
+// The interval plan bench/sweep's --sample-* flags describe in the
+// examples below: period 50000, window 5000, warmup 10000.
+SamplingPlan interval_plan() {
+  SamplingPlan plan;
+  plan.mode = SampleMode::kInterval;
+  plan.period_refs = 50'000;
+  plan.window_refs = 5'000;
+  plan.warmup_refs = 10'000;
+  return plan;
+}
+
+TEST(SweepSpecFromCli, BaseMachineAndKeysArePinned) {
+  // `sweep --scale 32 --refs 200000 --axis workload=mcf`: the base machine
+  // is ReDHiP with the default inclusion and prefetch, and the key is the
+  // one existing result caches are addressed by.
+  ExperimentOptions opts;
+  opts.scale = 32;
+  opts.refs_per_core = 200'000;
+  const SweepSpec spec = make_sweep_spec(opts, {"workload=mcf"});
+  const RunSpec defaults;
+  EXPECT_EQ(spec.base.scheme, Scheme::kRedhip);
+  EXPECT_EQ(spec.base.bench, defaults.bench);
+  EXPECT_EQ(spec.base.inclusion, defaults.inclusion);
+  EXPECT_EQ(spec.base.prefetch, defaults.prefetch);
+  EXPECT_EQ(spec.base.engine, opts.engine);
+  EXPECT_EQ(spec.base.seed, opts.seed);
+  const std::vector<SweepCell> cells = expand(spec);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].key, 0xec7f5beae5fe9a83ull);
+
+  // The same cell under the sample=50000/5000/10000 axis value.
+  const std::vector<SweepCell> sampled =
+      expand(make_sweep_spec(opts, {"workload=mcf", "sample=50000/5000/10000"}));
+  ASSERT_EQ(sampled.size(), 1u);
+  EXPECT_EQ(sampled[0].key, 0xd559c0331c72ab5dull);
+}
+
+TEST(SweepSpecFromCli, SamplingPlanReachesEveryCell) {
+  ExperimentOptions exact;
+  exact.scale = 32;
+  exact.refs_per_core = 200'000;
+  ExperimentOptions sampled = exact;
+  sampled.sampling = interval_plan();
+  const std::vector<std::string> axes = {"workload=mcf,astar",
+                                         "scheme=Base,ReDHiP"};
+
+  const std::vector<SweepCell> exact_cells =
+      expand(make_sweep_spec(exact, axes));
+  const std::vector<SweepCell> sampled_cells =
+      expand(make_sweep_spec(sampled, axes));
+  ASSERT_EQ(sampled_cells.size(), 4u);
+  ASSERT_EQ(exact_cells.size(), sampled_cells.size());
+  for (std::size_t i = 0; i < sampled_cells.size(); ++i) {
+    const SamplingPlan& plan = sampled_cells[i].spec.sampling;
+    EXPECT_EQ(plan.mode, SampleMode::kInterval) << "cell " << i;
+    EXPECT_EQ(plan.period_refs, 50'000u);
+    EXPECT_EQ(plan.window_refs, 5'000u);
+    EXPECT_EQ(plan.warmup_refs, 10'000u);
+    EXPECT_NE(sampled_cells[i].key, exact_cells[i].key) << "cell " << i;
+  }
+
+  // A sample=off axis value overrides the plan per cell, back to the exact
+  // cell and its key; the interval value keeps the command-line plan's key.
+  std::vector<std::string> with_off = axes;
+  with_off.push_back("sample=off,50000/5000/10000");
+  const std::vector<SweepCell> overridden =
+      expand(make_sweep_spec(sampled, with_off));
+  ASSERT_EQ(overridden.size(), 8u);
+  for (std::size_t i = 0; i < exact_cells.size(); ++i) {
+    EXPECT_FALSE(overridden[2 * i].spec.sampling.enabled());
+    EXPECT_EQ(overridden[2 * i].key, exact_cells[i].key) << "cell " << i;
+    EXPECT_EQ(overridden[2 * i + 1].key, sampled_cells[i].key) << "cell " << i;
+  }
+}
+
 TEST(SweepKey, TracePathDoesNotChangeTheKey) {
   // The event-trace destination is a host-side side channel, not part of
   // the simulated machine; two runs that differ only in where they write
@@ -197,10 +272,6 @@ TEST(SweepKey, TracePathDoesNotChangeTheKey) {
 }
 
 TEST(SweepExecutor, MatchesRunMatrixBitForBit) {
-  ExperimentOptions opts;
-  opts.scale = 32;
-  opts.refs_per_core = 2'000;
-  opts.benches = {BenchmarkId::kMcf, BenchmarkId::kAstar};
   std::vector<SchemeColumn> columns = {{"Base", Scheme::kBase}};
   SchemeColumn red;
   red.label = "ReDHiP/4";
@@ -208,18 +279,34 @@ TEST(SweepExecutor, MatchesRunMatrixBitForBit) {
   red.tweak = [](HierarchyConfig& c) { c.redhip.table_bits >>= 2; };
   columns.push_back(std::move(red));
 
-  const auto via_matrix = run_matrix(opts, columns);
-  SweepStats stats;
-  const auto via_sweep = sweep_matrix(opts, columns, &stats);
-  EXPECT_EQ(stats.cells, 4u);
-  EXPECT_EQ(stats.simulated, 4u);  // no cache configured
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_EQ(via_sweep.size(), via_matrix.size());
-  for (std::size_t b = 0; b < via_matrix.size(); ++b) {
-    ASSERT_EQ(via_sweep[b].size(), via_matrix[b].size());
-    for (std::size_t c = 0; c < via_matrix[b].size(); ++c) {
-      EXPECT_TRUE(stats_identical(via_matrix[b][c], via_sweep[b][c]))
-          << "bench " << b << " column " << c;
+  // Exact, and under the --sample-* plan both executors apply to every
+  // cell.
+  SamplingPlan sampled;
+  sampled.mode = SampleMode::kInterval;
+  sampled.period_refs = 1'000;
+  sampled.window_refs = 100;
+  sampled.warmup_refs = 200;
+  for (const SamplingPlan& plan : {SamplingPlan{}, sampled}) {
+    ExperimentOptions opts;
+    opts.scale = 32;
+    opts.refs_per_core = 2'000;
+    opts.benches = {BenchmarkId::kMcf, BenchmarkId::kAstar};
+    opts.sampling = plan;
+
+    const auto via_matrix = run_matrix(opts, columns);
+    SweepStats stats;
+    const auto via_sweep = sweep_matrix(opts, columns, &stats);
+    EXPECT_EQ(stats.cells, 4u);
+    EXPECT_EQ(stats.simulated, 4u);  // no cache configured
+    EXPECT_EQ(stats.cache_hits, 0u);
+    ASSERT_EQ(via_sweep.size(), via_matrix.size());
+    for (std::size_t b = 0; b < via_matrix.size(); ++b) {
+      ASSERT_EQ(via_sweep[b].size(), via_matrix[b].size());
+      for (std::size_t c = 0; c < via_matrix[b].size(); ++c) {
+        EXPECT_EQ(via_sweep[b][c].sampling.enabled, plan.enabled());
+        EXPECT_TRUE(stats_identical(via_matrix[b][c], via_sweep[b][c]))
+            << "bench " << b << " column " << c;
+      }
     }
   }
 }
