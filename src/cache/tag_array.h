@@ -7,27 +7,24 @@
 // TagArray reports *events*, it does not price them.
 //
 // Storage is structure-of-arrays (SoA).  The authoritative state is the
-// packed 64-bit entry per way (tag + flags + embedded LRU rank, see below);
-// alongside it every way carries a 16-bit *partial tag* in a dense per-set
-// lane.  A probe first scans the lane — 16 bytes for an 8-way set, one host
-// cache line for anything up to 32 ways — and only touches the 8-byte
-// entries of lanes whose partial tag matched.  The common deep-hierarchy
-// *miss* (the exact case ReDHiP exists to skip in hardware) therefore costs
-// one dense 16-byte load instead of a 64-byte entry sweep, and the AVX-512
-// path compares a whole set in a single 16-bit-lane vector op.  The lane is
-// derived state: every mutation that changes residency rewrites it, and
-// checkpoint restore rebuilds it from the entries.
+// packed 64-bit entry per way (tag + flags) plus, for LRU with <= 16 ways,
+// one 64-bit recency word per set holding the LRU order (see
+// touch_recency).  Alongside the entries every way carries a 16-bit
+// *partial tag* in a dense per-set lane.  A probe scans the lane four
+// partial tags per 64-bit word with SWAR arithmetic (plain integer code, so
+// every host and build runs the same instructions) and only touches the
+// 8-byte entries of lanes whose partial tag matched.  The common
+// deep-hierarchy *miss* (the exact case ReDHiP exists to skip in hardware)
+// therefore costs two 8-byte lane words for an 8-way set instead of a
+// 64-byte entry sweep.  The lane is derived state: every mutation that
+// changes residency rewrites it, and checkpoint restore rebuilds it from the
+// entries.
 #pragma once
 
-#include <cstdint>
 #include <bit>
+#include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 #include "cache/geometry.h"
 #include "common/types.h"
@@ -101,9 +98,9 @@ class TagArray {
   // affecting bit-identity with the reference engine.
   void prefetch_line(LineAddr line) const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::uint64_t i = (line & set_mask_) * geom_.ways;
-    __builtin_prefetch(&ptags_[i], 0, 3);
-    __builtin_prefetch(&entries_[i], 0, 2);
+    const std::uint64_t set = line & set_mask_;
+    __builtin_prefetch(&ptags_[set * lane_stride_], 0, 3);
+    __builtin_prefetch(&entries_[set * geom_.ways], 0, 2);
 #else
     (void)line;
 #endif
@@ -140,55 +137,57 @@ class TagArray {
   // (receiving a writeback is not a use).  Returns false if absent.
   bool mark_dirty(LineAddr line);
 
-  // Whether every piece of per-set state lives inside the packed entries
-  // (LRU with <= 16 ways, the paper machine's configuration).  Policies with
-  // side state (tree-PLRU, NRU, the random policy's RNG) are not
-  // self-contained.  The partial-tag lane is derived from the entries, so it
-  // never needs to be captured.
+  // Whether the packed entries and recency words are the whole per-set
+  // state (LRU with <= 16 ways, the paper machine's configuration).
+  // Policies with side state (tree-PLRU, NRU, wide LRU's rank array, the
+  // random policy's RNG) are not self-contained.  The partial-tag lanes are
+  // derived from the entries, so they never need to be captured.
   bool state_is_self_contained() const { return embedded_lru_; }
 
-  // Whole-array snapshot for checkpoint/restore: the packed entries are the
-  // *complete* state only when state_is_self_contained() (src/ckpt refuses
-  // to checkpoint otherwise).  Restore recounts the valid-line tally from
-  // the valid bits rather than trusting the caller, and rebuilds the derived
-  // partial-tag lanes.
-  const std::vector<std::uint64_t>& ckpt_entries() const { return entries_; }
-  bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries) {
-    if (entries.size() != entries_.size()) return false;
-    entries_ = entries;
-    valid_count_ = 0;
-    for (std::uint64_t e : entries_) valid_count_ += e & kValidBit;
-    for (std::uint64_t s = 0; s < sets_; ++s) rebuild_lane(s);
-    return true;
-  }
+  // Whole-array snapshot for checkpoint/restore, in the checkpoint format:
+  // one packed entry per way with the way's LRU rank (its position in the
+  // set's recency word, 0 = MRU) in bits 60..63.  The live entries never
+  // carry the rank; it is derived here at save time.  The snapshot is the
+  // complete state only when state_is_self_contained() (src/ckpt refuses
+  // to checkpoint otherwise).
+  std::vector<std::uint64_t> ckpt_entries() const;
+  // Restore a ckpt_entries() snapshot.  Fails closed — returns false and
+  // leaves the array untouched — on a size mismatch, on a set whose ranks
+  // are not exactly a permutation of 0..ways-1 (embedded LRU), or on any
+  // rank bit in an array without embedded LRU.  Recounts the valid-line
+  // tally from the valid bits rather than trusting the caller, and rebuilds
+  // the recency words and the derived partial-tag lanes.
+  bool ckpt_restore_entries(std::vector<std::uint64_t> entries);
 
  private:
   // One way, packed into a single word: bit 0 valid, bit 1 prefetched,
-  // bit 2 dirty, bits 3..59 the tag, bits 60..63 the line's LRU rank (only
-  // used when the policy is LRU with <= 16 ways — see `embedded_lru_`).  A
-  // tag fits 57 bits: with >= 64B lines that covers byte addresses past
-  // 2^63, so the shift never overflows in practice.
+  // bit 2 dirty, bits 3..59 the tag.  Bits 60..63 are zero in the live
+  // array; only the checkpoint format puts the LRU rank there.  A tag fits
+  // 57 bits: with >= 64B lines that covers byte addresses past 2^63, so the
+  // shift never overflows in practice.
   using Entry = std::uint64_t;
   static constexpr Entry kValidBit = 1;
   static constexpr Entry kPrefetchedBit = 2;
   static constexpr Entry kDirtyBit = 4;
   static constexpr std::uint32_t kRankShift = 60;
   static constexpr Entry kRankMask = Entry{0xF} << kRankShift;
-  static constexpr Entry kRankInc = Entry{1} << kRankShift;
-  // Clearing the don't-care bits (flags + rank) leaves `(tag << 3) | valid`
-  // — one mask + compare decides "valid match" for the whole entry.  For
-  // policies that keep their state outside the entry the rank nibble is
-  // always zero, so the same mask is correct everywhere.
-  static constexpr Entry kMatchMask =
-      ~(kPrefetchedBit | kDirtyBit | kRankMask);
+  // Clearing the flag bits leaves `(tag << 3) | valid` — one mask + compare
+  // decides "valid match" for the whole entry.
+  static constexpr Entry kMatchMask = ~(kPrefetchedBit | kDirtyBit);
 
   // The dense per-way sideband: bit 15 is the valid bit (a lane word is
   // zero exactly when the way is invalid), bits 0..14 an xor-fold of the
   // full tag.  The fold covers every tag bit, so two tags that collide in
   // the lane are rare regardless of the access stride — and a collision
   // only costs one extra entry-word verify, never correctness.
+  //
+  // Each set's lane is padded to a multiple of four ways (lane_stride_) so
+  // the scans read whole 64-bit words.  A pad lane holds kPadLane: nonzero,
+  // so it never reads as invalid, and bit 15 clear, so it never equals a
+  // valid partial tag.  No scan needs a tail mask.
   using PTag = std::uint16_t;
   static constexpr PTag kPTagValidBit = PTag{1} << 15;
+  static constexpr PTag kPadLane = 1;
   static constexpr std::uint32_t kNoWay = ~0u;
 
   static PTag ptag_of(std::uint64_t tag) {
@@ -196,76 +195,55 @@ class TagArray {
     return static_cast<PTag>((h & 0x7FFF) | kPTagValidBit);
   }
 
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-  // Bitmask (lane i -> bit i) of the n <= 64 lane words equal to `pwant`:
-  // a 32-way block is one masked 16-bit-lane compare.
-  static std::uint64_t lane_eq_mask(const PTag* lane, std::uint32_t n,
-                                    PTag pwant) {
-    std::uint64_t bits = 0;
-    const __m512i vwant = _mm512_set1_epi16(static_cast<short>(pwant));
-    for (std::uint32_t base = 0; base < n; base += 32) {
-      const std::uint32_t k = n - base;
-      const __mmask32 lanes = k >= 32 ? static_cast<__mmask32>(~0u)
-                                      : static_cast<__mmask32>((1u << k) - 1);
-      const __m512i v = _mm512_maskz_loadu_epi16(lanes, lane + base);
-      bits |= static_cast<std::uint64_t>(
-                  _mm512_mask_cmpeq_epi16_mask(lanes, v, vwant))
-              << base;
-    }
-    return bits;
+  // Four lanes as one word, lane i in bits 16i..16i+15.  Assembled from the
+  // lane values rather than type-punned, so the layout does not depend on
+  // the host's byte order; compilers fuse it into a single 8-byte load.
+  static std::uint64_t lane_word(const PTag* lane) {
+    return std::uint64_t{lane[0]} | std::uint64_t{lane[1]} << 16 |
+           std::uint64_t{lane[2]} << 32 | std::uint64_t{lane[3]} << 48;
   }
-#endif
+  // Exact zero test on equal-width fields of `x`; `low` has every bit of
+  // each field set except its top one.  The result has a field's top bit
+  // set exactly when that field of `x` is zero: adding `low` to a field's
+  // low bits carries into its top bit iff they are nonzero and never
+  // carries out of the field, so unlike the classic has-zero trick no field
+  // is flagged by its neighbour's borrow.
+  static std::uint64_t zero_fields(std::uint64_t x, std::uint64_t low) {
+    return ~(((x & low) + low) | x) & ~low;
+  }
+  static constexpr std::uint64_t kLaneLow = 0x7FFF7FFF7FFF7FFF;
+  static constexpr std::uint64_t kLaneOnes = 0x0001000100010001;
+  static std::uint32_t lane_index(std::uint64_t z) {
+    return static_cast<std::uint32_t>(std::countr_zero(z)) / 16;
+  }
 
   // Way index of the valid resident copy of the line with partial tag
-  // `pwant` and masked entry `want`, or kNoWay.  The lane scan yields
-  // candidate ways; each candidate is verified against its packed entry in
-  // way order.  Tags are unique within a set (fills check absence first),
-  // so at most one candidate verifies and the result equals the old
-  // full-entry scan's lowest-way match.  A definite miss (no lane match)
-  // never touches the entries at all.  The portable fallback keeps the old
-  // sweep's early exit — the common hit leaves after MRU-ish few ways — but
-  // compares 2-byte lane words and only dereferences an entry on a lane
-  // match.
+  // `pwant` and masked entry `want`, or kNoWay.  Each lane word yields its
+  // candidate ways without a branch per way; each candidate is verified
+  // against its packed entry in way order.  Tags are unique within a set
+  // (fills check absence first), so at most one candidate verifies and the
+  // result is the lowest-way match.  A definite miss (no lane match) never
+  // touches the entries at all.
   std::uint32_t match_way(const Entry* e, const PTag* lane, Entry want,
                           PTag pwant) const {
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      std::uint64_t m = lane_eq_mask(lane + base, n, pwant);
-      while (m != 0) {
-        const std::uint32_t w =
-            base + static_cast<std::uint32_t>(std::countr_zero(m));
+    const std::uint64_t bwant = kLaneOnes * pwant;
+    for (std::uint32_t base = 0; base < geom_.ways; base += 4) {
+      for (std::uint64_t m = zero_fields(lane_word(lane + base) ^ bwant, kLaneLow);
+           m != 0; m &= m - 1) {
+        const std::uint32_t w = base + lane_index(m);
         if ((e[w] & kMatchMask) == want) return w;
-        m &= m - 1;
       }
     }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == pwant && (e[w] & kMatchMask) == want) return w;
-    }
-#endif
     return kNoWay;
   }
 
   // First invalid way of the set (lane word zero <=> way invalid), or
-  // kNoWay when the set is full.  Reproduces the old entry sweep's
-  // first-invalid-way choice from the lane alone.
+  // kNoWay when the set is full.
   std::uint32_t first_invalid_way(const PTag* lane) const {
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      const std::uint64_t m = lane_eq_mask(lane + base, n, PTag{0});
-      if (m != 0) {
-        return base + static_cast<std::uint32_t>(std::countr_zero(m));
-      }
+    for (std::uint32_t base = 0; base < geom_.ways; base += 4) {
+      const std::uint64_t z = zero_fields(lane_word(lane + base), kLaneLow);
+      if (z != 0) return base + lane_index(z);
     }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == 0) return w;
-    }
-#endif
     return kNoWay;
   }
 
@@ -277,31 +255,18 @@ class TagArray {
   std::uint32_t probe_or_invalid(const Entry* e, const PTag* lane,
                                  Entry want, PTag pwant,
                                  std::uint32_t* inv) const {
+    const std::uint64_t bwant = kLaneOnes * pwant;
     std::uint32_t inv_w = kNoWay;
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      std::uint64_t m = lane_eq_mask(lane + base, n, pwant);
-      while (m != 0) {
-        const std::uint32_t w =
-            base + static_cast<std::uint32_t>(std::countr_zero(m));
+    for (std::uint32_t base = 0; base < geom_.ways; base += 4) {
+      const std::uint64_t x = lane_word(lane + base);
+      for (std::uint64_t m = zero_fields(x ^ bwant, kLaneLow); m != 0;
+           m &= m - 1) {
+        const std::uint32_t w = base + lane_index(m);
         if ((e[w] & kMatchMask) == want) return w;
-        m &= m - 1;
       }
-      if (inv_w == kNoWay) {
-        const std::uint64_t z = lane_eq_mask(lane + base, n, PTag{0});
-        if (z != 0) {
-          inv_w = base + static_cast<std::uint32_t>(std::countr_zero(z));
-        }
-      }
+      const std::uint64_t z = zero_fields(x, kLaneLow);
+      if (inv_w == kNoWay && z != 0) inv_w = base + lane_index(z);
     }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == pwant && (e[w] & kMatchMask) == want) return w;
-      if (inv_w == kNoWay && lane[w] == 0) inv_w = w;
-    }
-#endif
     *inv = inv_w;
     return kNoWay;
   }
@@ -320,13 +285,14 @@ class TagArray {
   const Entry* set_begin(std::uint64_t set) const {
     return &entries_[set * geom_.ways];
   }
-  PTag* lane_begin(std::uint64_t set) { return &ptags_[set * geom_.ways]; }
+  PTag* lane_begin(std::uint64_t set) { return &ptags_[set * lane_stride_]; }
   const PTag* lane_begin(std::uint64_t set) const {
-    return &ptags_[set * geom_.ways];
+    return &ptags_[set * lane_stride_];
   }
 
   // Recompute one set's partial-tag lane from its entries (the restore
-  // paths' half of the lane-mirrors-entries invariant).
+  // paths' half of the lane-mirrors-entries invariant).  Pad lanes are
+  // never written after construction.
   void rebuild_lane(std::uint64_t set) {
     const Entry* e = set_begin(set);
     PTag* lane = lane_begin(set);
@@ -336,113 +302,61 @@ class TagArray {
     }
   }
 
-  // Entry-embedded LRU: ranks live in the top nibble of the entries the
-  // caller has already loaded.  Behaviour is exactly LruPolicy's
-  // touch_inline/victim_inline (same promotions, same first-max tie-break,
-  // same way-index initial ranks); only the storage moved.
-  void touch_embedded(Entry* e, std::uint32_t way) {
-    const Entry old = e[way] & kRankMask;
-    if (old == 0) return;
-#if defined(__AVX512F__)
-    // Branchless promote: increment every rank below `old` in one masked
-    // add per 8 ways.  Same additions as the scalar loop, so the rank
-    // permutation evolves identically.
-    const __m512i vrank = _mm512_set1_epi64(static_cast<long long>(kRankMask));
-    const __m512i vold = _mm512_set1_epi64(static_cast<long long>(old));
-    const __m512i vinc = _mm512_set1_epi64(static_cast<long long>(kRankInc));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      const __mmask8 lanes =
-          n >= 8 ? static_cast<__mmask8>(0xFF)
-                 : static_cast<__mmask8>((1u << n) - 1);
-      const __m512i v = _mm512_maskz_loadu_epi64(lanes, e + base);
-      const __mmask8 lt = _mm512_mask_cmplt_epu64_mask(
-          lanes, _mm512_and_si512(v, vrank), vold);
-      _mm512_mask_storeu_epi64(e + base, lt,
-                               _mm512_add_epi64(v, vinc));
-    }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if ((e[w] & kRankMask) < old) e[w] += kRankInc;
-    }
-#endif
-    e[way] &= ~kRankMask;
+  // Embedded LRU: the set's recency word lists its ways from MRU (nibble 0)
+  // to LRU (nibble ways-1); nibbles past ways-1 stay zero.  A way's nibble
+  // position is exactly the rank LruPolicy would keep for it — same
+  // promotions, same way-index initial order, same victim — so the
+  // permutation evolves identically; only the storage is inverted (position
+  // -> way instead of way -> rank).  Invalidation leaves the word alone:
+  // LruPolicy never learns about invalidations either.
+  //
+  // Promote `way` to MRU: find its position p with the exact zero test on
+  // nibbles, shift nibbles 0..p-1 up one position and put the way in
+  // nibble 0.  Dead nibbles are zero too, so for way 0 they also match, but
+  // they sit above every live position and the lowest match is the real
+  // one.
+  void touch_recency(std::uint64_t set, std::uint32_t way) {
+    std::uint64_t& word = recency_[set];
+    const std::uint64_t z = zero_fields(
+        word ^ (std::uint64_t{0x1111111111111111} * way), 0x7777777777777777);
+    const int shift = std::countr_zero(z) - 3;  // 4 * p
+    if (shift == 0) return;  // re-touching the MRU way is a no-op
+    const std::uint64_t above = word & (~std::uint64_t{0} << shift << 4);
+    const std::uint64_t below = word & ((std::uint64_t{1} << shift) - 1);
+    word = above | below << 4 | way;
   }
-  std::uint32_t victim_embedded(const Entry* e) const {
-    // The ranks of a set are a permutation of 0..ways-1 (initialized that
-    // way; touch_embedded preserves it, invalidate keeps the nibble), so
-    // the LRU victim is exactly the way whose rank equals ways-1 — a
-    // compare-equal scan, and being unique it trivially matches the scalar
-    // first-max tie-break.
-    const Entry max_r = Entry{geom_.ways - 1} << kRankShift;
-#if defined(__AVX512F__)
-    const __m512i vrank = _mm512_set1_epi64(static_cast<long long>(kRankMask));
-    const __m512i vmax = _mm512_set1_epi64(static_cast<long long>(max_r));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      const __mmask8 lanes =
-          n >= 8 ? static_cast<__mmask8>(0xFF)
-                 : static_cast<__mmask8>((1u << n) - 1);
-      const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(
-          lanes,
-          _mm512_and_si512(_mm512_maskz_loadu_epi64(lanes, e + base), vrank),
-          vmax);
-      if (eq != 0) return base + static_cast<std::uint32_t>(__builtin_ctz(eq));
-    }
-    return 0;  // unreachable while the permutation invariant holds
-#else
-    for (std::uint32_t w = 0;; ++w) {
-      if ((e[w] & kRankMask) == max_r || w + 1 == geom_.ways) return w;
-    }
-#endif
+  std::uint32_t victim_recency(std::uint64_t set) const {
+    return static_cast<std::uint32_t>(recency_[set] >> victim_shift_) & 0xF;
   }
-
-  // Promote the way a fill just evicted into: the victim held the maximum
-  // rank, so every other way's rank is strictly below it and the promote
-  // degenerates to an unconditional increment of the others (no compare).
-  void touch_evicted_embedded(Entry* e, std::uint32_t way) {
-#if defined(__AVX512F__)
-    const __m512i vinc = _mm512_set1_epi64(static_cast<long long>(kRankInc));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      std::uint32_t lanes = n >= 8 ? 0xFFu : (1u << n) - 1;
-      if (way - base < 8) lanes &= ~(1u << (way - base));
-      const __mmask8 m = static_cast<__mmask8>(lanes);
-      _mm512_mask_storeu_epi64(
-          e + base, m,
-          _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, e + base), vinc));
-    }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (w != way) e[w] += kRankInc;
-    }
-#endif
-    e[way] &= ~kRankMask;
+  // Promote the way a fill just evicted: the victim sat in the LRU nibble,
+  // so the promote is a plain shift that drops it off the live end.
+  void touch_evicted_recency(std::uint64_t set, std::uint32_t way) {
+    recency_[set] = ((recency_[set] << 4) | way) & live_mask_;
   }
 
   // Promote (set, way) in the replacement order.  The paper machine is LRU
-  // at every level, so the embedded-rank path is the common case; wide-LRU
+  // at every level, so the recency-word path is the common case; wide LRU
   // (> 16 ways) still uses LruPolicy's side array non-virtually, everything
   // else pays the virtual dispatch.
-  void repl_touch(Entry* e, std::uint64_t set, std::uint32_t way) {
+  void repl_touch(std::uint64_t set, std::uint32_t way) {
     if (embedded_lru_) {
-      touch_embedded(e, way);
+      touch_recency(set, way);
     } else if (lru_ != nullptr) {
       lru_->touch_inline(set, way);
     } else {
       repl_->touch(set, way);
     }
   }
-  std::uint32_t repl_victim(const Entry* e, std::uint64_t set) {
-    if (embedded_lru_) return victim_embedded(e);
+  std::uint32_t repl_victim(std::uint64_t set) {
+    if (embedded_lru_) return victim_recency(set);
     if (lru_ != nullptr) return lru_->victim_inline(set);
     return repl_->victim(set);
   }
-  // Promote a way repl_victim just returned (see touch_evicted_embedded);
+  // Promote a way repl_victim just returned (see touch_evicted_recency);
   // identical promotion to repl_touch, cheaper on the embedded path.
-  void repl_touch_evicted(Entry* e, std::uint64_t set, std::uint32_t way) {
+  void repl_touch_evicted(std::uint64_t set, std::uint32_t way) {
     if (embedded_lru_) {
-      touch_evicted_embedded(e, way);
+      touch_evicted_recency(set, way);
     } else if (lru_ != nullptr) {
       lru_->touch_inline(set, way);
     } else {
@@ -455,17 +369,20 @@ class TagArray {
   std::uint32_t set_bits_;
   std::uint64_t set_mask_;
   std::uint64_t bank_mask_;
+  std::uint32_t lane_stride_;  // ways rounded up to a multiple of 4
   std::vector<Entry> entries_;
   std::vector<PTag> ptags_;  // derived partial-tag lanes, see rebuild_lane()
   std::unique_ptr<ReplacementPolicy> repl_;
   LruPolicy* lru_ = nullptr;  // repl_ downcast when the policy is LRU
-  bool embedded_lru_ = false;  // LRU with <= 16 ways: ranks in the entries
+  bool embedded_lru_ = false;  // LRU with <= 16 ways: recency_ holds the order
+  std::vector<std::uint64_t> recency_;  // one word per set when embedded_lru_
+  std::uint64_t live_mask_ = 0;         // nibbles 0..ways-1
+  std::uint32_t victim_shift_ = 0;      // 4 * (ways - 1)
   std::uint64_t valid_count_ = 0;
 };
 
 // --------------------------------------------------------------------------
-// Inline hot path.  Identical behaviour to the original out-of-line
-// definitions — only the call overhead and the entry padding are gone.
+// Inline hot path.
 // --------------------------------------------------------------------------
 
 inline TagArray::LookupResult TagArray::lookup(LineAddr line, bool is_write) {
@@ -478,7 +395,7 @@ inline TagArray::LookupResult TagArray::lookup(LineAddr line, bool is_write) {
   LookupResult r{true, w, (e[w] & kPrefetchedBit) != 0};
   e[w] &= ~kPrefetchedBit;
   if (is_write) e[w] |= kDirtyBit;
-  repl_touch(e, set, w);
+  repl_touch(set, w);
   return r;
 }
 
@@ -508,9 +425,9 @@ inline TagArray::FillResult TagArray::fill(LineAddr line, bool prefetched,
   const std::uint64_t tag = tag_of(line);
   Entry* e = set_begin(set);
   PTag* lane = lane_begin(set);
-  // Prefer an invalid way (known from the lane alone).  Overwrites keep the
-  // rank nibble — replacement state belongs to the way, not to the line
-  // occupying it.
+  // Prefer an invalid way (known from the lane alone).  Replacement state
+  // belongs to the way, not to the line occupying it, so an overwrite only
+  // promotes the way.
   const std::uint32_t inv = first_invalid_way(lane);
   FillResult r;
   std::uint32_t w;
@@ -518,19 +435,19 @@ inline TagArray::FillResult TagArray::fill(LineAddr line, bool prefetched,
     w = inv;
     ++valid_count_;
     r.way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
+    e[w] = pack(tag, prefetched, dirty);
     lane[w] = ptag_of(tag);
-    repl_touch(e, set, w);
+    repl_touch(set, w);
   } else {
-    w = repl_victim(e, set);
+    w = repl_victim(set);
     r.evicted = true;
     r.victim = line_of(set, tag_of_entry(e[w]));
     r.victim_was_prefetched = (e[w] & kPrefetchedBit) != 0;
     r.victim_was_dirty = (e[w] & kDirtyBit) != 0;
     r.way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
+    e[w] = pack(tag, prefetched, dirty);
     lane[w] = ptag_of(tag);
-    repl_touch_evicted(e, set, w);
+    repl_touch_evicted(set, w);
   }
   return r;
 }
@@ -557,19 +474,19 @@ inline bool TagArray::fill_if_absent(LineAddr line, bool prefetched,
     ++valid_count_;
     *out = {};
     out->way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
+    e[w] = pack(tag, prefetched, dirty);
     lane[w] = pwant;
-    repl_touch(e, set, w);
+    repl_touch(set, w);
   } else {
-    w = repl_victim(e, set);
+    w = repl_victim(set);
     out->evicted = true;
     out->way = w;
     out->victim = line_of(set, tag_of_entry(e[w]));
     out->victim_was_prefetched = (e[w] & kPrefetchedBit) != 0;
     out->victim_was_dirty = (e[w] & kDirtyBit) != 0;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
+    e[w] = pack(tag, prefetched, dirty);
     lane[w] = pwant;
-    repl_touch_evicted(e, set, w);
+    repl_touch_evicted(set, w);
   }
   return true;
 }
@@ -583,9 +500,9 @@ inline bool TagArray::invalidate(LineAddr line, bool* was_dirty) {
   const std::uint32_t w = match_way(e, lane, want, ptag_of(tag));
   if (w == kNoWay) return false;
   if (was_dirty != nullptr) *was_dirty = (e[w] & kDirtyBit) != 0;
-  // Clear everything but the rank nibble: LruPolicy never learns about
-  // invalidations either, so the way keeps its place in the LRU order.
-  e[w] &= kRankMask;
+  // The way keeps its place in the LRU order: LruPolicy never learns about
+  // invalidations either.
+  e[w] = 0;
   lane[w] = 0;
   --valid_count_;
   return true;

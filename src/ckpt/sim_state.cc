@@ -112,7 +112,7 @@ void load_sample_snapshot(ByteReader& r, SampleSnapshot& s) {
 
 bool MulticoreSimulator::ckpt_supported() const {
   // A checkpoint must capture tag-array state completely; packed entries
-  // are the whole state only for embedded-LRU arrays.
+  // and recency words are the whole state only for embedded-LRU arrays.
   for (const TagArray& a : private_) {
     if (!a.state_is_self_contained()) return false;
   }
@@ -173,10 +173,11 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   w.u64(predictor_disabled_refs_);
   w.u64(excl_l1_misses_);
 
-  // Only the packed entries are serialized: the SoA partial-tag lanes are
-  // derived state and ckpt_restore_entries rebuilds them, so the checkpoint
-  // format is unchanged by the lane layout (and stays the smaller of the
-  // two representations).
+  // Only the packed entries are serialized, each carrying its way's LRU
+  // rank in the top nibble (ckpt_entries derives it from the set's recency
+  // word).  The SoA partial-tag lanes and the recency words are rebuilt by
+  // ckpt_restore_entries, so the checkpoint format does not depend on the
+  // in-memory layout.
   for (const TagArray& a : private_) w.u64_vec(a.ckpt_entries());
   w.u64_vec(shared_->ckpt_entries());
 

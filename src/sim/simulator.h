@@ -98,7 +98,7 @@ class MulticoreSimulator {
     if (ctl != nullptr && obs_ != nullptr) obs_->ckpt_enable_capture();
   }
   // Whether a checkpoint of this simulator can be complete: every tag array
-  // must keep its full state in the packed entries
+  // must keep its full state in its packed entries and recency words
   // (TagArray::state_is_self_contained()).
   bool ckpt_supported() const;
   // Payload codec, defined in src/ckpt/sim_state.cc — the subsystem that

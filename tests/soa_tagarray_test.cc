@@ -1,9 +1,9 @@
-// SoA tag-array equivalence: the partial-tag-lane layout must be
-// observably identical to a plain per-way model (tagarray_fuzz.h), the
-// derived lanes must survive checkpoint restore, and a randomized sample of
-// full simulations must stay bit-identical between the fast and reference
-// engines across schemes, inclusion policies, and every specialized-loop
-// feature mask.
+// SoA tag-array equivalence: the partial-tag-lane + recency-word layout
+// must be observably identical to a plain per-way model (tagarray_fuzz.h),
+// checkpoint snapshots must round-trip (and reject ranks that are not a
+// permutation), and a randomized sample of full simulations must stay
+// bit-identical between the fast and reference engines across schemes,
+// inclusion policies, and every specialized-loop feature mask.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,10 +17,12 @@ namespace redhip {
 namespace {
 
 TEST(SoaTagArray, RandomizedEquivalenceVsShadowModel) {
-  std::uint64_t seed = 0xF00D;
-  for (const CacheGeometry& g : fuzz::fuzz_geometries()) {
-    SCOPED_TRACE("ways=" + std::to_string(g.ways));
-    fuzz::fuzz_against_shadow(g, seed++, 20'000);
+  for (std::uint64_t seed : {0xF00Du, 0x5CA1Au}) {
+    for (const CacheGeometry& g : fuzz::fuzz_geometries()) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " ways=" + std::to_string(g.ways));
+      fuzz::fuzz_against_shadow(g, seed++, 20'000);
+    }
   }
 }
 
@@ -36,6 +38,7 @@ void expect_arrays_equivalent(TagArray& a, TagArray& b,
     ASSERT_EQ(la, lb) << "set " << s;
     for (LineAddr l : la) ASSERT_EQ(a.is_dirty(l), b.is_dirty(l));
   }
+  ASSERT_EQ(a.ckpt_entries(), b.ckpt_entries());
   // Behavioural check: fills exercise the lane-derived invalid-way choice
   // and the replacement state, which the state walk above cannot see.
   Xoshiro256 rng(seed);
@@ -52,9 +55,14 @@ void expect_arrays_equivalent(TagArray& a, TagArray& b,
     }
     const auto la = a.lookup(line);
     const auto lb = b.lookup(line);
-    ASSERT_EQ(la.hit, lb.hit);
-    ASSERT_EQ(la.way, lb.way);
+    ASSERT_EQ(la.hit, lb.hit) << "lookup " << i;
+    ASSERT_EQ(la.way, lb.way) << "lookup " << i;
+    if (i % 7 == 0) {
+      const LineAddr gone = fuzz::random_line(rng, g);
+      ASSERT_EQ(a.invalidate(gone), b.invalidate(gone)) << "invalidate " << i;
+    }
   }
+  ASSERT_EQ(a.ckpt_entries(), b.ckpt_entries());
 }
 
 // Churn an array into an arbitrary state: fills, hits, dirties,
@@ -82,23 +90,75 @@ void churn(TagArray& arr, const CacheGeometry& g, std::uint64_t seed,
 }
 
 TEST(SoaTagArray, CheckpointRoundTripRebuildsLanes) {
+  std::uint64_t seed = 0xC0FFEE;
+  for (const CacheGeometry& g : fuzz::fuzz_geometries()) {
+    if (g.ways > 16) continue;  // wide LRU is not checkpointable
+    SCOPED_TRACE("ways=" + std::to_string(g.ways));
+    TagArray arr(g);
+    churn(arr, g, seed++, 30'000);
+
+    // Round-trip the snapshot into a fresh array; the partial-tag lanes and
+    // recency words are not serialized, so equivalence proves the rebuild.
+    TagArray restored(g);
+    ASSERT_TRUE(restored.ckpt_restore_entries(arr.ckpt_entries()));
+    expect_arrays_equivalent(arr, restored, g, seed++);
+  }
+
+  // Size mismatch must be rejected, not truncated.
   CacheGeometry g;
   g.ways = 16;
   g.size_bytes = 64 * 16 * std::uint64_t{64};
   TagArray arr(g);
-  churn(arr, g, 0xC0FFEE, 30'000);
-
-  // Round-trip the packed entries into a fresh array; the partial-tag
-  // lanes are not serialized, so equivalence proves the rebuild.
-  TagArray restored(g);
-  ASSERT_TRUE(restored.ckpt_restore_entries(arr.ckpt_entries()));
-  expect_arrays_equivalent(arr, restored, g, 0xBEEF);
-
-  // Size mismatch must be rejected, not truncated.
   CacheGeometry small = g;
   small.size_bytes /= 2;
   TagArray other(small);
   EXPECT_FALSE(other.ckpt_restore_entries(arr.ckpt_entries()));
+}
+
+// A snapshot whose ranks in some set are not a permutation of 0..ways-1
+// would make the victim pick evict the wrong way — a wrong number, not an
+// error — so restore must refuse it and leave the array as it was.
+TEST(SoaTagArray, RestoreRejectsRanksThatAreNotAPermutation) {
+  constexpr std::uint64_t kRank = std::uint64_t{0xF} << 60;
+  for (std::uint32_t ways : {2u, 4u, 8u, 16u}) {
+    SCOPED_TRACE("ways=" + std::to_string(ways));
+    CacheGeometry g;
+    g.ways = ways;
+    g.size_bytes = 64 * ways * std::uint64_t{64};
+    TagArray arr(g);
+    churn(arr, g, 0xDEC0DE + ways, 5'000);
+    const std::vector<std::uint64_t> good = arr.ckpt_entries();
+
+    // Way 0 takes way 1's rank: one rank repeats, another goes missing.
+    std::vector<std::uint64_t> dup = good;
+    const std::uint64_t set = 5 * ways;
+    dup[set] = (dup[set] & ~kRank) | (dup[set + 1] & kRank);
+    TagArray target(g);
+    churn(target, g, 0xBADC0DE, 5'000);
+    const std::vector<std::uint64_t> before = target.ckpt_entries();
+    EXPECT_FALSE(target.ckpt_restore_entries(dup));
+    EXPECT_EQ(target.ckpt_entries(), before);
+
+    // A rank outside 0..ways-1.
+    if (ways < 16) {
+      std::vector<std::uint64_t> out_of_range = good;
+      out_of_range[set] |= kRank;
+      EXPECT_FALSE(target.ckpt_restore_entries(out_of_range));
+      EXPECT_EQ(target.ckpt_entries(), before);
+    }
+
+    ASSERT_TRUE(target.ckpt_restore_entries(good));
+    EXPECT_EQ(target.ckpt_entries(), good);
+  }
+
+  // Arrays without embedded LRU carry no ranks at all.
+  CacheGeometry wide;
+  wide.ways = 32;
+  wide.size_bytes = 64 * 32 * std::uint64_t{64};
+  TagArray arr(wide);
+  std::vector<std::uint64_t> ranked = arr.ckpt_entries();
+  ranked[3] |= std::uint64_t{1} << 60;
+  EXPECT_FALSE(arr.ckpt_restore_entries(ranked));
 }
 
 // Randomized full-simulation equivalence: a deterministic sample of

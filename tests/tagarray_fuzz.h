@@ -1,14 +1,16 @@
 // Randomized equivalence harness for the SoA TagArray: drive a TagArray and
-// an independent shadow model (plain per-way structs + explicit LRU ranks,
-// no partial-tag lane, no SIMD) through the same operation stream and
-// require identical observable behaviour at every step.
+// an independent shadow model (plain per-way structs + explicit per-way LRU
+// ranks, no partial-tag lane, no recency word) through the same operation
+// stream and require identical observable behaviour at every step.
 //
 // The shadow replicates the documented replacement contract exactly —
 // way-index initial ranks, promote-on-use, first-invalid-way fills,
 // first-max victim, rank survives invalidation — so any divergence is a
-// TagArray bug, not a modeling choice.  Shared between soa_tagarray_test
-// (host ISA) and tagarray_scalar_test (compiled with AVX-512 disabled, so
-// the portable lane-scan fallback is what executes).
+// TagArray bug, not a modeling choice.  The periodic cross-check also
+// compares ckpt_entries() against the shadow's entries in the checkpoint
+// format (tag + flags + rank nibble), which pins the recency-word -> rank
+// conversion.  The geometries include way counts that are not a multiple
+// of four, so the SWAR scans run over pad lanes.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -151,6 +153,20 @@ class ShadowArray {
 
   std::uint64_t valid_count() const { return valid_count_; }
 
+  // What TagArray::ckpt_entries() must hold for (set, w): the packed entry
+  // (zero when invalid) with the way's LRU rank in bits 60..63.  Arrays
+  // without embedded LRU (> 16 ways) carry no rank.
+  std::uint64_t ckpt_entry(std::uint64_t set, std::uint32_t w) const {
+    const ShadowWay& sw = ways_state_[set * ways_ + w];
+    std::uint64_t e = 0;
+    if (sw.valid) {
+      e = sw.tag << 3 | std::uint64_t{sw.prefetched} << 1 |
+          std::uint64_t{sw.dirty} << 2 | 1;
+    }
+    if (ways_ <= 16) e |= std::uint64_t{rank_[set * ways_ + w]} << 60;
+    return e;
+  }
+
   // Way-ordered valid lines of one set, matching visit_valid_in_set.
   std::vector<LineAddr> valid_lines(std::uint64_t set) const {
     std::vector<LineAddr> out;
@@ -250,16 +266,24 @@ inline void fuzz_against_shadow(const CacheGeometry& g, std::uint64_t seed,
         arr.visit_valid_in_set(s, [&](LineAddr l) { got.push_back(l); });
         ASSERT_EQ(got, model.valid_lines(s)) << "set " << s << " op " << i;
       }
+      const std::vector<std::uint64_t> ckpt = arr.ckpt_entries();
+      for (std::uint64_t s = 0; s < g.sets(); ++s) {
+        for (std::uint32_t w = 0; w < g.ways; ++w) {
+          ASSERT_EQ(ckpt[s * g.ways + w], model.ckpt_entry(s, w))
+              << "set " << s << " way " << w << " op " << i;
+        }
+      }
     }
   }
 }
 
-// The geometries the fuzz runs over: embedded-LRU (<= 16 ways), wide LRU
-// with the side rank array (> 16 ways), and > 64 ways so the blocked lane
-// scan needs a second 64-way block.
+// The geometries the fuzz runs over: embedded LRU (<= 16 ways; 2, 3, 5 and
+// 12 leave pad lanes in the last lane word, 8 is the L2's associativity),
+// wide LRU with the side rank array (> 16 ways), and 80 ways so the lane
+// scan runs over twenty lane words.
 inline std::vector<CacheGeometry> fuzz_geometries() {
   std::vector<CacheGeometry> gs;
-  for (std::uint32_t ways : {1u, 4u, 16u, 32u, 80u}) {
+  for (std::uint32_t ways : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 16u, 32u, 80u}) {
     CacheGeometry g;
     g.ways = ways;
     const std::uint64_t sets = ways > 64 ? 16 : 64;
