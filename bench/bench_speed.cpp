@@ -1,14 +1,11 @@
 // bench_speed — end-to-end simulation speed benchmark (BENCH_speed.json).
 //
-// Runs the base + redhip columns over the full workload list on both
-// engines — fast (batched traces, specialized run loops, tree scheduler)
-// and reference (the original scalar loop, kept as the bit-identical
-// oracle) — and reports per-run and aggregate host throughput in simulated
-// Mrefs/s.  Every (workload, column) cell is checked for statistically
-// identical results across the engines, so a speed number is only ever
-// reported for a correct engine.
+// Runs the base + redhip columns over the full workload list and reports
+// per-run and aggregate host throughput in simulated Mrefs/s (the
+// `fast_engine` block).  Simulated correctness is the tests' job (the
+// whole-hierarchy model in tests/model); this binary only times.
 //
-// `--repeat=N` measures each engine N times and reports best-of-N (the
+// `--repeat=N` measures the matrix N times and reports best-of-N (the
 // headline `matrix_wall_seconds`: least-interference estimate) alongside
 // median-of-N (`matrix_wall_seconds_median`: typical-run estimate, robust
 // to one quiet outlier in either direction).  Results are identical across
@@ -20,23 +17,23 @@
 //
 // `--pre-pr-wall <seconds>` additionally records a speedup against an
 // externally measured wall time (scripts/bench_speed.sh passes the wall
-// time of the pre-fast-path engine measured on the same machine).
+// time of an older build measured on the same machine).
 //
 // `--cpu-model` / `--compiler-flags` land verbatim in the config block so
 // a committed BENCH_speed.json names the host that produced it
 // (scripts/bench_speed.sh fills both; the compiler version itself is baked
 // in at build time).
 //
-// A third leg re-measures the fast engine with periodic checkpointing on
+// A second leg re-measures the matrix with periodic checkpointing on
 // (src/ckpt, interval from --ckpt-interval) and reports the crash-safety
 // tax as `ckpt.overhead_pct`, budgeted at <= 2%: the fraction of the run's
 // own process-CPU time spent inside save_checkpoint (which self-times on
 // the saving thread's CPU clock).
 // Checkpointing must not change a single statistic, so the leg is also
-// checked cell-by-cell against the uninstrumented fast run.
+// checked cell-by-cell against the uninstrumented run.
 //
-// A fourth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
-// sampling: one long exact fast-engine run against the same spec sampled
+// A third, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
+// sampling: one long exact run against the same spec sampled
 // (--sampled-bench/-period/-window/-warmup), reported as `sampling` in the
 // JSON.  The sampled run's 95% CIs must cover the exact run's IPC, L1 hit
 // rate and total energy or the benchmark fails; --sampled-min-speedup=X
@@ -55,7 +52,7 @@
 //                    [--repeat=N] [--out=BENCH_speed.json]
 //                    [--cpu-model=TEXT] [--compiler-flags=TEXT]
 //                    [--pre-pr-wall=SECONDS] [--pre-pr-note=TEXT]
-//                    [--skip-reference] [--skip-ckpt]
+//                    [--skip-ckpt]
 //                    [--ckpt-interval=REFS] [--ckpt-budget-pct=2.0]
 //                    [--sampled-refs=N] [--sampled-bench=mcf]
 //                    [--sampled-period=N] [--sampled-window=N]
@@ -97,10 +94,10 @@ double median_of(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// One engine measured --repeat times: the first repeat's results (for the
+// One leg measured --repeat times: the first repeat's results (for the
 // identity checks; repeats are bit-identical) plus every repeat's wall
 // clock — aggregate and per cell, so `runs[]` can report min/median pairs.
-struct EngineLeg {
+struct Leg {
   std::vector<std::vector<SimResult>> results;
   std::vector<MatrixStats> reps;
   // cell_seconds[bench][column][repeat]: per-cell host wall clock of every
@@ -122,11 +119,9 @@ struct EngineLeg {
   }
 };
 
-EngineLeg measure(ExperimentOptions opts, SimEngine engine,
-                  const std::vector<SchemeColumn>& columns,
-                  std::uint32_t repeat, const char* name) {
-  opts.engine = engine;
-  EngineLeg leg;
+Leg measure(const ExperimentOptions& opts,
+            const std::vector<SchemeColumn>& columns, std::uint32_t repeat) {
+  Leg leg;
   for (std::uint32_t r = 0; r < repeat; ++r) {
     MatrixStats stats;
     auto results = run_matrix(opts, columns, &stats);
@@ -140,15 +135,16 @@ EngineLeg measure(ExperimentOptions opts, SimEngine engine,
     if (r == 0) leg.results = std::move(results);
     leg.reps.push_back(stats);
   }
-  std::printf("%-17s %.3fs best / %.3fs median of %u  (%.3f Mrefs/s)\n",
-              name, leg.best().wall_seconds, leg.median_wall(), repeat,
+  std::printf("matrix:           %.3fs best / %.3fs median of %u  "
+              "(%.3f Mrefs/s)\n",
+              leg.best().wall_seconds, leg.median_wall(), repeat,
               leg.best().mrefs_per_s);
   return leg;
 }
 
 bool check_identical(const ExperimentOptions& opts,
                      const std::vector<SchemeColumn>& columns,
-                     const EngineLeg& a, const EngineLeg& b,
+                     const Leg& a, const Leg& b,
                      const char* a_name, const char* b_name) {
   for (std::size_t bi = 0; bi < opts.benches.size(); ++bi) {
     for (std::size_t c = 0; c < columns.size(); ++c) {
@@ -163,12 +159,12 @@ bool check_identical(const ExperimentOptions& opts,
   return true;
 }
 
-void append_engine_block(std::ostringstream& os, const char* name,
+void append_matrix_block(std::ostringstream& os,
                          const ExperimentOptions& opts,
                          const std::vector<SchemeColumn>& columns,
-                         const EngineLeg& leg) {
+                         const Leg& leg) {
   const MatrixStats& best = leg.best();
-  os << "  \"" << name << "\": {\n";
+  os << "  \"fast_engine\": {\n";
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "    \"matrix_wall_seconds\": %.3f,\n"
@@ -216,7 +212,6 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get("out", "BENCH_speed.json");
   const double pre_pr_wall = cli.get_double("pre-pr-wall", 0.0);
   const std::string pre_pr_note = cli.get("pre-pr-note", "");
-  const bool skip_reference = cli.get_bool("skip-reference", false);
   const bool skip_ckpt = cli.get_bool("skip-ckpt", false);
   // Default: one mid-run save per 8M-ref bench cell (the previous 4M
   // default fired twice per cell and recorded 3.33% under the old paired
@@ -248,23 +243,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(opts.seed), opts.benches.size(),
       repeat);
 
-  const EngineLeg fast =
-      measure(opts, SimEngine::kFast, columns, repeat, "fast engine:");
+  const Leg fast = measure(opts, columns, repeat);
 
-  EngineLeg ref;
-  if (!skip_reference) {
-    ref = measure(opts, SimEngine::kReference, columns, repeat,
-                  "reference engine:");
-    // The speed claim is only meaningful if the fast engine computes the
-    // same simulation — verify every cell.
-    if (!check_identical(opts, columns, fast, ref, "fast", "reference")) {
-      return 1;
-    }
-    std::printf("engines bit-identical across all %zu runs\n",
-                opts.benches.size() * columns.size());
-  }
-
-  // Crash-safety tax: the fast engine again, now writing a checkpoint every
+  // Crash-safety tax: the matrix again, now writing a checkpoint every
   // --ckpt-interval aggregate refs.  The directory is wiped before every
   // repeat so no repeat restores what the previous one wrote — each one
   // measures a full run including every checkpoint write.
@@ -279,7 +260,7 @@ int main(int argc, char** argv) {
   // on this host swung from -15% to +7% across repeats of identical work).
   // The in-run fraction takes numerator and denominator from the same run,
   // so host noise cancels instead of masquerading as overhead.
-  EngineLeg ckpt;
+  Leg ckpt;
   double ckpt_overhead_pct = 0.0;
   double ckpt_save_cpu_s = 0.0;
   std::uint64_t ckpt_saves = 0;
@@ -287,7 +268,6 @@ int main(int argc, char** argv) {
     const std::filesystem::path ckpt_dir =
         std::filesystem::temp_directory_path() / "redhip_bench_speed_ckpt";
     ExperimentOptions copts = opts;
-    copts.engine = SimEngine::kFast;
     copts.ckpt_dir = ckpt_dir.string();
     copts.ckpt_interval = ckpt_interval;
     const auto cpu_now = [] {
@@ -316,7 +296,7 @@ int main(int argc, char** argv) {
       std::sort(fractions.begin(), fractions.end());
       ckpt_overhead_pct = fractions[fractions.size() / 2] * 100.0;
     }
-    std::printf("fast + ckpt:      %.3fs best / %.3fs median of %u  "
+    std::printf("matrix + ckpt:    %.3fs best / %.3fs median of %u  "
                 "(%llu saves, %.3fs save cpu, overhead %.2f%%, interval "
                 "%llu refs)\n",
                 ckpt.best().wall_seconds, ckpt.median_wall(), repeat,
@@ -325,7 +305,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ckpt_interval));
     // Checkpointing must be invisible in the statistics — a perturbed run
     // would make the overhead number (and the feature) meaningless.
-    if (!check_identical(opts, columns, fast, ckpt, "fast", "fast+ckpt")) {
+    if (!check_identical(opts, columns, fast, ckpt, "plain", "ckpt")) {
       return 1;
     }
     if (ckpt_budget_pct > 0.0 && ckpt_overhead_pct > ckpt_budget_pct) {
@@ -340,7 +320,7 @@ int main(int argc, char** argv) {
   }
 
   // Statistical-sampling leg (opt-in via --sampled-refs): one long exact
-  // run vs the same spec under interval sampling, both on the fast engine.
+  // run vs the same spec under interval sampling.
   // Reported in the JSON as `sampling` and *enforced*: the sampled run's
   // 95% CIs must cover the exact run's IPC, L1 hit rate and total energy
   // (both runs are deterministic, so this gate cannot flake on a committed
@@ -542,9 +522,6 @@ int main(int argc, char** argv) {
   os << "    \"compiler_version\": \"" << json_escape(__VERSION__) << "\",\n";
   os << "    \"compiler_flags\": \"" << json_escape(compiler_flags)
      << "\",\n";
-  os << "    \"engines\": [\"fast\"";
-  if (!skip_reference) os << ", \"reference\"";
-  os << "],\n";
   os << "    \"columns\": [";
   for (std::size_t c = 0; c < columns.size(); ++c) {
     os << (c ? ", " : "") << '"' << json_escape(columns[c].label) << '"';
@@ -554,16 +531,7 @@ int main(int argc, char** argv) {
     os << (b ? ", " : "") << '"' << to_string(opts.benches[b]) << '"';
   }
   os << "]\n  },\n";
-  append_engine_block(os, "fast_engine", opts, columns, fast);
-  if (!skip_reference) {
-    os << ",\n";
-    append_engine_block(os, "reference_engine", opts, columns, ref);
-    std::snprintf(buf, sizeof(buf), ",\n  \"speedup_vs_reference\": %.3f",
-                  fast.best().wall_seconds > 0.0
-                      ? ref.best().wall_seconds / fast.best().wall_seconds
-                      : 0.0);
-    os << buf;
-  }
+  append_matrix_block(os, opts, columns, fast);
   if (!skip_ckpt) {
     std::snprintf(buf, sizeof(buf),
                   ",\n  \"ckpt\": {\n    \"interval_refs\": %llu,\n"
@@ -599,7 +567,7 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
   if (pre_pr_wall > 0.0 && fast.best().wall_seconds > 0.0) {
-    std::printf("speedup vs pre-PR engine: %.2fx\n",
+    std::printf("speedup vs pre-PR build: %.2fx\n",
                 pre_pr_wall / fast.best().wall_seconds);
   }
   return 0;

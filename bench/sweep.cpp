@@ -8,7 +8,7 @@
 //   workload, scheme, inclusion, prefetch, table-size, recal-interval,
 //   depth, llc-capacity, sample, scale, refs, seed
 // Without --axis the sweep is workload=all x scheme=Base,ReDHiP.  The base
-// machine runs ReDHiP; --scale/--refs/--seed/--engine and the
+// machine runs ReDHiP; --scale/--refs/--seed and the
 // --sample-mode/--sample-period/--sample-window/--sample-warmup plan apply
 // to every cell unless an axis overrides them.
 //
@@ -23,7 +23,7 @@
 // Crash safety: --ckpt-dir checkpoints every simulating cell
 // (--ckpt-interval N refs between saves); --warmup-refs W writes a shared
 // warmup checkpoint at W aggregate refs that cells differing only in refs
-// or engine restore instead of replaying the prefix; --cell-timeout S
+// restore instead of replaying the prefix; --cell-timeout S
 // aborts a cell after S seconds wall (retried once, then reported and
 // exit 1) — the clock starts when the cell begins executing, never at
 // enqueue.  SIGTERM/SIGINT request a graceful stop: running cells
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   ro.jobs = opts.jobs;
   // Crash-safe cells: --ckpt-dir enables per-cell checkpoint/restore,
   // --ckpt-interval the periodic save, --warmup-refs the shared warmup
-  // checkpoint (cells differing only in refs or engine start from it), and
+  // checkpoint (cells differing only in refs start from it), and
   // --cell-timeout the per-cell watchdog (see SweepRunOptions).
   ro.ckpt_dir = opts.ckpt_dir;
   ro.ckpt_interval = opts.ckpt_interval;

@@ -10,7 +10,6 @@
 // that scripts/plot_epochs.py renders; see DESIGN.md "Observability".
 //
 //   ./quickstart [--scale 8] [--refs 200000] [--bench mcf]
-//                [--engine fast|reference]
 //                [--trace-events redhip-events.jsonl] [--json report.json]
 //                [--ckpt-file run.ckpt] [--ckpt-interval N] [--ckpt-restore]
 //                [--sample-mode interval --sample-period N
@@ -24,9 +23,9 @@
 // phases — at least ~10 windows, and a warmup long enough to rebuild the
 // deep hierarchy at the window's position (~100k refs/core, the default).
 //
-// --json writes the ReDHiP run's full json_report to a file.  Engines are
-// bit-identical, so the document (and the event trace) must compare equal
-// byte for byte across --engine values.
+// --json writes the ReDHiP run's full json_report to a file.  Runs are
+// deterministic, so the document (and the event trace) compares equal byte
+// for byte across repeated and restored runs.
 //
 // --ckpt-file makes the ReDHiP run crash-safe: SIGTERM/SIGINT checkpoint
 // at the next safe boundary and exit with code 75; --ckpt-interval N also
@@ -42,6 +41,7 @@
 #include "common/check.h"
 #include "common/cli.h"
 #include "common/file_io.h"
+#include "harness/experiment.h"
 #include "harness/json_report.h"
 #include "harness/report.h"
 #include "harness/run.h"
@@ -50,6 +50,7 @@ using namespace redhip;
 
 int main(int argc, char** argv) {
   CliOptions opts(argc, argv);
+  reject_retired_flags(opts);
   const std::uint32_t scale =
       static_cast<std::uint32_t>(opts.get_int("scale", 8));
   const std::uint64_t refs =
@@ -57,7 +58,6 @@ int main(int argc, char** argv) {
   const std::string bench_name = opts.get("bench", "mcf");
   const std::string trace_events = opts.get("trace-events", "");
   const std::string json_path = opts.get("json", "");
-  const std::string engine = opts.get("engine", "fast");
   const std::string ckpt_file = opts.get("ckpt-file", "");
   const std::uint64_t ckpt_interval = opts.get_uint64("ckpt-interval", 0);
   const bool ckpt_restore = opts.get_bool("ckpt-restore", false);
@@ -97,14 +97,6 @@ int main(int argc, char** argv) {
   spec.bench = bench;
   spec.scale = scale;
   spec.refs_per_core = refs;
-  if (engine == "fast") {
-    spec.engine = SimEngine::kFast;
-  } else if (engine == "reference") {
-    spec.engine = SimEngine::kReference;
-  } else {
-    REDHIP_CHECK_MSG(false,
-                     "unknown engine: " + engine + " (expected fast|reference)");
-  }
   spec.sampling = sampling;  // both legs sampled, so the comparison is like
                              // for like
 

@@ -8,14 +8,14 @@ run overwrites it), and usable locally the same way:
     python3 scripts/bench_diff.py baseline.json current.json \
         [--out BENCH_diff.md] [--warn-threshold 10]
 
-The comparison is on throughput (Mrefs/s): per-engine aggregate plus every
-(bench, column) run row joined across the two files.  Wall-clock seconds
+The comparison is on throughput (Mrefs/s): the fast_engine block's
+aggregate plus every (bench, column) run row joined across the two files.  Wall-clock seconds
 are deliberately not compared — the two files may come from different ref
 counts (CI smoke runs are tiny) or different hosts, where seconds mean
 nothing but the ratio of rates is still a trend signal; when the configs
 differ the report says so up front.
 
-Report-only by design: when the fast-engine aggregate regresses by more
+Report-only by design: when the matrix aggregate regresses by more
 than --warn-threshold percent the script prints a GitHub Actions
 `::warning::` annotation and still exits 0.  Shared runners are far too
 noisy for a hard gate — the authoritative number is bench_speed.sh on a
@@ -54,10 +54,10 @@ def config_note(base, cur):
     return diffs
 
 
-def engine_rows(doc, engine):
-    block = doc.get(engine)
+def matrix_rows(doc, path):
+    block = doc.get("fast_engine")
     if not isinstance(block, dict):
-        return None, {}
+        sys.exit(f"bench_diff: {path} has no fast_engine block")
     rows = {}
     for run in block.get("runs", []):
         rows[(run.get("bench"), run.get("column"))] = run.get("mrefs_per_s")
@@ -70,7 +70,7 @@ def main():
     ap.add_argument("current")
     ap.add_argument("--out", default="BENCH_diff.md")
     ap.add_argument("--warn-threshold", type=float, default=10.0,
-                    help="fast-engine aggregate regression (percent) that "
+                    help="matrix aggregate regression (percent) that "
                          "triggers a report-only warning")
     args = ap.parse_args()
 
@@ -85,44 +85,35 @@ def main():
         lines.extend(f"- {n}" for n in notes)
         lines.append("")
 
-    warn = None
-    for engine in ("fast_engine", "reference_engine"):
-        bblock, brows = engine_rows(base, engine)
-        cblock, crows = engine_rows(cur, engine)
-        if cblock is None and bblock is None:
-            continue
-        lines.append(f"## {engine}")
-        if bblock is None or cblock is None:
-            lines.append("present in only one file; skipping.")
-            lines.append("")
-            continue
-        b_agg = bblock.get("mrefs_per_s", 0.0)
-        c_agg = cblock.get("mrefs_per_s", 0.0)
-        delta = pct(c_agg, b_agg)
-        lines.append(f"aggregate: {b_agg:.3f} -> {c_agg:.3f} Mrefs/s "
-                     f"({delta:+.1f}%)")
-        lines.append("")
-        lines.append("| bench | column | baseline | current | delta |")
-        lines.append("|---|---|---:|---:|---:|")
-        for key in sorted(set(brows) | set(crows)):
-            b, c = brows.get(key), crows.get(key)
-            if b is None or c is None:
-                lines.append(f"| {key[0]} | {key[1]} | "
-                             f"{'-' if b is None else f'{b:.3f}'} | "
-                             f"{'-' if c is None else f'{c:.3f}'} | - |")
-            else:
-                lines.append(f"| {key[0]} | {key[1]} | {b:.3f} | {c:.3f} | "
-                             f"{pct(c, b):+.1f}% |")
-        lines.append("")
-        if engine == "fast_engine":
-            if b_agg <= 0:
-                sys.exit("bench_diff: baseline has no fast_engine rate")
-            if delta < -args.warn_threshold:
-                warn = (f"fast-engine aggregate regressed {delta:+.1f}% "
-                        f"({b_agg:.3f} -> {c_agg:.3f} Mrefs/s, threshold "
-                        f"{args.warn_threshold:.0f}%)")
+    bblock, brows = matrix_rows(base, args.baseline)
+    cblock, crows = matrix_rows(cur, args.current)
+    b_agg = bblock.get("mrefs_per_s", 0.0)
+    c_agg = cblock.get("mrefs_per_s", 0.0)
+    if b_agg <= 0:
+        sys.exit("bench_diff: baseline has no fast_engine rate")
+    delta = pct(c_agg, b_agg)
+    lines.append("## fast_engine")
+    lines.append(f"aggregate: {b_agg:.3f} -> {c_agg:.3f} Mrefs/s "
+                 f"({delta:+.1f}%)")
+    lines.append("")
+    lines.append("| bench | column | baseline | current | delta |")
+    lines.append("|---|---|---:|---:|---:|")
+    for key in sorted(set(brows) | set(crows)):
+        b, c = brows.get(key), crows.get(key)
+        if b is None or c is None:
+            lines.append(f"| {key[0]} | {key[1]} | "
+                         f"{'-' if b is None else f'{b:.3f}'} | "
+                         f"{'-' if c is None else f'{c:.3f}'} | - |")
+        else:
+            lines.append(f"| {key[0]} | {key[1]} | {b:.3f} | {c:.3f} | "
+                         f"{pct(c, b):+.1f}% |")
+    lines.append("")
 
-    warns = [warn] if warn else []
+    warns = []
+    if delta < -args.warn_threshold:
+        warns.append(f"matrix aggregate regressed {delta:+.1f}% "
+                     f"({b_agg:.3f} -> {c_agg:.3f} Mrefs/s, threshold "
+                     f"{args.warn_threshold:.0f}%)")
     warns.extend(sampling_section(base, cur, lines, args.warn_threshold))
 
     report = "\n".join(lines) + "\n"

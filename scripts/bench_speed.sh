@@ -2,13 +2,10 @@
 # Build the tracked speed benchmark and measure end-to-end simulation speed,
 # writing BENCH_speed.json at the repo root.
 #
-# Both engines are measured on every invocation: fast and the in-binary
-# reference engine (the original run loop, kept alive as the bit-identical
-# oracle).  Each leg runs REPEAT times
-# and the JSON reports best-of-N alongside median-of-N — both for the
-# aggregate matrix wall time and per run: every runs[] row carries
-# host_seconds (min) / host_seconds_median and the matching mrefs_per_s /
-# mrefs_per_s_median pair.  Optionally a
+# The base + redhip matrix runs REPEAT times and the JSON reports best-of-N
+# alongside median-of-N — both for the aggregate matrix wall time and per
+# run: every runs[] row carries host_seconds (min) / host_seconds_median and
+# the matching mrefs_per_s / mrefs_per_s_median pair.  Optionally a
 # pre-PR wall time measured from the seed binary on the same machine is
 # passed via PRE_PR_WALL (seconds); the checked-in BENCH_speed.json's
 # provenance is recorded in its own config block (cpu model, core count,
@@ -32,9 +29,8 @@
 #                     way the real measurement exercises them)
 #   BUILD_DIR=DIR     build directory (default build-bench)
 #   PRE_PR_WALL=SECS  optional external baseline wall time
-#   PRE_PR_NOTE=TEXT  provenance note for that baseline (defaults to the
-#                     seed-commit engine measured on this host)
-#   REPEAT=N          measurements per engine (default 3; the JSON carries
+#   PRE_PR_NOTE=TEXT  provenance note for that baseline
+#   REPEAT=N          measurements per leg (default 3; the JSON carries
 #                     best and median)
 #   JOBS=N            concurrent matrix cells (default 1; see above)
 #   SAMPLED_REFS=N    refs/core for the statistical-sampling leg (default
@@ -95,7 +91,7 @@ if [[ "$PGO" == 1 ]]; then
   configure_and_build "-fprofile-generate=$prof_dir"
   mkdir -p "$prof_dir"
   # Train on the same matrix shape the measurement runs (every workload,
-  # both engines), just with few references per core.  A sampled leg rides
+  # both columns), just with few references per core.  A sampled leg rides
   # along so the skip/warm loops get profile coverage too — without it
   # -fprofile-use marks them cold and deoptimizes exactly the code the
   # sampled speedup gate measures (observed: skip throughput dropped ~40%
@@ -141,7 +137,7 @@ if [[ "$SAMPLED_REFS" != 0 ]]; then
 fi
 if [[ -n "${PRE_PR_WALL:-}" ]]; then
   args+=(--pre-pr-wall="$PRE_PR_WALL"
-         --pre-pr-note="${PRE_PR_NOTE:-pre-fast-path engine (seed commit 28de692), same host, base+redhip matrix}")
+         --pre-pr-note="${PRE_PR_NOTE:-}")
 fi
 
 "$BUILD_DIR/bench/bench_speed" "${args[@]}" "${fwd[@]}"

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Profile the fast engine's per-reference critical path and print a
+# Profile the simulator's per-reference critical path and print a
 # top-symbols table.
 #
-# Drives `bench_speed` fast-engine-only (reference/ckpt legs
-# skipped — they would pollute the profile with code the fast path never
-# runs) over the full workload matrix at a reduced ref count, then reports
+# Drives `bench_speed` without its checkpoint leg (it would pollute the
+# profile with code the run loop never runs) over the full workload matrix at a reduced ref count, then reports
 # where the host cycles went:
 #
 #   * If `perf` is available: perf record -g over the run, then
@@ -66,7 +65,7 @@ if [[ "$sampled" == 1 ]]; then
 else
   target=bench_speed
   binary=bench/bench_speed
-  run_args=(--refs=400000 --scale=8 --skip-reference --skip-ckpt
+  run_args=(--refs=400000 --scale=8 --skip-ckpt
             --out="$BUILD_DIR/profile-bench.json")
 fi
 run_args+=(${fwd_user[@]+"${fwd_user[@]}"})

@@ -94,8 +94,8 @@ class TagArray {
   // Hint that `line`'s set is about to be probed: pull its partial-tag lane
   // (what a miss touches) and entry words (what a hit touches) toward the
   // host caches.  Pure performance hint — no simulated state changes, so the
-  // fast engine's software pipeline may issue it speculatively without
-  // affecting bit-identity with the reference engine.
+  // run loop's software pipeline may issue it speculatively without
+  // changing any simulated number.
   void prefetch_line(LineAddr line) const {
 #if defined(__GNUC__) || defined(__clang__)
     const std::uint64_t set = line & set_mask_;

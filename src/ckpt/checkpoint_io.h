@@ -33,10 +33,9 @@ inline constexpr std::uint32_t kCkptSchemaVersion = 3;
 inline constexpr int kGracefulShutdownExitCode = 75;
 
 // Identity of a checkpoint: which runs may restore it.  Deliberately
-// excludes refs_per_core and the engine — a checkpoint taken at N executed
-// references is a valid prefix of any longer run on any engine (all three
-// are bit-identical), which is what lets sweep cells share one warmup
-// checkpoint.  Includes everything that shapes simulated state evolution:
+// excludes refs_per_core — a checkpoint taken at N executed references is a
+// valid prefix of any longer run, which is what lets sweep cells share one
+// warmup checkpoint.  Includes everything that shapes simulated state evolution:
 // benchmark, scale, seed, and the full config digest.
 std::uint64_t ckpt_key(const std::string& bench, std::uint32_t scale,
                        std::uint64_t seed, std::uint64_t config_dig);

@@ -137,9 +137,8 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
     // a shared warm-state snapshot exists to avoid re-paying.  Serialized
     // only when this core's refill buffer is drained: a mid-batch core's
     // generator has already run past the unconsumed tail, and the tail
-    // itself is not stored (restores must work on any engine, including
-    // ones that never read the refill buffer), so such a core keeps the
-    // replay path.  Every sampled-run save point (window open) has all
+    // itself is not stored (the restored core starts with an empty
+    // buffer), so such a core keeps the replay path.  Every sampled-run save point (window open) has all
     // buffers drained, so the fast path covers the case that matters.
     ByteWriter tw;
     const bool trace_state =

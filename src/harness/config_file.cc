@@ -1,6 +1,7 @@
 #include "harness/config_file.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -350,9 +351,17 @@ HierarchyConfig load_config_file(const std::string& path) {
 }
 
 std::string config_to_text(const HierarchyConfig& config) {
+  // Doubles print in their shortest round-trip form, so reparsing yields
+  // the same bits.
+  const auto real = [](double v) {
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, r.ptr);
+  };
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
   std::ostringstream os;
   os << "cores = " << config.cores << "\n";
-  os << "freq_ghz = " << config.freq_ghz << "\n";
+  os << "freq_ghz = " << real(config.freq_ghz) << "\n";
   os << "scheme = " << [&] {
     std::string s = to_string(config.scheme);
     for (char& ch : s) ch = static_cast<char>(std::tolower(ch));
@@ -360,46 +369,61 @@ std::string config_to_text(const HierarchyConfig& config) {
   }() << "\n";
   os << "inclusion = " << to_string(config.inclusion) << "\n";
   os << "memory_latency = " << config.memory_latency << "\n";
-  os << "prefetch = " << (config.prefetch ? "true" : "false") << "\n";
+  os << "memory_energy_nj = " << real(config.memory_energy_nj) << "\n";
+  os << "prefetch = " << flag(config.prefetch) << "\n";
+  os << "charge_fill_energy = " << flag(config.charge_fill_energy) << "\n";
+  os << "model_writebacks = " << flag(config.model_writebacks) << "\n";
+  os << "seed = " << config.seed << "\n";
   for (const auto& lvl : config.levels) {
     os << "\n[level]\n";
     os << "size = " << lvl.geom.size_bytes << "\n";
     os << "ways = " << lvl.geom.ways << "\n";
     os << "banks = " << lvl.geom.banks << "\n";
+    os << "line_bytes = " << lvl.geom.line_bytes << "\n";
     os << "replacement = " << to_string(lvl.geom.replacement) << "\n";
-    os << "phased = " << (lvl.phased ? "true" : "false") << "\n";
-    os << "split_tags = " << (lvl.energy.tag_energy_nj > 0 ? "true" : "false")
-       << "\n";
+    os << "phased = " << flag(lvl.phased) << "\n";
+    os << "split_tags = " << flag(lvl.energy.tag_energy_nj > 0) << "\n";
   }
   os << "\n[redhip]\n";
   os << "table_bits = " << config.redhip.table_bits << "\n";
   os << "recal_interval = " << config.redhip.recal_interval_l1_misses << "\n";
   os << "recal_mode = " << to_string(config.redhip.recal_mode) << "\n";
   os << "banks = " << config.redhip.banks << "\n";
-  if (config.fault.enabled) {
-    os << "\n[fault]\n";
-    os << "enabled = true\n";
-    os << "rate_per_mref = " << config.fault.rate_per_mref << "\n";
+  os << "\n[cbf]\n";
+  os << "index_bits = " << config.cbf.index_bits << "\n";
+  os << "counter_bits = " << config.cbf.counter_bits << "\n";
+  os << "\n[partial_tag]\n";
+  os << "partial_bits = " << config.partial_tag.partial_bits << "\n";
+  os << "\n[prefetcher]\n";
+  os << "index_bits = " << config.prefetcher.index_bits << "\n";
+  os << "degree = " << config.prefetcher.degree << "\n";
+  os << "distance = " << config.prefetcher.distance << "\n";
+  os << "\n[auto_disable]\n";
+  os << "enabled = " << flag(config.auto_disable.enabled) << "\n";
+  os << "epoch_refs = " << config.auto_disable.epoch_refs << "\n";
+  os << "min_l1_miss_ppm = " << config.auto_disable.min_l1_miss_ppm << "\n";
+  os << "min_bypass_ppm = " << config.auto_disable.min_bypass_ppm << "\n";
+  os << "\n[fault]\n";
+  os << "enabled = " << flag(config.fault.enabled) << "\n";
+  os << "rate_per_mref = " << config.fault.rate_per_mref << "\n";
+  // An empty mask has no textual form (the parser rejects empty values);
+  // it is only valid on a disabled fault config.
+  if (config.fault.site_mask != 0) {
     os << "sites = " << fault_sites_to_string(config.fault.site_mask) << "\n";
-    os << "seed = " << config.fault.seed << "\n";
-    os << "transient = " << (config.fault.transient ? "true" : "false")
-       << "\n";
   }
-  if (config.audit.enabled) {
-    os << "\n[audit]\n";
-    os << "enabled = true\n";
-    os << "policy = " << to_string(config.audit.policy) << "\n";
+  os << "seed = " << config.fault.seed << "\n";
+  os << "transient = " << flag(config.fault.transient) << "\n";
+  os << "\n[audit]\n";
+  os << "enabled = " << flag(config.audit.enabled) << "\n";
+  os << "policy = " << to_string(config.audit.policy) << "\n";
+  os << "\n[obs]\n";
+  os << "enabled = " << flag(config.obs.enabled) << "\n";
+  os << "epoch_refs = " << config.obs.epoch_refs << "\n";
+  os << "epoch_cycles = " << config.obs.epoch_cycles << "\n";
+  if (!config.obs.trace_path.empty()) {
+    os << "trace_path = " << config.obs.trace_path << "\n";
   }
-  if (config.obs.enabled) {
-    os << "\n[obs]\n";
-    os << "enabled = true\n";
-    os << "epoch_refs = " << config.obs.epoch_refs << "\n";
-    os << "epoch_cycles = " << config.obs.epoch_cycles << "\n";
-    if (!config.obs.trace_path.empty()) {
-      os << "trace_path = " << config.obs.trace_path << "\n";
-    }
-    os << "timing = " << (config.obs.timing ? "true" : "false") << "\n";
-  }
+  os << "timing = " << flag(config.obs.timing) << "\n";
   return os.str();
 }
 

@@ -44,8 +44,11 @@ HierarchyConfig parse_config_text(const std::string& text);
 // Load and parse a config file.
 HierarchyConfig load_config_file(const std::string& path);
 
-// Render a config back to the text format (round-trippable for the fields
-// the format covers); useful for dumping derived machines.
+// Render a config back to the text format, one line per key
+// parse_config_text accepts.  Energy parameters are not part of the format
+// (the parser derives them from cacti_lite), so for any parsed config c,
+// parse_config_text(config_to_text(c)) has the same config_digest as c.
+// Useful for dumping derived machines and failing test cases.
 std::string config_to_text(const HierarchyConfig& config);
 
 }  // namespace redhip

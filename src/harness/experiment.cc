@@ -18,15 +18,7 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   o.seed = cli.get_uint64("seed", 42);
   o.csv = cli.get_bool("csv", false);
   o.jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
-  const std::string engine = cli.get("engine", "fast");
-  if (engine == "fast") {
-    o.engine = SimEngine::kFast;
-  } else if (engine == "reference") {
-    o.engine = SimEngine::kReference;
-  } else {
-    REDHIP_CHECK_MSG(false,
-                     "unknown engine: " + engine + " (expected fast|reference)");
-  }
+  reject_retired_flags(cli);
   o.trace_events = cli.get("trace-events", "");
   o.obs_epoch_refs = cli.get_uint64("obs-epoch", 100'000);
   o.cache_dir = cli.get("cache-dir", "");
@@ -61,9 +53,18 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   return o;
 }
 
-std::string trace_file_name(BenchmarkId bench, const std::string& column,
-                            SimEngine engine) {
-  std::string name = to_string(bench) + "-" + column + "-" + engine_name(engine);
+void reject_retired_flags(const CliOptions& cli) {
+  // Unknown flags are otherwise ignored, so a removed flag would silently
+  // run something other than what was asked for.
+  if (cli.has("engine")) {
+    Status(StatusCode::kInvalidArgument,
+           "--engine is no longer supported: the simulator has one engine")
+        .throw_if_error();
+  }
+}
+
+std::string trace_file_name(BenchmarkId bench, const std::string& column) {
+  std::string name = to_string(bench) + "-" + column;
   for (char& c : name) {
     const bool keep = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
                       c == '.' || c == '_' || c == '-';
@@ -72,9 +73,8 @@ std::string trace_file_name(BenchmarkId bench, const std::string& column,
   return name + ".jsonl";
 }
 
-std::string ckpt_file_name(BenchmarkId bench, const std::string& column,
-                           SimEngine engine) {
-  std::string name = trace_file_name(bench, column, engine);
+std::string ckpt_file_name(BenchmarkId bench, const std::string& column) {
+  std::string name = trace_file_name(bench, column);
   name.erase(name.size() - 6);  // ".jsonl"
   return name + ".ckpt";
 }
@@ -172,7 +172,6 @@ std::vector<std::vector<SimResult>> run_matrix(
       spec.scale = opts.scale;
       spec.refs_per_core = opts.refs_per_core;
       spec.seed = opts.seed;
-      spec.engine = opts.engine;
       spec.sampling = opts.sampling;
       // A run aborted by the invariant auditor under a *transient*
       // injected fault (RecoveryPolicy::kAbortRetry) is retried a bounded
@@ -180,21 +179,18 @@ std::vector<std::vector<SimResult>> run_matrix(
       // workload stays bit-identical, only the fault sequence moves.
       // Deterministic (non-transient) faults and every other exception
       // propagate to the thread pool, which rethrows after the drain.
-      // Per-cell event trace: file name carries bench, column and engine so
-      // the fast and reference legs of one spec never overwrite each other
-      // (their streams must be byte-identical — diffing the two files is
-      // the equivalence oracle).
+      // Per-cell event trace, one file per (bench, column).
       std::string trace_path;
       if (!opts.trace_events.empty()) {
         trace_path =
             (std::filesystem::path(opts.trace_events) /
-             trace_file_name(opts.benches[b], columns[c].label, opts.engine))
+             trace_file_name(opts.benches[b], columns[c].label))
                 .string();
       }
       if (!opts.ckpt_dir.empty()) {
         spec.ckpt_path =
             (std::filesystem::path(opts.ckpt_dir) /
-             ckpt_file_name(opts.benches[b], columns[c].label, opts.engine))
+             ckpt_file_name(opts.benches[b], columns[c].label))
                 .string();
         spec.ckpt_interval_refs = opts.ckpt_interval;
         spec.ckpt_restore = true;

@@ -19,11 +19,10 @@ struct ExperimentOptions {
   std::uint64_t seed = 42;
   bool csv = false;
   std::size_t jobs = 0;  // 0 = hardware concurrency
-  SimEngine engine = SimEngine::kFast;
   std::vector<BenchmarkId> benches;
   // Observability (src/obs): when `trace_events` names a directory, every
   // matrix cell runs with obs enabled and writes its JSONL event trace to
-  // `<trace_events>/<bench>-<column>-<engine>.jsonl` (the directory is
+  // `<trace_events>/<bench>-<column>.jsonl` (the directory is
   // created).  Empty = obs off (the default, and the speed-benchmark
   // configuration).
   std::string trace_events;
@@ -52,26 +51,30 @@ struct ExperimentOptions {
   // sim/sampling.h); default off — every reference simulated exactly.
   SamplingPlan sampling;
 
-  // Parses --scale/--refs/--seed/--csv/--jobs/--bench/--engine
+  // Parses --scale/--refs/--seed/--csv/--jobs/--bench
   // plus --trace-events/--obs-epoch, --cache-dir/--resume,
   // --ckpt-dir/--ckpt-interval/--cell-timeout and
   // --sample-mode/--sample-period/--sample-window/--sample-warmup (or the
   // REDHIP_BENCH_* environment equivalents).  --bench limits the workload
-  // list to one named benchmark; --engine selects fast (default) or the
-  // reference oracle loop.  refs and seed are parsed with full 64-bit range
-  // (a seed is an arbitrary u64, and ref counts past 2^31 are legitimate).
+  // list to one named benchmark.  refs and seed are parsed with full 64-bit
+  // range (a seed is an arbitrary u64, and ref counts past 2^31 are
+  // legitimate).  The retired run-loop selector is rejected with
+  // INVALID_ARGUMENT.
   static ExperimentOptions parse(const CliOptions& cli);
 };
 
-// `<bench>-<column>-<engine>.jsonl` with the label sanitized to
-// [A-Za-z0-9._-]; shared by run_matrix and the tests that predict the
-// per-cell trace file names.
-std::string trace_file_name(BenchmarkId bench, const std::string& column,
-                            SimEngine engine);
+// Throws INVALID_ARGUMENT when `cli` carries a flag that no longer exists
+// (the run-loop selector); called by ExperimentOptions::parse and by the
+// examples that parse their own options.
+void reject_retired_flags(const CliOptions& cli);
+
+// `<bench>-<column>.jsonl` with the label sanitized to [A-Za-z0-9._-];
+// shared by run_matrix and the tests that predict the per-cell trace file
+// names.
+std::string trace_file_name(BenchmarkId bench, const std::string& column);
 // Same stem with a .ckpt suffix: the per-cell checkpoint file under
 // ExperimentOptions::ckpt_dir.
-std::string ckpt_file_name(BenchmarkId bench, const std::string& column,
-                           SimEngine engine);
+std::string ckpt_file_name(BenchmarkId bench, const std::string& column);
 
 // Bounded retry budget for matrix runs aborted by a transient injected
 // fault (TransientFaultError under RecoveryPolicy::kAbortRetry); each

@@ -9,14 +9,6 @@
 
 namespace redhip {
 
-std::string engine_name(SimEngine e) {
-  switch (e) {
-    case SimEngine::kFast: return "fast";
-    case SimEngine::kReference: return "reference";
-  }
-  return "unknown";
-}
-
 std::string window_snapshot_path(const std::string& ckpt_path,
                                  std::uint64_t window) {
   // foo.ckpt -> foo_w<idx>.ckpt; a path without the suffix gets _w<idx>
@@ -97,9 +89,9 @@ SimResult run_spec(const RunSpec& spec) {
       if (spec.sampling.enabled()) {
         // Shareable warm snapshots (see CkptControl::save_window): the
         // prefix up to a window open is independent of the run's total
-        // reference count and engine, so these files are content-addressed
-        // by (key, window index) only and cross-restore between cells that
-        // differ solely on those axes.
+        // reference count, so these files are content-addressed by (key,
+        // window index) only and cross-restore between cells that differ
+        // solely in that count.
         ctl.save_window = [path = spec.ckpt_path,
                            key](MulticoreSimulator& s, std::uint64_t w) {
           const Status st =
@@ -150,8 +142,8 @@ SimResult run_spec(const RunSpec& spec) {
 
         // Still cold and sampled?  Scan the shareable warm snapshots
         // (written by save_window at exponentially spaced window opens,
-        // possibly by a *different* run of this cell — longer refs, another
-        // engine) for the deepest one that fits inside this run's window
+        // possibly by a *different* run of this cell with more refs) for
+        // the deepest one that fits inside this run's window
         // count.  Restoring one skips every skip/warm phase up to that
         // window; run_sampled's absolute-position targets make the resume
         // exact.
@@ -186,15 +178,7 @@ SimResult run_spec(const RunSpec& spec) {
     sim->set_ckpt_control(&ctl);
   }
 
-  SimResult r;
-  switch (spec.engine) {
-    case SimEngine::kFast:
-      r = sim->run(spec.refs_per_core);
-      break;
-    case SimEngine::kReference:
-      r = sim->run_reference(spec.refs_per_core);
-      break;
-  }
+  SimResult r = sim->run(spec.refs_per_core);
   r.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

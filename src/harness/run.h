@@ -14,15 +14,6 @@
 
 namespace redhip {
 
-// Which run loop executes the simulation.  kFast is the production engine
-// (batched traces, specialized loops, tree scheduler); kReference is the
-// original engine kept as the bit-identical oracle — both produce the same
-// statistics (see tests/engine_equivalence_test), kReference just exists to
-// prove it and to anchor bench_speed.  The numeric values are part of the
-// sweep cache key (sweep_cache_key).
-enum class SimEngine : std::uint8_t { kFast = 0, kReference = 1 };
-std::string engine_name(SimEngine e);
-
 struct RunSpec {
   BenchmarkId bench = BenchmarkId::kBwaves;
   Scheme scheme = Scheme::kBase;
@@ -31,7 +22,6 @@ struct RunSpec {
   std::uint64_t refs_per_core = 1'000'000;
   bool prefetch = false;
   std::uint64_t seed = 42;
-  SimEngine engine = SimEngine::kFast;
   // Statistical sampling (src/sim/sampling.h).  Off by default — every
   // reference simulated at full fidelity.  When enabled, run_spec validates
   // the plan against refs_per_core up front (throws INVALID_ARGUMENT on a
@@ -41,8 +31,8 @@ struct RunSpec {
 
   // --- Crash-safe checkpoint/restore (src/ckpt) ------------------------------
   // None of these change simulated results: a restored run is bit-identical
-  // to an uninterrupted one (stats, json_report, JSONL trace) on every
-  // engine — tests/ckpt_restore_test and tests/ckpt_kill_test lock it in.
+  // to an uninterrupted one (stats, json_report, JSONL trace) —
+  // tests/ckpt_restore_test and tests/ckpt_kill_test lock it in.
   //
   // Checkpoint file for this run ("" = checkpointing off).  Keyed by
   // (bench, scale, seed, config digest) — see ckpt_key() — so a stale or
@@ -83,8 +73,8 @@ SimResult run_spec(const RunSpec& spec);
 // derived from the run's main checkpoint path (foo.ckpt -> foo_w3.ckpt).
 // Snapshots are written at window opens whose index has w+1 a power of two
 // and restored by any run of the same (bench, scale, seed, config, plan)
-// cell whose own window count exceeds w — total refs and engine are
-// deliberately NOT part of the address, that is the sharing.
+// cell whose own window count exceeds w — total refs are deliberately NOT
+// part of the address, that is the sharing.
 std::string window_snapshot_path(const std::string& ckpt_path,
                                  std::uint64_t window);
 

@@ -58,8 +58,8 @@ void ObsCollector::finish(std::uint64_t now, const ObsSnapshot& snap) {
         .field("epochs", static_cast<std::uint64_t>(epochs_.size()))
         .field("recoveries", metrics_.total(ObsCounter::kRecoveries))
         .field("disable_flips", metrics_.total(ObsCounter::kDisableFlips));
-    // Power-of-two access-latency histogram, identical between engines
-    // (per-reference latencies are part of the bit-identity contract).
+    // Power-of-two access-latency histogram (per-reference latencies are
+    // simulated state, so the histogram is deterministic).
     // Trailing empty buckets are trimmed to keep the line short.
     auto h = metrics_.latency_histogram();
     while (!h.empty() && h.back() == 0) h.pop_back();

@@ -8,9 +8,9 @@
 //
 // Determinism contract: every event field and every EpochSample field is
 // derived from simulated state (counters, simulated cycles, table
-// occupancy), never from host state, so the fast and reference engines —
-// which process references in the same order — produce byte-identical
-// traces and identical epoch series.  Host wall time is collected
+// occupancy), never from host state, so every run of the same (config,
+// seed) — restored from a checkpoint or not — produces a byte-identical
+// trace and an identical epoch series.  Host wall time is collected
 // separately in ObsTiming.
 #pragma once
 
@@ -47,7 +47,7 @@ struct ObsSnapshot {
 };
 
 // Static facts about the run, emitted once as the run_begin event.  All
-// config-derived, so both engines emit the same line.
+// config-derived.
 struct ObsRunInfo {
   std::uint32_t cores = 0;
   std::string scheme;
@@ -109,7 +109,7 @@ class ObsCollector final : public RecalObserver {
   void emit_run_begin(const ObsRunInfo& info);
   // One closed statistical-sampling measurement window (scalar args keep
   // obs free of a dependency on sim/sampling.h).  All values are simulated
-  // state, so sampled traces stay engine-equivalent.
+  // state, so sampled traces stay deterministic.
   void emit_sample_window(std::uint64_t index, std::uint64_t start_refs,
                           std::uint64_t refs, std::uint64_t core_cycles,
                           std::uint64_t l1_accesses, std::uint64_t l1_hits,

@@ -3,8 +3,8 @@
 // Epochs partition a run into windows of `ObsConfig::epoch_refs` aggregate
 // references (or `epoch_cycles` simulated cycles); the final epoch may be
 // shorter.  All fields are deterministic functions of the simulated run, so
-// the series is identical between the fast and reference engines and is
-// compared by stats_identical().
+// the series is identical across runs and restores of the same (config,
+// seed) and is compared by stats_identical().
 #pragma once
 
 #include <cstdint>

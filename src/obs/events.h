@@ -1,9 +1,10 @@
 // Structured event tracing — JSONL, one flat object per line.
 //
-// The stream is part of the engine-equivalence contract: run() and
-// run_reference() must emit byte-identical traces for the same (config,
-// seed), so every field is a deterministic function of the simulated run —
-// never a host timestamp, pointer, or wall-clock value.  Schema in
+// The stream is deterministic: the same (config, seed) emits a
+// byte-identical trace on every run, and a checkpoint-restored run emits
+// the same bytes as an uninterrupted one, so every field is a deterministic
+// function of the simulated run — never a host timestamp, pointer, or
+// wall-clock value.  Schema in
 // DESIGN.md "Observability".
 #pragma once
 
@@ -99,8 +100,8 @@ class EventWriter {
     return *this;
   }
   // Doubles print with the default ostream precision (as json_report does).
-  // Deterministic across engines: the emitted values are themselves part of
-  // the bit-identity contract, and identical doubles format identically.
+  // Deterministic: the emitted values are simulated state, and identical
+  // doubles format identically.
   EventWriter& field(const char* key, double v) {
     os_ << ",\"" << key << "\":" << v;
     return *this;

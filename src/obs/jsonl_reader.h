@@ -16,7 +16,7 @@
 namespace redhip {
 
 // One parsed trace line.  Field order is preserved (it is part of the
-// byte-equivalence contract between engines).
+// byte-identity contract between uninterrupted and restored runs).
 struct ObsEvent {
   std::string type;  // the "ev" field
   std::vector<std::pair<std::string, std::uint64_t>> nums;

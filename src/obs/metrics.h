@@ -26,7 +26,7 @@ namespace redhip {
 
 enum class ObsCounter : std::uint32_t {
   kRefs = 0,        // demand references executed on this core
-  kRefillBatches,   // trace buffer refills (fast engine only, never traced)
+  kRefillBatches,   // trace buffer refills (never traced)
   kRecoveries,      // fault-recovery actions taken (counted on core 0)
   kDisableFlips,    // auto-disable state changes (counted on core 0)
   kCount,           // sentinel

@@ -19,9 +19,8 @@ struct ObsConfig {
   // over all cores — or, when `epoch_cycles` > 0, every `epoch_cycles`
   // simulated cycles instead (measured on the clock of the core that
   // executed the boundary-crossing reference, including global stalls).
-  // Both engines process references in the same deterministic order, so
-  // either boundary yields identical epoch series from run() and
-  // run_reference().
+  // References run in one deterministic order, so either boundary yields
+  // the same epoch series on every run of the same (config, seed).
   std::uint64_t epoch_refs = 100'000;
   std::uint64_t epoch_cycles = 0;
 

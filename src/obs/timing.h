@@ -2,10 +2,10 @@
 //
 // These are wall-clock measurements of the *host* executing the simulation
 // (run loop, recalibration rebuilds, result finalization).  They are useful
-// for profiling the engines but are a property of the machine, not of the
-// run — so they live in SimResult::obs_timing, which stats_identical
-// ignores, and they never appear in the event trace or the epoch series
-// (both of which must be byte-identical between engines).
+// for profiling but are a property of the machine, not of the run — so
+// they live in SimResult::obs_timing, which stats_identical ignores, and
+// they never appear in the event trace or the epoch series (both of which
+// must be deterministic).
 #pragma once
 
 #include <chrono>
@@ -15,7 +15,7 @@ namespace redhip {
 
 struct ObsTiming {
   bool collected = false;  // true when the run had timing hooks enabled
-  double run_seconds = 0.0;       // whole run loop (either engine)
+  double run_seconds = 0.0;       // whole run loop
   double recal_seconds = 0.0;     // inside RedhipTable::recalibrate rebuilds
   double finalize_seconds = 0.0;  // finalize_result (aggregate + price)
   std::uint64_t recal_timings = 0;  // rebuilds measured into recal_seconds

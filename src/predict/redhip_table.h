@@ -141,7 +141,7 @@ class RedhipTable final : public LlcPredictor {
   const RedhipConfig& config() const { return config_; }
   std::uint64_t index_of(LineAddr line) const { return line & index_mask_; }
   // Pull the PT word `line` indexes toward the host caches (software
-  // pipeline hint from the fast engine; no simulated side effects).
+  // pipeline hint from the run loop; no simulated side effects).
   void prefetch_row(LineAddr line) const {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&words_[(line & index_mask_) >> 6], 0, 3);

@@ -65,9 +65,9 @@ struct CkptControl {
   // exponentially spaced indices (w + 1 a power of two).  The harness uses
   // it to persist shareable warm snapshots: the prefix up to a window open
   // depends on (bench, scale, seed, config, plan) but NOT on the run's
-  // total reference count or engine, so any longer run of the same cell —
-  // or the same cell on another engine — restores the deepest snapshot
-  // that still fits inside its own window count.  Not owned; may be empty.
+  // total reference count, so any longer run of the same cell restores the
+  // deepest snapshot that still fits inside its own window count.  Not
+  // owned; may be empty.
   std::function<void(MulticoreSimulator&, std::uint64_t)> save_window;
 };
 

@@ -859,8 +859,7 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
       // addresses in one dense pass (the prefetch hints below read them),
       // and start pulling the first reference's tag lanes while the
       // scheduler and trace state are still hot.  Neither step touches
-      // simulated state, so the commit order below stays byte-identical to
-      // the reference engine.
+      // simulated state, so they cannot change a simulated number.
       for (std::uint32_t i = 0; i < cs.buf_len; ++i) {
         cs.lines[i] = cs.buf[i].addr >> l1_shift_;
       }
@@ -912,7 +911,7 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
     // Note: committing a core's same-line L1-hit run in one go here is NOT
     // sound, even though the hits are private — it reorders them against
     // other cores' LLC evictions, and a back-invalidation landing between
-    // two same-line hits turns the second one into a miss in the reference
+    // two same-line hits turns the second one into a miss in the min-clock
     // interleave.  Scheduling must stay strictly per-reference.
     if (++cs.refs_done >= max_refs_per_core) {
       cs.exhausted = true;
@@ -923,7 +922,7 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
   }
 }
 
-void MulticoreSimulator::fast_segment(std::uint64_t target_refs_per_core) {
+void MulticoreSimulator::segment(std::uint64_t target_refs_per_core) {
   // Resolve the feature mask once and dispatch to the run loop compiled for
   // exactly this configuration; the common paper configurations (all three
   // off) execute a loop with no injector/prefetcher/auto-disable tests.
@@ -949,96 +948,14 @@ SimResult MulticoreSimulator::run(std::uint64_t max_refs_per_core) {
   ran_ = true;
 
   obs_begin_run(max_refs_per_core);
-  if (sampling_.enabled()) {
-    return run_sampled(max_refs_per_core,
-                       [this](std::uint64_t t) { fast_segment(t); });
-  }
+  if (sampling_.enabled()) return run_sampled(max_refs_per_core);
   {
     // Scoped so run_seconds is accumulated before finalize_result copies
     // the timings into the result.
     ScopedTimer timer(obs_ != nullptr ? obs_->run_timer() : nullptr);
-    fast_segment(max_refs_per_core);
+    segment(max_refs_per_core);
   }
   return finalize_result();
-}
-
-SimResult MulticoreSimulator::run_reference(std::uint64_t max_refs_per_core) {
-  REDHIP_CHECK_MSG(!ran_, "a simulator instance runs once");
-  ran_ = true;
-
-  obs_begin_run(max_refs_per_core);
-  if (sampling_.enabled()) {
-    return run_sampled(max_refs_per_core,
-                       [this](std::uint64_t t) { reference_segment(t); });
-  }
-  {
-    // Scoped so run_seconds is accumulated before finalize_result copies
-    // the timings into the result.
-    ScopedTimer timer(obs_ != nullptr ? obs_->run_timer() : nullptr);
-    reference_segment(max_refs_per_core);
-  }
-  return finalize_result();
-}
-
-void MulticoreSimulator::reference_segment(std::uint64_t max_refs_per_core) {
-  std::uint64_t active = 0;
-  for (auto& cs : cores_) {
-    // `refs_done >= max` covers a checkpoint-restored core that already met
-    // its quota before the interruption.
-    cs.exhausted = cs.exhausted || max_refs_per_core == 0 ||
-                   cs.refs_done >= max_refs_per_core;
-    if (!cs.exhausted) ++active;
-  }
-
-  {
-    while (active > 0) {
-      // This engine has no refill boundary, so it polls for checkpoint
-      // actions on a fixed reference stride (any between-references point
-      // is a safe boundary here).
-      if (--ckpt_countdown_ == 0) {
-        ckpt_countdown_ = kCkptPollStride;
-        ckpt_poll();
-      }
-      // Deterministic min-clock interleave, ties broken by core id.
-      CoreId best = 0;
-      Cycles best_clock = ~Cycles{0};
-      for (CoreId c = 0; c < config_.cores; ++c) {
-        if (!cores_[c].exhausted && cores_[c].clock < best_clock) {
-          best = c;
-          best_clock = cores_[c].clock;
-        }
-      }
-      CoreState& cs = cores_[best];
-      MemRef ref;
-      if (!cs.trace->next(ref)) {
-        cs.exhausted = true;
-        --active;
-        continue;
-      }
-      if (injector_) {
-        injector_->maybe_perturb(ref);  // FaultSite::kTraceAddr
-        inject_faults();                // PT single-event upsets
-      }
-      cs.clock += cs.cpi.advance(ref.gap);
-      const std::uint64_t misses_before = events_[0].misses;
-      const Cycles ref_lat = access(best, ref);
-      cs.clock += ref_lat;
-      if (!prefetchers_.empty() && events_[0].misses != misses_before) {
-        run_prefetches(best, ref);
-      }
-      if (config_.auto_disable.enabled && llc_pred_) {
-        if (!predictor_active_) ++predictor_disabled_refs_;
-        if (++epoch_refs_seen_ >= config_.auto_disable.epoch_refs) {
-          evaluate_auto_disable();
-        }
-      }
-      if (obs_ != nullptr) obs_note_ref(best, ref_lat, cs);
-      if (++cs.refs_done >= max_refs_per_core) {
-        cs.exhausted = true;
-        --active;
-      }
-    }
-  }
 }
 
 // ------------------------------------------------------- statistical sampling
@@ -1052,9 +969,7 @@ void MulticoreSimulator::set_sampling(const SamplingPlan& plan) {
   sampling_ = plan;
 }
 
-SimResult MulticoreSimulator::run_sampled(
-    std::uint64_t max_refs_per_core,
-    const std::function<void(std::uint64_t)>& segment) {
+SimResult MulticoreSimulator::run_sampled(std::uint64_t max_refs_per_core) {
   sampling_.validate(max_refs_per_core).throw_if_error();
   {
     // Scoped so run_seconds is accumulated before finalize_result copies

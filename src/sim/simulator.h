@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -43,21 +42,12 @@ class MulticoreSimulator {
   // Run until every core has executed `max_refs_per_core` references (or its
   // trace ended).  Returns the priced result.  May be called once.
   //
-  // This is the fast-path engine: per-core batched trace refill, a
-  // tournament-tree core scheduler (sim/scheduler.h), and a run loop
-  // specialized at compile time on the (fault x prefetch x auto-disable)
-  // feature mask so runs with a feature off never test for it per
-  // reference.  Statistics are bit-identical to run_reference() — same
-  // interleave, same RNG consumption — locked in by
-  // tests/engine_equivalence_test.
+  // Per-core batched trace refill, a tournament-tree core scheduler
+  // (sim/scheduler.h), and a run loop specialized at compile time on the
+  // (fault x prefetch x auto-disable) feature mask so runs with a feature
+  // off never test for it per reference.  tests/model holds an independent
+  // whole-hierarchy model that run() must match event for event.
   SimResult run(std::uint64_t max_refs_per_core);
-
-  // The original (pre-fast-path) engine, kept verbatim: scalar
-  // TraceSource::next() per reference, O(cores) linear min-clock scan,
-  // every feature branch tested per reference.  Exists as the equivalence
-  // oracle for run() and as the baseline leg of bench_speed; same
-  // run-once restriction (use a fresh instance per engine).
-  SimResult run_reference(std::uint64_t max_refs_per_core);
 
   // --- Single-access hooks used by unit tests --------------------------------
   // Execute one reference on one core and return its latency.
@@ -79,7 +69,7 @@ class MulticoreSimulator {
   // Null unless config.obs.enabled (see src/obs/collector.h).
   const ObsCollector* obs_for_test() const { return obs_.get(); }
   // --- Statistical sampling (src/sim/sampling.h) -----------------------------
-  // Install a sampling plan before running; every engine then executes the
+  // Install a sampling plan before running; run() then executes the
   // skip / warm / measure schedule and reports per-metric estimates with
   // 95% CIs in SimResult::sampling.  The plan is validated against the run
   // length at run entry (INVALID_ARGUMENT surfaces as an exception there).
@@ -146,8 +136,8 @@ class MulticoreSimulator {
     Cycles clock = 0;
     std::uint64_t refs_done = 0;
     bool exhausted = false;
-    // Batched refill buffer (the fast engine's refills and the sampled warm
-    // loop; the reference engine calls trace->next() per reference).
+    // Batched refill buffer (the run loop's refills and the sampled warm
+    // loop).
     std::vector<MemRef> buf;
     std::uint32_t buf_pos = 0;
     std::uint32_t buf_len = 0;
@@ -225,14 +215,13 @@ class MulticoreSimulator {
   void run_prefetches(CoreId core, const MemRef& ref);
 
   // --- Observability (src/obs; obs_ is null when disabled) -------------------
-  // Emit the run_begin event (both engines, config-derived fields only).
+  // Emit the run_begin event (config-derived fields only).
   void obs_begin_run(std::uint64_t max_refs_per_core);
   // Snapshot the counters the epoch series differences (cold path: called
   // once per epoch boundary and once at the end of the run).
   ObsSnapshot obs_snapshot() const;
-  // Per-reference hook, shared verbatim by the fast loops and the reference
-  // engine so both produce the same epoch series and event stream.  `lat`
-  // is the reference's access latency, `cs` the executing core.
+  // Per-reference hook of the run loop.  `lat` is the reference's access
+  // latency, `cs` the executing core.
   void obs_note_ref(CoreId core, Cycles lat, const CoreState& cs) {
     const Cycles now = cs.clock + global_stall_cycles_;
     if (obs_->note_ref(core, lat, now)) {
@@ -245,22 +234,18 @@ class MulticoreSimulator {
   // run to the instantiation matching (injector, prefetchers, auto-disable).
   template <bool kFault, bool kPrefetch, bool kAutoDisable>
   void run_loop(std::uint64_t max_refs_per_core);
-  // One detailed segment per engine: run every core to the absolute
-  // per-core target `target_refs_per_core`.  An exact run is one segment to
-  // max_refs_per_core; a sampled run invokes its engine's segment once per
-  // measurement window.  fast_segment is the mask dispatch over run_loop;
-  // reference_segment is the original scalar loop, extracted verbatim.
-  void fast_segment(std::uint64_t target_refs_per_core);
-  void reference_segment(std::uint64_t target_refs_per_core);
+  // One detailed segment: run every core to the absolute per-core target
+  // `target_refs_per_core` (the mask dispatch over run_loop).  An exact run
+  // is one segment to max_refs_per_core; a sampled run runs one segment per
+  // measurement window.
+  void segment(std::uint64_t target_refs_per_core);
   // Shared epilogue: aggregate events, price energy, apply the stall offset.
   SimResult finalize_result();
 
   // --- Statistical sampling machinery (see run_sampled in simulator.cc) ------
-  // The engine-independent skip/warm/measure orchestrator.  `segment` runs
-  // one detailed measurement segment to an absolute per-core target using
-  // the engine the caller dispatched on.
-  SimResult run_sampled(std::uint64_t max_refs_per_core,
-                        const std::function<void(std::uint64_t)>& segment);
+  // The skip/warm/measure orchestrator; each measurement window is one
+  // segment() to an absolute per-core target.
+  SimResult run_sampled(std::uint64_t max_refs_per_core);
   // Fast-forward every core to `target` refs: pure trace repositioning, no
   // simulated state changes, chunked so checkpoint actions stay responsive.
   void sample_skip_to(std::uint64_t target_refs_per_core);
@@ -330,12 +315,12 @@ class MulticoreSimulator {
   };
   std::vector<LevelTiming> level_timing_;
 
-  // Software-pipeline hint (fast engine only): pull the tag lanes `line`
-  // will touch if it misses the same-line memo — every level's set lane
-  // plus the ReDHiP PT row — toward the host caches while the *current*
-  // reference simulates.  Prefetches have no simulated side effects, so the
-  // hint cannot perturb bit-identity with the reference engine; it only
-  // overlaps host memory latency with useful work.
+  // Software-pipeline hint: pull the tag lanes `line` will touch if it
+  // misses the same-line memo — every level's set lane plus the ReDHiP PT
+  // row — toward the host caches while the *current* reference simulates.
+  // Prefetches have no simulated side effects, so the hint cannot change a
+  // simulated number; it only overlaps host memory latency with useful
+  // work.
   void prefetch_next_ref(CoreId core, LineAddr line) {
     const std::uint32_t n = config_.num_levels();
     for (std::uint32_t lvl = 0; lvl + 1 < n; ++lvl) {
@@ -410,10 +395,6 @@ class MulticoreSimulator {
   CkptControl* ckpt_ctl_ = nullptr;
   std::uint64_t ckpt_last_save_refs_ = 0;  // interval anchor (aggregate refs)
   bool ckpt_save_at_done_ = false;         // one-shot save_at_refs fired
-  // Reference-engine poll stride: that engine has no refill boundary, so it
-  // polls every kCkptPollStride references via this countdown.
-  static constexpr std::uint64_t kCkptPollStride = 1024;
-  std::uint64_t ckpt_countdown_ = kCkptPollStride;
 };
 
 }  // namespace redhip

@@ -39,15 +39,15 @@ struct SimResult {
   EnergyBreakdown energy;
 
   // Per-epoch metric series from the observability layer (src/obs); empty
-  // unless HierarchyConfig::obs.enabled.  Deterministic — part of the
-  // engine-equivalence contract and of stats_identical.
+  // unless HierarchyConfig::obs.enabled.  Deterministic — part of
+  // stats_identical.
   EpochSeries epochs;
 
   // Statistical-sampling estimates (src/sim/sampling.h); enabled only for
-  // sampled runs.  Deterministic — part of the engine-equivalence contract
-  // and of stats_identical.  For a sampled run the plain counters above
-  // cover only warmed + measured references; `sampling` carries the
-  // run-level point estimates and their 95% confidence intervals.
+  // sampled runs.  Deterministic — part of stats_identical.  For a sampled
+  // run the plain counters above cover only warmed + measured references;
+  // `sampling` carries the run-level point estimates and their 95%
+  // confidence intervals.
   SamplingReport sampling;
 
   // Host-side throughput, filled by run_spec (not by the simulator): wall
@@ -99,7 +99,7 @@ struct SimResult {
 // Bit-identical comparison of everything a run *simulated* — every counter,
 // cycle count and priced joule, but not the host-side timing, which is a
 // property of the machine the simulation ran on rather than of the run.
-// This is the equality the fast-engine-vs-reference-engine tests assert.
+// This is the equality the determinism and checkpoint-restore tests assert.
 bool stats_identical(const SimResult& a, const SimResult& b);
 
 }  // namespace redhip

@@ -29,15 +29,18 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-// "512K" / "2M" / "64" with binary (KiB/MiB/GiB) magnitudes — sizes.
-bool parse_size_bytes(const std::string& v, std::uint64_t& out) {
+// A decimal integer with an optional K/M/G suffix worth unit^1/2/3.
+// Fails closed on malformed text and on a value past 2^64-1 (the multiply
+// is checked, so "20000000000G" is an error rather than a wrapped number).
+bool parse_magnitude(const std::string& v, std::uint64_t unit,
+                     std::uint64_t& out) {
   if (v.empty()) return false;
   std::uint64_t mult = 1;
   std::size_t digits = v.size();
   switch (v.back()) {
-    case 'K': mult = 1ull << 10; --digits; break;
-    case 'M': mult = 1ull << 20; --digits; break;
-    case 'G': mult = 1ull << 30; --digits; break;
+    case 'K': mult = unit; --digits; break;
+    case 'M': mult = unit * unit; --digits; break;
+    case 'G': mult = unit * unit * unit; --digits; break;
     default: break;
   }
   if (digits == 0) return false;
@@ -45,29 +48,18 @@ bool parse_size_bytes(const std::string& v, std::uint64_t& out) {
   const char* begin = v.data();
   const auto [ptr, ec] = std::from_chars(begin, begin + digits, base);
   if (ec != std::errc() || ptr != begin + digits) return false;
-  out = base * mult;
-  return true;
+  return !__builtin_mul_overflow(base, mult, &out);
+}
+
+// "512K" / "2M" / "64" with binary (KiB/MiB/GiB) magnitudes — sizes.
+bool parse_size_bytes(const std::string& v, std::uint64_t& out) {
+  return parse_magnitude(v, 1024, out);
 }
 
 // "10K" / "1M" / "250000" with decimal (1e3/1e6/1e9) magnitudes — counts,
 // matching Fig. 12's interval labels.
 bool parse_count(const std::string& v, std::uint64_t& out) {
-  if (v.empty()) return false;
-  std::uint64_t mult = 1;
-  std::size_t digits = v.size();
-  switch (v.back()) {
-    case 'K': mult = 1'000; --digits; break;
-    case 'M': mult = 1'000'000; --digits; break;
-    case 'G': mult = 1'000'000'000; --digits; break;
-    default: break;
-  }
-  if (digits == 0) return false;
-  std::uint64_t base = 0;
-  const char* begin = v.data();
-  const auto [ptr, ec] = std::from_chars(begin, begin + digits, base);
-  if (ec != std::errc() || ptr != begin + digits) return false;
-  out = base * mult;
-  return true;
+  return parse_magnitude(v, 1000, out);
 }
 
 SweepAxis workload_axis(const std::string& axis, std::vector<std::string> vals,
@@ -287,14 +279,16 @@ SweepAxis sample_axis(const std::string& axis,
   return out;
 }
 
+// `max` bounds the value to what the RunSpec field can hold.
 SweepAxis numeric_axis(const std::string& axis, const std::string& name,
-                       const std::vector<std::string>& vals,
+                       const std::vector<std::string>& vals, std::uint64_t max,
                        void (*set)(RunSpec&, std::uint64_t)) {
   SweepAxis out{name, {}};
   for (const std::string& v : vals) {
     std::uint64_t value = 0;
-    if (!parse_count(v, value)) {
-      axis_error(axis, "expected a number, got '" + v + "'");
+    if (!parse_count(v, value) || value > max) {
+      axis_error(axis, "expected a number in [0, " + std::to_string(max) +
+                           "], got '" + v + "'");
     }
     out.values.push_back({v, [set, value](RunSpec& s) { set(s, value); }});
   }
@@ -324,17 +318,20 @@ SweepAxis make_named_axis(const std::string& axis_spec,
   if (name == "depth") return depth_axis(axis_spec, vals, opts);
   if (name == "llc-capacity") return llc_capacity_axis(axis_spec, vals, opts);
   if (name == "sample") return sample_axis(axis_spec, vals);
+  constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
   if (name == "scale") {
-    return numeric_axis(axis_spec, "scale", vals, [](RunSpec& s, std::uint64_t v) {
-      s.scale = static_cast<std::uint32_t>(v);
-    });
+    return numeric_axis(axis_spec, "scale", vals, 0xFFFF'FFFFu,
+                        [](RunSpec& s, std::uint64_t v) {
+                          s.scale = static_cast<std::uint32_t>(v);
+                        });
   }
   if (name == "refs") {
-    return numeric_axis(axis_spec, "refs", vals,
-                        [](RunSpec& s, std::uint64_t v) { s.refs_per_core = v; });
+    return numeric_axis(
+        axis_spec, "refs", vals, kU64Max,
+        [](RunSpec& s, std::uint64_t v) { s.refs_per_core = v; });
   }
   if (name == "seed") {
-    return numeric_axis(axis_spec, "seed", vals,
+    return numeric_axis(axis_spec, "seed", vals, kU64Max,
                         [](RunSpec& s, std::uint64_t v) { s.seed = v; });
   }
 
@@ -350,7 +347,6 @@ SweepSpec make_sweep_spec(const ExperimentOptions& opts,
                           const std::vector<std::string>& axis_specs) {
   SweepSpec spec;
   spec.base.scheme = Scheme::kRedhip;
-  spec.base.engine = opts.engine;
   spec.base.scale = opts.scale;
   spec.base.refs_per_core = opts.refs_per_core;
   spec.base.seed = opts.seed;

@@ -25,8 +25,8 @@ SweepAxis make_named_axis(const std::string& axis_spec,
 // The sweep `bench/sweep` runs: one make_named_axis per `--axis` string, in
 // order, over a base machine that runs ReDHiP (so a predictor-knob axis
 // without a scheme axis still measures a machine that uses the knob) with
-// the default benchmark, inclusion and prefetch.  Scale, refs, seed, engine
-// and the sampling plan come from `opts`; a `sample=` axis overrides the
+// the default benchmark, inclusion and prefetch.  Scale, refs, seed and the
+// sampling plan come from `opts`; a `sample=` axis overrides the
 // plan per cell.
 SweepSpec make_sweep_spec(const ExperimentOptions& opts,
                           const std::vector<std::string>& axis_specs);

@@ -8,7 +8,6 @@ std::uint64_t sweep_cache_key(const RunSpec& spec) {
   Fnv1a h;
   h.str("redhip-sweep-cache");
   h.u32(kSweepCacheSchemaVersion);
-  h.u8(static_cast<std::uint8_t>(spec.engine));
   h.str(to_string(spec.bench));
   h.u32(spec.scale);
   h.u64(spec.refs_per_core);

@@ -4,8 +4,8 @@
 // digest of *everything the simulated statistics depend on*: the fully
 // resolved HierarchyConfig (after scaling and every tweak hook — see
 // sim/config_digest.h), the workload identity (benchmark, scale, seed, refs
-// per core), the engine, and a schema version bumped whenever the digest
-// coverage or the cached payload layout changes.
+// per core), and a schema version bumped whenever the digest coverage or
+// the cached payload layout changes.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +18,9 @@ namespace redhip {
 // Bump on any change to config_digest coverage, to sweep_cache_key
 // composition, or to the cache entry payload layout (result_cache.cc) —
 // old entries then miss instead of deserializing garbage.
-inline constexpr std::uint32_t kSweepCacheSchemaVersion = 2;
+inline constexpr std::uint32_t kSweepCacheSchemaVersion = 3;
 
-// Cache key for one RunSpec: schema version + engine + workload identity +
+// Cache key for one RunSpec: schema version + workload identity +
 // config_digest(resolved_config(spec)).
 std::uint64_t sweep_cache_key(const RunSpec& spec);
 

@@ -160,8 +160,8 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
   }
 
   // Checkpoint wiring for the cells that will actually simulate.  The file
-  // name is the hex ckpt_key, which deliberately excludes refs_per_core and
-  // engine: cells that differ only along those axes share one file, so a
+  // name is the hex ckpt_key, which deliberately excludes refs_per_core:
+  // cells that differ only in their ref count share one file, so a
   // warmup checkpoint (opt.warmup_refs) written by the first such cell
   // serves every later one — the shared-warmup-prefix optimization.
   if (!opt.ckpt_dir.empty()) {
@@ -173,7 +173,7 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
       // must land in different files, or each would keep DATA_LOSS-evicting
       // the other's checkpoint.  Sampled cells additionally write shareable
       // per-window warm snapshots next to this file (window_snapshot_path),
-      // which cells differing only in refs or engine restore for free.
+      // which cells differing only in refs restore for free.
       const std::uint64_t key =
           ckpt_key(to_string(cell.spec.bench), cell.spec.scale, cell.spec.seed,
                    config_digest(resolved_config(cell.spec)) ^
@@ -246,7 +246,6 @@ std::vector<std::vector<SimResult>> sweep_matrix(
   spec.base.scale = opts.scale;
   spec.base.refs_per_core = opts.refs_per_core;
   spec.base.seed = opts.seed;
-  spec.base.engine = opts.engine;
   spec.base.sampling = opts.sampling;
 
   SweepAxis bench_axis{"workload", {}};
@@ -271,7 +270,7 @@ std::vector<std::vector<SimResult>> sweep_matrix(
         // The workload axis has already run, so s.bench names this cell.
         const std::string path =
             (std::filesystem::path(trace_dir) /
-             trace_file_name(s.bench, col.label, s.engine))
+             trace_file_name(s.bench, col.label))
                 .string();
         chain_tweak(s, [path, epoch_refs](HierarchyConfig& hc) {
           hc.obs.enabled = true;

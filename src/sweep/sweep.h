@@ -36,7 +36,7 @@ struct SweepAxis {
 };
 
 struct SweepSpec {
-  // Defaults for everything no axis overrides (scale, refs, seed, engine).
+  // Defaults for everything no axis overrides (scale, refs, seed).
   RunSpec base;
   std::vector<SweepAxis> axes;
 
@@ -86,8 +86,8 @@ struct SweepRunOptions {
   // Crash-safe checkpointing (src/ckpt).  When `ckpt_dir` names a
   // directory, every simulated cell checkpoints there under
   // `<hex ckpt_key>.ckpt` and restores a valid existing file before
-  // running.  The key excludes refs_per_core and engine, so cells that
-  // differ only along those axes SHARE one file — that is the warmup-
+  // running.  The key excludes refs_per_core, so cells that differ only
+  // in their ref count SHARE one file — that is the warmup-
   // sharing mechanism: with `warmup_refs` > 0 the first cell to execute
   // that many aggregate references writes a one-shot warmup checkpoint,
   // and every later same-key cell starts from it instead of replaying the

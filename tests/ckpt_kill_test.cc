@@ -4,8 +4,8 @@
 // the subsystem exists for.  The parent then resumes from the survivor file
 // and must reproduce the uninterrupted run bit for bit: stats_identical,
 // byte-identical json_report, byte-identical JSONL event trace.  Covered:
-// every specialized fast-engine feature mask (fault x prefetch x
-// auto-disable), and both engines on one configuration.
+// every specialized run-loop feature mask (fault x prefetch x
+// auto-disable), and a sampled run killed inside a fast-forward gap.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -74,14 +74,7 @@ std::uint64_t key_of(const RunSpec& spec) {
   };
   auto sim = build_sim(spec);
   sim->set_ckpt_control(&ctl);
-  switch (spec.engine) {
-    case SimEngine::kFast:
-      sim->run(spec.refs_per_core);
-      break;
-    case SimEngine::kReference:
-      sim->run_reference(spec.refs_per_core);
-      break;
-  }
+  sim->run(spec.refs_per_core);
   _exit(2);  // ran to completion — the kill never fired
 }
 
@@ -165,7 +158,7 @@ class CkptKillTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-// Every specialized fast-engine run loop: fault x prefetch x auto-disable.
+// Every specialized run loop: fault x prefetch x auto-disable.
 TEST_F(CkptKillTest, AllFeatureMasksSurviveSigkill) {
   for (int mask = 0; mask < 8; ++mask) {
     const bool fault = mask & 1;
@@ -190,16 +183,6 @@ TEST_F(CkptKillTest, AllFeatureMasksSurviveSigkill) {
   }
 }
 
-// Both engines on one configuration (the fast engine is covered above; this
-// pins the reference scalar loop, whose safe boundary is its poll stride).
-TEST_F(CkptKillTest, EveryEngineSurvivesSigkill) {
-  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
-    RunSpec spec = traced_spec("unused.jsonl");
-    spec.engine = engine;
-    kill_and_resume(spec, std::string("engine-") + engine_name(engine));
-  }
-}
-
 // Sampled mode composes with crash safety.  The child's 40k-aggregate
 // checkpoint interval fires during the first fast-forward gap (the first
 // skip segment covers 7k refs/core = 56k aggregate), so the SIGKILL lands
@@ -207,15 +190,12 @@ TEST_F(CkptKillTest, EveryEngineSurvivesSigkill) {
 // skip cursor and the sampling plan echo, and the resumed run must still
 // reproduce every window, estimate and event line bit for bit.
 TEST_F(CkptKillTest, SampledRunSurvivesSigkillInAFastForwardGap) {
-  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
-    RunSpec spec = traced_spec("unused.jsonl");
-    spec.engine = engine;
-    spec.sampling.mode = SampleMode::kInterval;
-    spec.sampling.period_refs = 10'000;
-    spec.sampling.window_refs = 1'000;
-    spec.sampling.warmup_refs = 2'000;
-    kill_and_resume(spec, std::string("sampled-") + engine_name(engine));
-  }
+  RunSpec spec = traced_spec("unused.jsonl");
+  spec.sampling.mode = SampleMode::kInterval;
+  spec.sampling.period_refs = 10'000;
+  spec.sampling.window_refs = 1'000;
+  spec.sampling.warmup_refs = 2'000;
+  kill_and_resume(spec, "sampled");
 }
 
 }  // namespace

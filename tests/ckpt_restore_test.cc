@@ -2,10 +2,9 @@
 // that checkpoints mid-way, is discarded, and then resumes from the file in
 // a fresh process-equivalent simulator must be indistinguishable from an
 // uninterrupted run: stats_identical, byte-identical json_report, and a
-// byte-identical JSONL event trace — on both engines.  A corrupted
-// checkpoint degrades to a cold start (with the file evicted), never to a
-// wrong result.  Sampled runs' shareable warm snapshots restore across run
-// lengths and engines.
+// byte-identical JSONL event trace.  A corrupted checkpoint degrades to a
+// cold start (with the file evicted), never to a wrong result.  Sampled
+// runs' shareable warm snapshots restore across run lengths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,14 +39,13 @@ class CkptRestoreTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  RunSpec traced_spec(SimEngine engine, const std::string& trace_name) {
+  RunSpec traced_spec(const std::string& trace_name) {
     RunSpec spec;
     spec.bench = BenchmarkId::kMcf;
     spec.scheme = Scheme::kRedhip;
     spec.scale = 8;
     spec.refs_per_core = 20'000;
     spec.seed = 1234;
-    spec.engine = engine;
     const std::string path = (dir_ / trace_name).string();
     spec.tweak = [path](HierarchyConfig& hc) {
       hc.obs.enabled = true;
@@ -71,51 +69,46 @@ void expect_same_run(const SimResult& a, const SimResult& b,
   EXPECT_GT(a.total_refs, 0u) << what;
 }
 
-TEST_F(CkptRestoreTest, SaveRestoreBitIdenticalOnEveryEngine) {
-  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
-    const std::string name = engine_name(engine);
-    const std::string ckpt = (dir_ / (name + ".ckpt")).string();
+TEST_F(CkptRestoreTest, SaveRestoreBitIdentical) {
+  const std::string ckpt = (dir_ / "run.ckpt").string();
 
-    // Uninterrupted: the oracle every other run must match.
-    const SimResult plain = run_spec(traced_spec(engine, name + "-a.jsonl"));
+  // Uninterrupted: the oracle every other run must match.
+  const SimResult plain = run_spec(traced_spec("a.jsonl"));
 
-    // Same run, checkpointing mid-way.  The checkpoint itself must be
-    // invisible: this run's stats/report/trace already match the oracle.
-    RunSpec saving = traced_spec(engine, name + "-b.jsonl");
-    saving.ckpt_path = ckpt;
-    saving.ckpt_save_at_refs = 60'000;  // mid-run (160k aggregate refs)
-    const SimResult saved = run_spec(saving);
-    expect_same_run(plain, saved, name + " with checkpointing on");
-    EXPECT_EQ(trace_of(name + "-a.jsonl"), trace_of(name + "-b.jsonl"))
-        << name;
-    ASSERT_TRUE(std::filesystem::exists(ckpt)) << name;
+  // Same run, checkpointing mid-way.  The checkpoint itself must be
+  // invisible: this run's stats/report/trace already match the oracle.
+  RunSpec saving = traced_spec("b.jsonl");
+  saving.ckpt_path = ckpt;
+  saving.ckpt_save_at_refs = 60'000;  // mid-run (160k aggregate refs)
+  const SimResult saved = run_spec(saving);
+  expect_same_run(plain, saved, "with checkpointing on");
+  EXPECT_EQ(trace_of("a.jsonl"), trace_of("b.jsonl"));
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-    // Fresh simulator, restore, continue: still the same run, including the
-    // JSONL prefix emitted before the checkpoint was taken.
-    RunSpec resuming = traced_spec(engine, name + "-c.jsonl");
-    resuming.ckpt_path = ckpt;
-    resuming.ckpt_restore = true;
-    const SimResult resumed = run_spec(resuming);
-    expect_same_run(plain, resumed, name + " restored");
-    EXPECT_EQ(trace_of(name + "-a.jsonl"), trace_of(name + "-c.jsonl"))
-        << name;
-  }
+  // Fresh simulator, restore, continue: still the same run, including the
+  // JSONL prefix emitted before the checkpoint was taken.
+  RunSpec resuming = traced_spec("c.jsonl");
+  resuming.ckpt_path = ckpt;
+  resuming.ckpt_restore = true;
+  const SimResult resumed = run_spec(resuming);
+  expect_same_run(plain, resumed, "restored");
+  EXPECT_EQ(trace_of("a.jsonl"), trace_of("c.jsonl"));
 }
 
 // Restoring with an interval configured must not immediately re-save, and
 // a restored run keeps checkpointing from where it left off.
 TEST_F(CkptRestoreTest, RestoredRunKeepsCheckpointing) {
   const std::string ckpt = (dir_ / "interval.ckpt").string();
-  const SimResult plain = run_spec(traced_spec(SimEngine::kFast, "p.jsonl"));
+  const SimResult plain = run_spec(traced_spec("p.jsonl"));
 
-  RunSpec saving = traced_spec(SimEngine::kFast, "q.jsonl");
+  RunSpec saving = traced_spec("q.jsonl");
   saving.ckpt_path = ckpt;
   saving.ckpt_interval_refs = 30'000;
   const SimResult saved = run_spec(saving);
   expect_same_run(plain, saved, "interval checkpointing");
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-  RunSpec resuming = traced_spec(SimEngine::kFast, "r.jsonl");
+  RunSpec resuming = traced_spec("r.jsonl");
   resuming.ckpt_path = ckpt;
   resuming.ckpt_interval_refs = 30'000;
   resuming.ckpt_restore = true;
@@ -128,9 +121,9 @@ TEST_F(CkptRestoreTest, RestoredRunKeepsCheckpointing) {
 // diagnostic and the run cold-starts to the identical result.
 TEST_F(CkptRestoreTest, CorruptCheckpointColdStartsAndEvicts) {
   const std::string ckpt = (dir_ / "corrupt.ckpt").string();
-  const SimResult plain = run_spec(traced_spec(SimEngine::kFast, "x.jsonl"));
+  const SimResult plain = run_spec(traced_spec("x.jsonl"));
 
-  RunSpec saving = traced_spec(SimEngine::kFast, "y.jsonl");
+  RunSpec saving = traced_spec("y.jsonl");
   saving.ckpt_path = ckpt;
   saving.ckpt_save_at_refs = 60'000;
   run_spec(saving);
@@ -144,7 +137,7 @@ TEST_F(CkptRestoreTest, CorruptCheckpointColdStartsAndEvicts) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  RunSpec resuming = traced_spec(SimEngine::kFast, "z.jsonl");
+  RunSpec resuming = traced_spec("z.jsonl");
   resuming.ckpt_path = ckpt;
   resuming.ckpt_restore = true;
   const SimResult resumed = run_spec(resuming);
@@ -157,19 +150,19 @@ TEST_F(CkptRestoreTest, CorruptCheckpointColdStartsAndEvicts) {
 // same key) is ignored — but kept on disk for the run it belongs to.
 TEST_F(CkptRestoreTest, AheadOfRunCheckpointIsIgnoredNotEvicted) {
   const std::string ckpt = (dir_ / "ahead.ckpt").string();
-  RunSpec long_run = traced_spec(SimEngine::kFast, "long.jsonl");
+  RunSpec long_run = traced_spec("long.jsonl");
   long_run.ckpt_path = ckpt;
   long_run.ckpt_save_at_refs = 150'000;  // near the end of 160k aggregate
   run_spec(long_run);
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-  RunSpec short_run = traced_spec(SimEngine::kFast, "short-b.jsonl");
+  RunSpec short_run = traced_spec("short-b.jsonl");
   short_run.refs_per_core = 10'000;  // 80k aggregate < checkpoint position
   short_run.ckpt_path = ckpt;
   short_run.ckpt_restore = true;
   const SimResult got = run_spec(short_run);
 
-  RunSpec short_plain = traced_spec(SimEngine::kFast, "short-a.jsonl");
+  RunSpec short_plain = traced_spec("short-a.jsonl");
   short_plain.refs_per_core = 10'000;
   const SimResult want = run_spec(short_plain);
   expect_same_run(want, got, "short run under a longer run's checkpoint");
@@ -244,8 +237,8 @@ RunSpec sampled_spec(std::uint64_t windows) {
 
 // Sharing property: a sampled run with checkpointing drops warm snapshots at
 // window opens 0, 1, 3, 7, ... (w+1 a power of two), and a *different* run
-// of the same cell — here a shorter ref count and then a different engine,
-// the two axes deliberately excluded from the snapshot key — cold-starts
+// of the same cell — here a shorter ref count, deliberately excluded from
+// the snapshot key — cold-starts
 // from the deepest snapshot its own window count still contains and
 // produces output bit-identical to running from scratch.
 // warm_host_seconds is the witness that the resume actually happened: it
@@ -253,7 +246,7 @@ RunSpec sampled_spec(std::uint64_t windows) {
 // all its warm phases reports only no-op dispatch overhead (sub-µs timer
 // reads) where a genuine cold start pays for warming tens of thousands of
 // references — orders of magnitude apart.
-TEST_F(CkptRestoreTest, WindowSnapshotsShareWarmStateAcrossRefsAndEngine) {
+TEST_F(CkptRestoreTest, WindowSnapshotsShareWarmStateAcrossRefs) {
   const std::string ckpt = (dir_ / "cell.ckpt").string();
 
   RunSpec writer = sampled_spec(6);
@@ -280,16 +273,8 @@ TEST_F(CkptRestoreTest, WindowSnapshotsShareWarmStateAcrossRefsAndEngine) {
   // skipped entirely.
   EXPECT_LT(resumed.warm_host_seconds, cold.warm_host_seconds * 0.1);
 
-  // Engine is not part of the address either: the reference engine resumes
-  // from the fast engine's snapshot, bit-identically.
-  shorter.engine = SimEngine::kReference;
-  const SimResult ref_resumed = run_spec(shorter);
-  EXPECT_TRUE(stats_identical(cold, ref_resumed));
-  EXPECT_LT(ref_resumed.warm_host_seconds, cold.warm_host_seconds * 0.1);
-
   // A torn deepest snapshot is evicted with a DATA_LOSS warning and the
   // scan falls back to the next-deepest — never a wrong result.
-  shorter.engine = SimEngine::kFast;
   {
     std::ofstream torn(window_snapshot_path(ckpt, 3),
                        std::ios::binary | std::ios::trunc);

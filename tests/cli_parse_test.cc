@@ -1,9 +1,10 @@
 // 64-bit CLI parsing: ref counts past 2^31 and full-range u64 seeds must
 // round-trip through the option layer (std::stoll alone would reject seeds
-// above 2^63-1), and --engine must select the run loop.  Malformed numerics
-// must surface as INVALID_ARGUMENT naming the flag and the value — the old
-// bare std::stoull path silently wrapped `--refs=-1` to 2^64-1 and let
-// std::invalid_argument escape with no indication of which flag was bad.
+// above 2^63-1), and the retired --engine flag must be rejected.  Malformed
+// numerics must surface as INVALID_ARGUMENT naming the flag and the value —
+// the old bare std::stoull path silently wrapped `--refs=-1` to 2^64-1 and
+// let std::invalid_argument escape with no indication of which flag was
+// bad.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -42,7 +43,6 @@ TEST(CliParse, DefaultsSurviveAbsence) {
   const ExperimentOptions opts = ExperimentOptions::parse(cli);
   EXPECT_EQ(opts.refs_per_core, 1'000'000u);
   EXPECT_EQ(opts.seed, 42u);
-  EXPECT_EQ(opts.engine, SimEngine::kFast);
 }
 
 TEST(CliParse, ZeroSkipSamplingPlanIsRejectedByValidation) {
@@ -60,20 +60,20 @@ TEST(CliParse, ZeroSkipSamplingPlanIsRejectedByValidation) {
   }
 }
 
-TEST(CliParse, EngineSelection) {
-  EXPECT_EQ(ExperimentOptions::parse(make_cli({"--engine=fast"})).engine,
-            SimEngine::kFast);
-  EXPECT_EQ(ExperimentOptions::parse(make_cli({"--engine=reference"})).engine,
-            SimEngine::kReference);
-  // Anything else is a usage error that names the engines that exist.
-  for (const char* bad : {"--engine=parallel", "--engine=turbo"}) {
+TEST(CliParse, RetiredEngineFlagIsRejected) {
+  // There is one run loop; any --engine value (or the bare flag) is an
+  // INVALID_ARGUMENT usage error rather than a silently ignored flag.
+  for (const char* bad : {"--engine=fast", "--engine=reference",
+                          "--engine=parallel", "--engine"}) {
     try {
       ExperimentOptions::parse(make_cli({bad}));
       ADD_FAILURE() << bad << " was accepted";
-    } catch (const std::logic_error& e) {
-      EXPECT_NE(std::string(e.what()).find("fast|reference"),
-                std::string::npos)
-          << bad << ": " << e.what();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("INVALID_ARGUMENT: --engine", 0), 0u)
+          << bad << ": " << what;
+      EXPECT_NE(what.find("one engine"), std::string::npos)
+          << bad << ": " << what;
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <fstream>
 
 #include "harness/config_file.h"
+#include "model/case_gen.h"
+#include "sim/config_digest.h"
 
 namespace redhip {
 namespace {
@@ -274,6 +276,33 @@ TEST(ConfigFile, RoundTripsThroughText) {
   }
   EXPECT_EQ(reparsed.redhip.recal_interval_l1_misses,
             original.redhip.recal_interval_l1_misses);
+}
+
+// config_to_text writes every key the parser accepts: for every machine
+// the model test draws, the text parses back to the same config_digest.
+// The failing-case printout of tests/model relies on it.
+TEST(ConfigFile, EveryDrawnModelMachineRoundTripsThroughText) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const std::string text = config_to_text(model::draw_config(seed));
+    const HierarchyConfig parsed = parse_config_text(text);
+    const HierarchyConfig reparsed = parse_config_text(config_to_text(parsed));
+    ASSERT_EQ(config_digest(reparsed), config_digest(parsed))
+        << "seed " << seed << "\n" << text;
+  }
+  // Keys the text form used to drop.
+  const HierarchyConfig c = parse_config_text(
+      "model_writebacks = true\nseed = 99\nmemory_energy_nj = 0.125\n" +
+      std::string(kTableIText) +
+      "[auto_disable]\nenabled = true\n[cbf]\nindex_bits = 7\n"
+      "[prefetcher]\ndegree = 3\n");
+  const HierarchyConfig again = parse_config_text(config_to_text(c));
+  EXPECT_TRUE(again.model_writebacks);
+  EXPECT_EQ(again.seed, 99u);
+  EXPECT_EQ(again.memory_energy_nj, 0.125);
+  EXPECT_TRUE(again.auto_disable.enabled);
+  EXPECT_EQ(again.cbf.index_bits, 7u);
+  EXPECT_EQ(again.prefetcher.degree, 3u);
+  EXPECT_EQ(config_digest(again), config_digest(c));
 }
 
 TEST(ConfigFile, LoadsFromDisk) {

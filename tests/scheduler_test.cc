@@ -1,6 +1,6 @@
 // Tests for the min-clock core scheduler (sim/scheduler.h): the tournament
-// tree must pick exactly what the reference engine's linear scan picks —
-// the smallest clock, ties to the lowest core id — over any sequence of
+// tree must pick exactly what a linear min-clock scan picks — the
+// smallest clock, ties to the lowest core id — over any sequence of
 // advance and retire operations, for any core count up to the packed-key
 // limit.
 #include <gtest/gtest.h>

@@ -1,16 +1,15 @@
 // SoA tag-array equivalence: the partial-tag-lane + recency-word layout
 // must be observably identical to a plain per-way model (tagarray_fuzz.h),
-// checkpoint snapshots must round-trip (and reject ranks that are not a
-// permutation), and a randomized sample of full simulations must stay
-// bit-identical between the fast and reference engines across schemes,
-// inclusion policies, and every specialized-loop feature mask.
+// and checkpoint snapshots must round-trip (and reject ranks that are not
+// a permutation).  Whole simulations are checked against the independent
+// hierarchy model in tests/model.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "harness/run.h"
-#include "sim/stats.h"
+#include "cache/tag_array.h"
+#include "common/rng.h"
 #include "tagarray_fuzz.h"
 
 namespace redhip {
@@ -159,69 +158,6 @@ TEST(SoaTagArray, RestoreRejectsRanksThatAreNotAPermutation) {
   std::vector<std::uint64_t> ranked = arr.ckpt_entries();
   ranked[3] |= std::uint64_t{1} << 60;
   EXPECT_FALSE(arr.ckpt_restore_entries(ranked));
-}
-
-// Randomized full-simulation equivalence: a deterministic sample of
-// (bench, scheme, inclusion, feature-mask) combinations, each run through
-// the fast engine (SoA lanes, batched lookups, software pipeline) and the
-// reference engine (scalar oracle), requiring bit-identical statistics.
-TEST(SoaTagArray, RandomizedEngineEquivalence) {
-  const BenchmarkId benches[] = {BenchmarkId::kMcf,  BenchmarkId::kBlas,
-                                 BenchmarkId::kBwaves, BenchmarkId::kAstar,
-                                 BenchmarkId::kMix,  BenchmarkId::kPmf};
-  const Scheme schemes[] = {Scheme::kBase,   Scheme::kPhased,
-                            Scheme::kCbf,    Scheme::kRedhip,
-                            Scheme::kOracle, Scheme::kPartialTag};
-  const InclusionPolicy inclusions[] = {InclusionPolicy::kInclusive,
-                                        InclusionPolicy::kExclusive,
-                                        InclusionPolicy::kHybrid};
-  Xoshiro256 rng(20260809);
-  for (int i = 0; i < 10; ++i) {
-    RunSpec spec;
-    spec.bench = benches[rng.below(std::size(benches))];
-    spec.scheme = schemes[rng.below(std::size(schemes))];
-    spec.inclusion = inclusions[rng.below(std::size(inclusions))];
-    spec.scale = 8;
-    spec.refs_per_core = 10'000;
-    spec.seed = rng.next();
-    const std::uint64_t mask = rng.below(8);
-    // Repair the sample into a legal combination (src/sim/config.cc):
-    // the exclusive hierarchy supports Base/ReDHiP/Oracle without
-    // auto-disable or the fault auditor, prefetching is inclusive-only,
-    // and PT fault sites require ReDHiP on a non-exclusive hierarchy.
-    const bool exclusive = spec.inclusion == InclusionPolicy::kExclusive;
-    if (exclusive && spec.scheme != Scheme::kBase &&
-        spec.scheme != Scheme::kRedhip && spec.scheme != Scheme::kOracle) {
-      spec.scheme = Scheme::kRedhip;
-    }
-    spec.prefetch =
-        (mask & 2) != 0 && spec.inclusion == InclusionPolicy::kInclusive;
-    const bool fault =
-        (mask & 1) != 0 && spec.scheme == Scheme::kRedhip && !exclusive;
-    const bool auto_disable = (mask & 4) != 0 && !exclusive;
-    spec.tweak = [fault, auto_disable](HierarchyConfig& config) {
-      if (fault) {
-        config.fault.enabled = true;
-        config.fault.rate_per_mref = 4'000;
-        config.audit.enabled = true;
-      }
-      if (auto_disable) {
-        config.auto_disable.enabled = true;
-        config.auto_disable.epoch_refs = 2'500;
-      }
-    };
-    const std::string what =
-        "combo " + std::to_string(i) + ": " + to_string(spec.bench) + "/" +
-        to_string(spec.scheme) + "/" + to_string(spec.inclusion) + "/mask" +
-        std::to_string(mask);
-    spec.engine = SimEngine::kFast;
-    const SimResult fast = run_spec(spec);
-    spec.engine = SimEngine::kReference;
-    const SimResult ref = run_spec(spec);
-    EXPECT_TRUE(stats_identical(fast, ref)) << what;
-    EXPECT_EQ(fast.exec_cycles, ref.exec_cycles) << what;
-    EXPECT_GT(fast.total_refs, 0u) << what;
-  }
 }
 
 }  // namespace

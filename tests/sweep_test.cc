@@ -126,9 +126,6 @@ TEST(SweepKey, WorkloadScaleRefsSeedAndEngineAreAllKeyed) {
   s = base;
   s.seed += 1;
   EXPECT_NE(sweep_cache_key(s), k0);
-  s = base;
-  s.engine = SimEngine::kReference;
-  EXPECT_NE(sweep_cache_key(s), k0);
 }
 
 TEST(SweepKey, SamplingPlanDigestIsPinned) {
@@ -181,6 +178,30 @@ TEST(SweepAxes, SampleAxisRejectsMalformedValues) {
   }
 }
 
+TEST(SweepAxes, NumericAxesRejectOverflowAndTruncation) {
+  // 4294967304 = 2^32 + 8 would narrow to scale 8; 20000000000G overflows
+  // the u64 multiply.  Both must be usage errors, never a different number.
+  for (const char* spec :
+       {"scale=4294967304", "refs=20000000000G", "seed=18446744073709551616",
+        "table-size=17179869184G"}) {
+    try {
+      make_named_axis(spec, ExperimentOptions{});
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("INVALID_ARGUMENT: --axis ", 0),
+                0u)
+          << spec << ": " << e.what();
+    }
+  }
+  // The largest representable values still parse.
+  ExperimentOptions opts;
+  RunSpec s;
+  make_named_axis("scale=4294967295", opts).values[0].apply(s);
+  EXPECT_EQ(s.scale, 4294967295u);
+  make_named_axis("refs=18446744073709551615", opts).values[0].apply(s);
+  EXPECT_EQ(s.refs_per_core, 18446744073709551615ull);
+}
+
 // The interval plan bench/sweep's --sample-* flags describe in the
 // examples below: period 50000, window 5000, warmup 10000.
 SamplingPlan interval_plan() {
@@ -195,7 +216,7 @@ SamplingPlan interval_plan() {
 TEST(SweepSpecFromCli, BaseMachineAndKeysArePinned) {
   // `sweep --scale 32 --refs 200000 --axis workload=mcf`: the base machine
   // is ReDHiP with the default inclusion and prefetch, and the key is the
-  // one existing result caches are addressed by.
+  // one existing result caches are addressed by (cache schema v3).
   ExperimentOptions opts;
   opts.scale = 32;
   opts.refs_per_core = 200'000;
@@ -205,17 +226,16 @@ TEST(SweepSpecFromCli, BaseMachineAndKeysArePinned) {
   EXPECT_EQ(spec.base.bench, defaults.bench);
   EXPECT_EQ(spec.base.inclusion, defaults.inclusion);
   EXPECT_EQ(spec.base.prefetch, defaults.prefetch);
-  EXPECT_EQ(spec.base.engine, opts.engine);
   EXPECT_EQ(spec.base.seed, opts.seed);
   const std::vector<SweepCell> cells = expand(spec);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].key, 0xec7f5beae5fe9a83ull);
+  EXPECT_EQ(cells[0].key, 0xf904a474b9710bdaull);
 
   // The same cell under the sample=50000/5000/10000 axis value.
   const std::vector<SweepCell> sampled =
       expand(make_sweep_spec(opts, {"workload=mcf", "sample=50000/5000/10000"}));
   ASSERT_EQ(sampled.size(), 1u);
-  EXPECT_EQ(sampled[0].key, 0xd559c0331c72ab5dull);
+  EXPECT_EQ(sampled[0].key, 0x6a8e29f5d524e204ull);
 }
 
 TEST(SweepSpecFromCli, SamplingPlanReachesEveryCell) {
