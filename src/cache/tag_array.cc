@@ -40,50 +40,79 @@ TagArray::TagArray(const CacheGeometry& geom, std::uint64_t seed)
   }
 }
 
-std::vector<std::uint64_t> TagArray::ckpt_entries() const {
-  std::vector<std::uint64_t> out = entries_;
-  if (!embedded_lru_) return out;
+void TagArray::ckpt_save(ByteWriter& w) const {
+  w.u64(entries_.size());
+  std::uint8_t* out = w.extend(entries_.size() * sizeof(Entry));
   for (std::uint64_t s = 0; s < sets_; ++s) {
-    Entry* e = &out[s * geom_.ways];
-    std::uint64_t word = recency_[s];
-    for (std::uint32_t rank = 0; rank < geom_.ways; ++rank, word >>= 4) {
-      e[word & 0xF] |= Entry{rank} << kRankShift;
+    const Entry* e = set_begin(s);
+    std::uint8_t* set_out = out + s * geom_.ways * sizeof(Entry);
+    if (embedded_lru_) {
+      std::uint64_t word = recency_[s];
+      for (std::uint32_t rank = 0; rank < geom_.ways; ++rank, word >>= 4) {
+        const std::uint32_t way = word & 0xF;
+        store_le64(set_out + way * sizeof(Entry),
+                   e[way] | Entry{rank} << kRankShift);
+      }
+    } else {
+      for (std::uint32_t way = 0; way < geom_.ways; ++way) {
+        store_le64(set_out + way * sizeof(Entry), e[way]);
+      }
     }
   }
-  return out;
 }
 
-bool TagArray::ckpt_restore_entries(std::vector<std::uint64_t> entries) {
-  if (entries.size() != entries_.size()) return false;
-  // One pass over the caller's copy validates the ranks, builds the recency
-  // words and strips the ranks; the array changes only once it all checks
-  // out.  A set's ranks are a permutation of 0..ways-1 exactly when their
-  // bits cover that mask and nothing else; a repeated or out-of-range rank
-  // would make the recency word name one way twice and evict the wrong
-  // line, so it is rejected rather than restored.  Arrays without embedded
-  // LRU must carry rank 0 everywhere.
+bool TagArray::ckpt_load(ByteReader& r) {
+  if (r.u64() != entries_.size()) return false;
+  const std::uint8_t* in = r.take(entries_.size() * sizeof(Entry));
+  if (in == nullptr) return false;
+  // Pass 1 validates every set's ranks; the array changes only in pass 2,
+  // once the whole section has checked out.  A set's ranks are a
+  // permutation of 0..ways-1 exactly when their bits cover that mask and
+  // nothing else; a repeated or out-of-range rank would make the recency
+  // word name one way twice and evict the wrong line, so it is rejected
+  // rather than restored.  Arrays without embedded LRU must carry rank 0
+  // everywhere.
   const std::uint32_t want = embedded_lru_ ? (1u << geom_.ways) - 1 : 1;
-  std::vector<std::uint64_t> recency(embedded_lru_ ? sets_ : 0);
-  std::uint64_t valid = 0;
+  const auto rank_of = [in](std::uint64_t i) {
+    return static_cast<std::uint32_t>(load_le64(in + i * sizeof(Entry)) >>
+                                      kRankShift);
+  };
   for (std::uint64_t s = 0; s < sets_; ++s) {
-    Entry* e = &entries[s * geom_.ways];
     std::uint32_t seen = 0;
-    std::uint64_t word = 0;
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      const auto rank = static_cast<std::uint32_t>(e[w] >> kRankShift);
-      seen |= 1u << rank;
-      word |= std::uint64_t{w} << (4 * rank);
-      e[w] &= ~kRankMask;
-      valid += e[w] & kValidBit;
+      seen |= 1u << rank_of(s * geom_.ways + w);
     }
     if (seen != want) return false;
-    if (embedded_lru_) recency[s] = word;
   }
-  entries_ = std::move(entries);
-  recency_ = std::move(recency);
+  std::uint64_t valid = 0;
+  for (std::uint64_t s = 0; s < sets_; ++s) {
+    Entry* e = &entries_[s * geom_.ways];
+    std::uint64_t word = 0;
+    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
+      const Entry ranked = load_le64(in + (s * geom_.ways + w) * sizeof(Entry));
+      word |= std::uint64_t{w} << (4 * (ranked >> kRankShift));
+      e[w] = ranked & ~kRankMask;
+      valid += e[w] & kValidBit;
+    }
+    if (embedded_lru_) recency_[s] = word;
+    rebuild_lane(s);
+  }
   valid_count_ = valid;
-  for (std::uint64_t s = 0; s < sets_; ++s) rebuild_lane(s);
   return true;
+}
+
+std::vector<std::uint64_t> TagArray::ckpt_entries() const {
+  ByteWriter w;
+  ckpt_save(w);
+  ByteReader r(w.buffer().data(), w.buffer().size());
+  return r.u64_vec();
+}
+
+bool TagArray::ckpt_restore_entries(const std::vector<std::uint64_t>& entries) {
+  ByteWriter w;
+  w.u64_vec(entries);
+  ByteReader r(w.buffer().data(), w.buffer().size());
+  return ckpt_load(r) && r.exhausted();
 }
 
 void TagArray::for_each_valid_in_set(

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cache/geometry.h"
+#include "common/bytestream.h"
 #include "common/types.h"
 
 namespace redhip {
@@ -145,19 +146,27 @@ class TagArray {
   bool state_is_self_contained() const { return embedded_lru_; }
 
   // Whole-array snapshot for checkpoint/restore, in the checkpoint format:
-  // one packed entry per way with the way's LRU rank (its position in the
-  // set's recency word, 0 = MRU) in bits 60..63.  The live entries never
-  // carry the rank; it is derived here at save time.  The snapshot is the
-  // complete state only when state_is_self_contained() (src/ckpt refuses
-  // to checkpoint otherwise).
+  // the entry count, then one packed entry per way (little-endian u64)
+  // with the way's LRU rank (its position in the set's recency word, 0 =
+  // MRU) in bits 60..63.  The live entries never carry the rank; it is
+  // derived as each word is written straight into `w`.  The snapshot is
+  // the complete state only when state_is_self_contained() (src/ckpt
+  // refuses to checkpoint otherwise).
+  void ckpt_save(ByteWriter& w) const;
+  // Restore a ckpt_save() section from `r`, reading the words where they
+  // lie.  The whole section is validated before the array changes, so it
+  // fails closed — returns false and leaves the array untouched — on a
+  // size mismatch, a short section, a set whose ranks are not exactly a
+  // permutation of 0..ways-1 (embedded LRU), or any rank bit in an array
+  // without embedded LRU.  Recounts the valid-line tally from the valid
+  // bits rather than trusting the file, and rebuilds the recency words and
+  // the derived partial-tag lanes.
+  bool ckpt_load(ByteReader& r);
+  // The same snapshot as a vector of ranked entries, and its inverse (true
+  // only when `entries` is exactly one valid section): conveniences for
+  // tests and the reference model that compare whole arrays.
   std::vector<std::uint64_t> ckpt_entries() const;
-  // Restore a ckpt_entries() snapshot.  Fails closed — returns false and
-  // leaves the array untouched — on a size mismatch, on a set whose ranks
-  // are not exactly a permutation of 0..ways-1 (embedded LRU), or on any
-  // rank bit in an array without embedded LRU.  Recounts the valid-line
-  // tally from the valid bits rather than trusting the caller, and rebuilds
-  // the recency words and the derived partial-tag lanes.
-  bool ckpt_restore_entries(std::vector<std::uint64_t> entries);
+  bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries);
 
  private:
   // One way, packed into a single word: bit 0 valid, bit 1 prefetched,

@@ -62,11 +62,15 @@ Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
                        std::uint64_t key) {
   const std::uint64_t t0 = thread_cpu_ns();
   ByteWriter w;
+  w.reserve(sim.ckpt_size_hint());
   sim.ckpt_serialize(w);
-  const std::string payload(reinterpret_cast<const char*>(w.buffer().data()),
-                            w.buffer().size());
+  // The payload goes to disk from the writer's buffer; only the 36 bytes
+  // of framing around it are built separately.
+  const std::string_view payload(
+      reinterpret_cast<const char*>(w.buffer().data()), w.buffer().size());
+  const EnvelopeFrame frame = frame_envelope(kEnvelope, key, payload);
   const Status st =
-      write_file_atomic(path, seal_envelope(kEnvelope, key, payload));
+      write_file_atomic(path, {frame.head(), payload, frame.tail()});
   g_save_cpu_ns.fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
   g_save_count.fetch_add(1, std::memory_order_relaxed);
   return st;

@@ -10,13 +10,15 @@
 // all tag arrays (complete state only for embedded-LRU arrays — gated by
 // ckpt_supported()), predictor tables, prefetcher tables, the fault
 // injector's RNG cursors, the observability accumulators including the
-// emitted JSONL prefix, and (schema v3) each drained core's trace
-// generator state so restore repositions the source in O(state) instead of
-// replaying skip(refs_done).  Deliberately absent, because it is
-// regenerable or derived: refill buffers and pre-generated batches (cores
-// saved mid-batch fall back to the re-skip path), the scheduler tree, the
-// energy breakdown (finalize_result reprices from counters), and host-side
-// timings.  Layout changes must bump kCkptSchemaVersion (checkpoint_io.h).
+// emitted JSONL prefix, and each core's trace position: its generator
+// state plus the unconsumed tail of its refill buffer (schema v4), so
+// restore repositions every state-capturing source in O(state) and no
+// core replays skip(refs_done).  Only a source without state capture (a
+// trace file) still takes the replay path.  Deliberately absent, because
+// it is regenerable or derived: the buffer's line addresses (recomputed
+// from the tail), the scheduler tree, the energy breakdown
+// (finalize_result reprices from counters), and host-side timings.  Layout
+// changes must bump kCkptSchemaVersion (checkpoint_io.h).
 #include <cstdint>
 
 #include "common/bytestream.h"
@@ -90,6 +92,24 @@ void load_fault_stats(ByteReader& r, FaultStats& s) {
   s.recovery_stall_cycles = r.u64();
 }
 
+// Refill-buffer entries are stored as the source produced them: fault
+// injection perturbs a copy at consume time, never the buffer.
+constexpr std::size_t kMemRefBytes = 8 + 4 + 2 + 1;
+
+void save_mem_ref(ByteWriter& w, const MemRef& ref) {
+  w.u64(ref.addr);
+  w.u32(ref.pc);
+  w.u16(ref.gap);
+  w.boolean(ref.is_write);
+}
+
+void load_mem_ref(ByteReader& r, MemRef& ref) {
+  ref.addr = r.u64();
+  ref.pc = r.u32();
+  ref.gap = r.u16();
+  ref.is_write = r.boolean();
+}
+
 void save_sample_snapshot(ByteWriter& w, const SampleSnapshot& s) {
   w.u64(s.refs);
   w.u64(s.core_cycles);
@@ -119,6 +139,18 @@ bool MulticoreSimulator::ckpt_supported() const {
   return shared_->state_is_self_contained();
 }
 
+std::size_t MulticoreSimulator::ckpt_size_hint() const {
+  // The tag arrays and the LLC directory are the bulk of a payload; the
+  // slack covers the counters, predictor and prefetch tables at the scales
+  // the figures run, and the stored refill-buffer tails.
+  std::size_t bytes = shared_->geometry().lines() * sizeof(std::uint64_t);
+  for (const TagArray& a : private_) {
+    bytes += a.geometry().lines() * sizeof(std::uint64_t);
+  }
+  return bytes + llc_dir_.size() + config_.cores * kRefillBatch * kMemRefBytes +
+         (std::size_t{1} << 17);
+}
+
 void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   // Structural echo, validated on restore before anything is applied.
   w.u32(config_.cores);
@@ -131,22 +163,24 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
     w.u64(cs.l1_last_line);
     w.boolean(cs.l1_last_dirty);
     w.boolean(cs.exhausted);
-    // Generator state (schema v3): lets restore reposition the trace in
-    // O(state) instead of replaying skip(refs_done) from the origin — at
-    // deep positions that replay costs seconds, which is exactly the prefix
-    // a shared warm-state snapshot exists to avoid re-paying.  Serialized
-    // only when this core's refill buffer is drained: a mid-batch core's
-    // generator has already run past the unconsumed tail, and the tail
-    // itself is not stored (the restored core starts with an empty
-    // buffer), so such a core keeps the replay path.  Every sampled-run save point (window open) has all
-    // buffers drained, so the fast path covers the case that matters.
+    // Generator state: lets restore reposition the trace in O(state)
+    // instead of replaying skip(refs_done) from the origin — at deep
+    // positions that replay costs seconds, which is exactly the prefix a
+    // shared warm-state snapshot exists to avoid re-paying.  A core saved
+    // mid-batch has a generator already past its unconsumed buffer, so the
+    // tail goes with the state (schema v4): the restored core consumes the
+    // same references and refills at the same positions as the
+    // uninterrupted run.
     ByteWriter tw;
-    const bool trace_state =
-        cs.buf_pos == cs.buf_len && cs.trace->ckpt_save_state(tw);
+    const bool trace_state = cs.trace->ckpt_save_state(tw);
     w.boolean(trace_state);
     if (trace_state) {
       w.u64(tw.buffer().size());
       w.bytes(tw.buffer().data(), tw.buffer().size());
+      w.u32(cs.buf_len - cs.buf_pos);
+      for (std::uint32_t i = cs.buf_pos; i < cs.buf_len; ++i) {
+        save_mem_ref(w, cs.buf[i]);
+      }
     }
   }
 
@@ -173,12 +207,12 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   w.u64(excl_l1_misses_);
 
   // Only the packed entries are serialized, each carrying its way's LRU
-  // rank in the top nibble (ckpt_entries derives it from the set's recency
-  // word).  The SoA partial-tag lanes and the recency words are rebuilt by
-  // ckpt_restore_entries, so the checkpoint format does not depend on the
+  // rank in the top nibble (derived from the set's recency word as it is
+  // written).  The SoA partial-tag lanes and the recency words are rebuilt
+  // by TagArray::ckpt_load, so the checkpoint format does not depend on the
   // in-memory layout.
-  for (const TagArray& a : private_) w.u64_vec(a.ckpt_entries());
-  w.u64_vec(shared_->ckpt_entries());
+  for (const TagArray& a : private_) a.ckpt_save(w);
+  shared_->ckpt_save(w);
 
   w.boolean(llc_dir_on_);
   if (llc_dir_on_) {
@@ -250,6 +284,8 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
     cs.l1_last_dirty = r.boolean();
     cs.exhausted = r.boolean();
     if (!r.ok()) return false;
+    cs.buf_pos = 0;
+    cs.buf_len = 0;
     if (r.boolean()) {
       // Serialized generator state: reposition the (fresh) trace source in
       // O(state).  The blob is length-prefixed and decoded through its own
@@ -257,19 +293,24 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
       // the fields that follow it.
       const std::uint64_t blob_len = r.u64();
       if (!r.ok() || blob_len == 0 || blob_len > kMaxVectorLen) return false;
-      std::vector<std::uint8_t> blob(blob_len);
-      if (!r.raw(blob.data(), blob.size())) return false;
-      ByteReader tr(blob.data(), blob.size());
+      const std::uint8_t* blob = r.take(blob_len);
+      if (blob == nullptr) return false;
+      ByteReader tr(blob, static_cast<std::size_t>(blob_len));
       if (!cs.trace->ckpt_load_state(tr) || !tr.ok()) return false;
+      // The unconsumed refill-buffer tail, and its line addresses.
+      const std::uint32_t tail = r.u32();
+      if (!r.ok() || tail > kRefillBatch) return false;
+      for (std::uint32_t i = 0; i < tail; ++i) {
+        load_mem_ref(r, cs.buf[i]);
+        cs.lines[i] = cs.buf[i].addr >> l1_shift_;
+      }
+      cs.buf_len = tail;
     } else {
-      // No trace state in the file (source without state capture, or a core
-      // saved mid-batch): fast-forward past the consumed references;
-      // buffered-but-unconsumed references were never serialized and simply
-      // regenerate from here.
+      // A source without state capture (a trace file): fast-forward past
+      // the consumed references.  Its refill buffer was not stored; the
+      // unconsumed references regenerate from the new position.
       cs.trace->skip(cs.refs_done);
     }
-    cs.buf_pos = 0;
-    cs.buf_len = 0;
   }
 
   global_stall_cycles_ = r.u64();
@@ -295,9 +336,9 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   excl_l1_misses_ = r.u64();
 
   for (TagArray& a : private_) {
-    if (!a.ckpt_restore_entries(r.u64_vec())) return false;
+    if (!a.ckpt_load(r)) return false;
   }
-  if (!shared_->ckpt_restore_entries(r.u64_vec())) return false;
+  if (!shared_->ckpt_load(r)) return false;
 
   if (r.boolean() != llc_dir_on_) return false;
   if (llc_dir_on_) {

@@ -9,7 +9,6 @@
 // check ok() once at the end instead of branching per field.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +17,26 @@
 
 namespace redhip {
 
+// Little-endian word access, assembled byte by byte so the result does not
+// depend on the host's byte order or on the pointer's alignment.  GCC and
+// Clang compile each to a single load or store on little-endian hosts.
+inline std::uint32_t load_le32(const void* p) {
+  const auto* b = static_cast<const std::uint8_t*>(p);
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
+inline std::uint64_t load_le64(const void* p) {
+  const auto* b = static_cast<const std::uint8_t*>(p);
+  return static_cast<std::uint64_t>(load_le32(b)) |
+         static_cast<std::uint64_t>(load_le32(b + 4)) << 32;
+}
+inline void store_le64(void* p, std::uint64_t v) {
+  auto* b = static_cast<std::uint8_t*>(p);
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 // Untrusted on-disk lengths are bounded before any allocation so a corrupt
 // length field cannot demand gigabytes.  16M elements is far above anything
 // either codec legitimately stores per vector.
@@ -25,6 +44,16 @@ inline constexpr std::uint64_t kMaxVectorLen = 1u << 24;
 
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
+  // Append `n` bytes and return where they start, so a codec can fill a
+  // large section in place (the tag arrays' entry words).  The pointer is
+  // valid until the next append.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
     for (int i = 0; i < 2; ++i) {
@@ -38,12 +67,7 @@ class ByteWriter {
       v >>= 8;
     }
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-      v >>= 8;
-    }
-  }
+  void u64(std::uint64_t v) { store_le64(extend(8), v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits = 0;
@@ -61,15 +85,8 @@ class ByteWriter {
   }
   void u64_vec(const std::vector<std::uint64_t>& v) {
     u64(v.size());
-    // Word vectors carry the bulk of a checkpoint (tag arrays, table rows),
-    // so on a little-endian host the wire format equals the in-memory
-    // layout and one memcpy replaces 8 push_backs per word.  The big-endian
-    // fallback keeps the format host-independent.
-    if constexpr (std::endian::native == std::endian::little) {
-      bytes(v.data(), v.size() * sizeof(std::uint64_t));
-    } else {
-      for (std::uint64_t x : v) u64(x);
-    }
+    std::uint8_t* out = extend(v.size() * sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < v.size(); ++i) store_le64(out + 8 * i, v[i]);
   }
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
@@ -98,20 +115,12 @@ class ByteReader {
     return v;
   }
   std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
+    const std::uint8_t* p = take(4);
+    return p == nullptr ? 0 : load_le32(p);
   }
   std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
+    const std::uint8_t* p = take(8);
+    return p == nullptr ? 0 : load_le64(p);
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
@@ -138,23 +147,24 @@ class ByteReader {
       ok_ = false;
       return {};
     }
-    std::vector<std::uint64_t> v;
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!need(n * sizeof(std::uint64_t))) return {};
-      v.resize(static_cast<std::size_t>(n));
-      std::memcpy(v.data(), data_ + pos_, n * sizeof(std::uint64_t));
-      pos_ += static_cast<std::size_t>(n) * sizeof(std::uint64_t);
-    } else {
-      v.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(u64());
-    }
+    const std::uint8_t* p = take(n * sizeof(std::uint64_t));
+    if (p == nullptr) return {};
+    std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = load_le64(p + 8 * i);
     return v;
   }
   bool raw(void* out, std::size_t n) {
-    if (!need(n)) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
+    const std::uint8_t* p = take(n);
+    if (p == nullptr) return false;
+    std::memcpy(out, p, n);
     return true;
+  }
+  // The next `n` bytes, consumed in place; null (and !ok()) past the end.
+  const std::uint8_t* take(std::uint64_t n) {
+    if (!need(n)) return nullptr;
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += static_cast<std::size_t>(n);
+    return p;
   }
 
   bool ok() const { return ok_; }

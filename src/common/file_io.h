@@ -6,20 +6,25 @@
 // a truncated hybrid.  The envelope helpers wrap a payload in the
 // magic/version/key/length/checksum discipline the sweep result cache
 // introduced (DESIGN.md "Sweep & result cache"); the checkpoint codec
-// reuses it verbatim with its own magic.  Anything that fails a check is
+// reuses it verbatim with its own magic.  The checksum is the four-lane
+// XXH64 of common/checksum.h.  Anything that fails a check is
 // DATA_LOSS: the caller discards and regenerates instead of trusting it.
 #pragma once
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
-#include "common/fnv.h"
+#include "common/bytestream.h"
+#include "common/checksum.h"
 #include "common/status.h"
 
 namespace redhip {
@@ -32,8 +37,12 @@ namespace redhip {
 // both start at 0), and two writers sharing a temp file can rename a torn
 // hybrid into place.  Keep the format in sync with is_orphan_temp_name()
 // (sweep/result_cache.h): ".tmp" + [0-9_]*.
+//
+// `parts` are written back to back, so a caller with a large body and a
+// small frame around it (the checkpoint envelope) writes the body where it
+// lies instead of first copying it into one string.
 inline Status write_file_atomic(const std::filesystem::path& path,
-                                const std::string& content) {
+                                std::initializer_list<std::string_view> parts) {
   static std::atomic<std::uint64_t> counter{0};
   static const std::uint64_t pid =
       static_cast<std::uint64_t>(::getpid());
@@ -42,8 +51,10 @@ inline Status write_file_atomic(const std::filesystem::path& path,
          std::to_string(counter.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(content.data(),
-                           static_cast<std::streamsize>(content.size()))) {
+    for (const std::string_view part : parts) {
+      out.write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
+    if (!out.flush()) {
       return Status(StatusCode::kInternal,
                     "atomic write: cannot write " + tmp.string());
     }
@@ -58,94 +69,101 @@ inline Status write_file_atomic(const std::filesystem::path& path,
   return Status::Ok();
 }
 
+inline Status write_file_atomic(const std::filesystem::path& path,
+                                std::string_view content) {
+  return write_file_atomic(path, {content});
+}
+
 // File layout: magic(8) version(4) key(8) payload_len(8) payload
-// checksum(8), every multi-byte field little-endian, checksum = FNV-1a of
-// the payload bytes.
+// checksum(8), every multi-byte field little-endian, checksum =
+// checksum64() of the payload bytes.
 struct FileEnvelope {
   const char* magic;      // exactly 8 bytes
   std::uint32_t version;  // schema version; mismatch is DATA_LOSS
   const char* what;       // diagnostic prefix, e.g. "sweep cache"
 };
 
+inline constexpr std::size_t kEnvelopeHeaderBytes = 8 + 4 + 8 + 8;
+inline constexpr std::size_t kEnvelopeTrailerBytes = 8;
+
+// The bytes that go before and after a payload on disk.
+struct EnvelopeFrame {
+  std::array<char, kEnvelopeHeaderBytes> header;
+  std::array<char, kEnvelopeTrailerBytes> trailer;
+
+  std::string_view head() const { return {header.data(), header.size()}; }
+  std::string_view tail() const { return {trailer.data(), trailer.size()}; }
+};
+
+inline EnvelopeFrame frame_envelope(const FileEnvelope& env, std::uint64_t key,
+                                    std::string_view payload) {
+  EnvelopeFrame f;
+  std::memcpy(f.header.data(), env.magic, 8);
+  for (int i = 0; i < 4; ++i) {
+    f.header[8 + i] = static_cast<char>(env.version >> (8 * i));
+  }
+  store_le64(f.header.data() + 12, key);
+  store_le64(f.header.data() + 20, payload.size());
+  store_le64(f.trailer.data(), checksum64(payload.data(), payload.size()));
+  return f;
+}
+
 inline std::string seal_envelope(const FileEnvelope& env, std::uint64_t key,
-                                 const std::string& payload) {
+                                 std::string_view payload) {
+  const EnvelopeFrame f = frame_envelope(env, key, payload);
   std::string file;
-  file.reserve(8 + 4 + 8 + 8 + payload.size() + 8);
-  file.append(env.magic, 8);
-  const auto le32 = [&file](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      file += static_cast<char>(v & 0xff);
-      v >>= 8;
-    }
-  };
-  const auto le64 = [&file](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      file += static_cast<char>(v & 0xff);
-      v >>= 8;
-    }
-  };
-  le32(env.version);
-  le64(key);
-  le64(payload.size());
-  file += payload;
-  le64(fnv1a(payload.data(), payload.size()));
+  file.reserve(f.header.size() + payload.size() + f.trailer.size());
+  file.append(f.head()).append(payload).append(f.tail());
   return file;
 }
 
 // NOT_FOUND when no file exists; DATA_LOSS (with the failing check named)
 // for every other defect.  On success returns the validated payload bytes.
+// The header is read and checked first, so a file whose size disagrees
+// with its payload length is refused before anything is allocated for it;
+// the body (payload and checksum) then arrives in one sized read and is
+// verified where it landed.
 inline Result<std::string> open_envelope(const FileEnvelope& env,
                                          std::uint64_t key,
                                          const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status(StatusCode::kNotFound,
                   std::string(env.what) + ": no entry " + path.string());
   }
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   const auto data_loss = [&env, &path](const std::string& why) {
     return Status(StatusCode::kDataLoss, std::string(env.what) + " entry " +
                                              path.string() + ": " + why);
   };
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-  if (file.size() < kHeader + 8) return data_loss("truncated header");
-  if (std::memcmp(file.data(), env.magic, 8) != 0) {
-    return data_loss("bad magic");
+  const std::streamoff size = in.tellg();
+  constexpr std::size_t kFrame = kEnvelopeHeaderBytes + kEnvelopeTrailerBytes;
+  char header[kEnvelopeHeaderBytes];
+  if (size < static_cast<std::streamoff>(kFrame) || !in.seekg(0) ||
+      !in.read(header, sizeof(header))) {
+    return data_loss("truncated header");
   }
-  const auto rd32 = [&file](std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(file[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto rd64 = [&file](std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(file[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const std::uint32_t version = rd32(8);
-  const std::uint64_t stored_key = rd64(12);
-  const std::uint64_t payload_len = rd64(20);
+  if (std::memcmp(header, env.magic, 8) != 0) return data_loss("bad magic");
+  const std::uint32_t version = load_le32(header + 8);
+  const std::uint64_t stored_key = load_le64(header + 12);
+  const std::uint64_t payload_len = load_le64(header + 20);
   if (version != env.version) {
     return data_loss("schema version " + std::to_string(version) +
                      " != " + std::to_string(env.version));
   }
   if (stored_key != key) return data_loss("embedded key mismatch");
-  if (file.size() != kHeader + payload_len + 8) {
+  if (payload_len != static_cast<std::uint64_t>(size) - kFrame) {
     return data_loss("length mismatch (truncated or padded)");
   }
-  std::string payload = file.substr(kHeader, payload_len);
-  const std::uint64_t stored_sum = rd64(kHeader + payload_len);
-  if (stored_sum != fnv1a(payload.data(), payload.size())) {
+  std::string body(payload_len + kEnvelopeTrailerBytes, '\0');
+  if (!in.read(body.data(), static_cast<std::streamsize>(body.size()))) {
+    return data_loss("short read");
+  }
+  if (load_le64(body.data() + payload_len) !=
+      checksum64(body.data(), payload_len)) {
     return data_loss("checksum mismatch");
   }
-  return payload;
+  body.resize(payload_len);
+  return body;
 }
 
 }  // namespace redhip

@@ -1,7 +1,10 @@
-// Streaming FNV-1a (64-bit) — the content hash behind the sweep result
-// cache.  Multi-byte values are fed little-endian byte by byte, explicitly,
-// so a digest is a pure function of the logical values — the same on every
-// host regardless of its native byte order or struct padding.
+// Streaming FNV-1a (64-bit) — the identity hash: sweep cache keys,
+// checkpoint keys, config and sampling-plan digests.  Multi-byte values are
+// fed little-endian byte by byte, explicitly, so a digest is a pure
+// function of the logical values — the same on every host regardless of
+// its native byte order or struct padding.  It hashes a few hundred bytes
+// of fields per key; bulk payloads are checksummed with the four-lane
+// XXH64 in common/checksum.h instead, about 14x faster per byte.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +63,5 @@ class Fnv1a {
   }
   std::uint64_t h_ = kOffsetBasis;
 };
-
-// One-shot convenience for a byte buffer (the cache entry checksum).
-inline std::uint64_t fnv1a(const void* data, std::size_t n) {
-  return Fnv1a().bytes(data, n).digest();
-}
 
 }  // namespace redhip

@@ -81,6 +81,21 @@ void HierarchyConfig::validate() const {
     REDHIP_CHECK_MSG(!auto_disable.enabled,
                      "auto-disable is modeled for the single-LLC-predictor "
                      "(inclusive/hybrid) configurations");
+    if (scheme == Scheme::kRedhip) {
+      // Each private level below L1 gets its own PT, sized from the LLC
+      // PT by the level's share of the LLC capacity (redhip_for_size).
+      for (std::size_t i = 1; i + 1 < levels.size(); ++i) {
+        const std::uint64_t size = levels[i].geom.size_bytes;
+        const std::uint64_t bits = redhip_bits_for_size(size);
+        REDHIP_CHECK_MSG(
+            is_pow2(bits),
+            "exclusive ReDHiP: L" + std::to_string(i + 1) + " (" +
+                std::to_string(size) + " bytes) would get a PT of " +
+                std::to_string(bits) +
+                " bits, not a power of two; its size must be a power-of-two "
+                "fraction of the LLC's");
+      }
+    }
   }
   if (auto_disable.enabled) {
     REDHIP_CHECK_MSG(auto_disable.epoch_refs > 0, "epoch must be positive");
@@ -213,14 +228,19 @@ HierarchyConfig HierarchyConfig::with_depth(std::uint32_t depth,
   return c;
 }
 
-RedhipConfig HierarchyConfig::redhip_for_size(
+std::uint64_t HierarchyConfig::redhip_bits_for_size(
     std::uint64_t cache_size_bytes) const {
   // Keep the LLC PT's bits-per-cache-byte ratio (the paper's constant 0.78%
   // area overhead per predictor/cache pair).
+  const std::uint64_t bits =
+      redhip.table_bits * cache_size_bytes / llc().geom.size_bytes;
+  return std::max<std::uint64_t>(bits, 64);
+}
+
+RedhipConfig HierarchyConfig::redhip_for_size(
+    std::uint64_t cache_size_bytes) const {
   RedhipConfig r = redhip;
-  const std::uint64_t llc_bytes = llc().geom.size_bytes;
-  r.table_bits = redhip.table_bits * cache_size_bytes / llc_bytes;
-  if (r.table_bits < 64) r.table_bits = 64;
+  r.table_bits = redhip_bits_for_size(cache_size_bytes);
   REDHIP_CHECK(is_pow2(r.table_bits));
   r.energy = CactiLite::pt_params(r.table_bits / 8);
   return r;

@@ -151,6 +151,9 @@ struct HierarchyConfig {
   // down correspondingly to cache size ... at the same storage overhead
   // ratio").
   RedhipConfig redhip_for_size(std::uint64_t cache_size_bytes) const;
+  // Its table_bits (at least 64).  validate() rejects an exclusive ReDHiP
+  // machine where this is not a power of two for some private level.
+  std::uint64_t redhip_bits_for_size(std::uint64_t cache_size_bytes) const;
 };
 
 }  // namespace redhip

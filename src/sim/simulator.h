@@ -98,6 +98,8 @@ class MulticoreSimulator {
   // (before run) and returns false when the payload does not structurally
   // match this configuration.
   void ckpt_serialize(ByteWriter& w) const;
+  // Bytes to reserve for ckpt_serialize, so the writer does not regrow.
+  std::size_t ckpt_size_hint() const;
   bool ckpt_restore_payload(ByteReader& r);
   // Aggregate executed references (the checkpoint schedule's clock).
   std::uint64_t ckpt_refs_done() const {
@@ -106,13 +108,14 @@ class MulticoreSimulator {
     return total;
   }
 
- private:
   // How many references a core pulls from its TraceSource per refill.  256
   // refs (4 KiB) amortize the virtual next_batch call and keep the
   // generator's state hot without displacing the simulated tag arrays from
-  // the host cache.
+  // the host cache.  It also bounds the refill-buffer tail a checkpoint
+  // stores per core.
   static constexpr std::size_t kRefillBatch = 256;
 
+ private:
   // Sentinel for the L1 same-line memo below.
   static constexpr LineAddr kNoLine = ~LineAddr{0};
 

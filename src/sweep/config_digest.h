@@ -18,7 +18,8 @@ namespace redhip {
 // Bump on any change to config_digest coverage, to sweep_cache_key
 // composition, or to the cache entry payload layout (result_cache.cc) —
 // old entries then miss instead of deserializing garbage.
-inline constexpr std::uint32_t kSweepCacheSchemaVersion = 3;
+// Version 4: XXH64 envelope checksum.
+inline constexpr std::uint32_t kSweepCacheSchemaVersion = 4;
 
 // Cache key for one RunSpec: schema version + workload identity +
 // config_digest(resolved_config(spec)).

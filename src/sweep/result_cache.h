@@ -3,7 +3,7 @@
 //
 // One file per completed simulation, named by the 64-bit sweep_cache_key
 // in hex.  Entries are self-validating (magic, schema version, embedded
-// key, length, FNV-1a payload checksum); anything that fails a check —
+// key, length, XXH64 payload checksum); anything that fails a check —
 // truncation, a flipped byte, an old schema — is reported as DATA_LOSS and
 // the caller discards and re-simulates rather than trusting it.  Writes go
 // to a unique temp file followed by an atomic rename, so a process killed

@@ -49,10 +49,11 @@ class TraceSource {
   }
 
   // Advance past `n` references without observing them, leaving the source
-  // positioned exactly where `n` next() calls would have left it — how a
-  // checkpoint restore re-synchronizes a trace (sources are rebuilt from
-  // their seed, then skipped to the saved position).  The default drains
-  // next(); indexable sources override with O(1) repositioning.
+  // positioned exactly where `n` next() calls would have left it — how the
+  // sampled run's fast-forward gaps move a trace, and how a checkpoint
+  // restore re-synchronizes a source without state capture (rebuilt, then
+  // skipped to the saved position).  The default drains next(); indexable
+  // sources override with O(1) repositioning.
   virtual void skip(std::uint64_t n) {
     MemRef scratch;
     while (n > 0 && next(scratch)) --n;
@@ -63,10 +64,14 @@ class TraceSource {
   // skip(refs_done) from the origin — at billion-reference positions the
   // replay costs seconds, which is exactly the prefix a shared warm-state
   // snapshot exists to avoid paying.  Contract: a load must leave the
-  // source emitting bit-identically what it emitted after the save.
-  // Sources without state capture return false from ckpt_save_state
-  // *writing nothing*; the checkpoint codec then falls back to the replay
-  // path for that core.
+  // source emitting bit-identically what it emitted after the save.  The
+  // state is the generator's own position, which may run ahead of what
+  // the simulator has consumed; the codec stores the unconsumed
+  // refill-buffer tail beside it, so the restored core resumes mid-batch
+  // without touching the source.  Sources without state capture return
+  // false from ckpt_save_state *writing nothing*; the codec then stores no
+  // tail for that core and restores it by replaying skip(refs_done), which
+  // costs time in proportion to the position.
   virtual bool ckpt_save_state(ByteWriter&) const { return false; }
   virtual bool ckpt_load_state(ByteReader&) { return false; }
 };

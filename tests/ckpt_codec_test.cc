@@ -1,5 +1,5 @@
 // Checkpoint codec robustness (src/ckpt/checkpoint_io).  The on-disk file
-// is self-validating — magic, schema version, embedded key, length, FNV-1a
+// is self-validating — magic, schema version, embedded key, length, XXH64
 // payload checksum — so *no* corruption may ever load: every single-byte
 // flip, every truncation and a wrong expected key must come back DATA_LOSS
 // (and never crash, and never mutate the simulation into a wrong state that
@@ -17,10 +17,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint_io.h"
+#include "common/bytestream.h"
 #include "common/file_io.h"
+#include "harness/json_report.h"
 #include "harness/run.h"
 #include "sim/config_digest.h"
 #include "sim/simulator.h"
@@ -272,6 +275,225 @@ TEST_F(CkptCodecTest, EvictRemovesTheFile) {
   auto sim = build_sim(spec_);
   EXPECT_EQ(load_checkpoint(path_, key_of(spec_), *sim).code(),
             StatusCode::kNotFound);
+}
+
+// Forwards to a workload source and records how the simulator drives it:
+// every skip() call and every refill (the source position it started at,
+// the count requested).  Its own position travels in its state, so a
+// restored wrapper knows where its source stands.
+class CountingSource final : public TraceSource {
+ public:
+  explicit CountingSource(std::unique_ptr<TraceSource> inner)
+      : inner_(std::move(inner)) {}
+
+  bool next(MemRef& out) override {
+    const bool ok = inner_->next(out);
+    pos += ok ? 1 : 0;
+    return ok;
+  }
+  std::size_t next_batch(MemRef* out, std::size_t n) override {
+    refills.emplace_back(pos, n);
+    const std::size_t got = inner_->next_batch(out, n);
+    pos += got;
+    return got;
+  }
+  void skip(std::uint64_t n) override {
+    ++skips;
+    inner_->skip(n);
+    pos += n;
+  }
+  bool ckpt_save_state(ByteWriter& w) const override {
+    w.u64(pos);
+    return inner_->ckpt_save_state(w);
+  }
+  bool ckpt_load_state(ByteReader& r) override {
+    pos = r.u64();
+    return inner_->ckpt_load_state(r);
+  }
+
+  std::uint64_t pos = 0;
+  std::uint64_t skips = 0;
+  std::vector<std::pair<std::uint64_t, std::size_t>> refills;
+
+ private:
+  std::unique_ptr<TraceSource> inner_;
+};
+
+struct CountedSim {
+  std::unique_ptr<MulticoreSimulator> sim;
+  std::vector<CountingSource*> sources;  // owned by `sim`
+};
+
+CountedSim build_counted_sim(const RunSpec& spec) {
+  const HierarchyConfig config = resolved_config(spec);
+  CountedSim out;
+  std::vector<std::unique_ptr<TraceSource>> traces;
+  std::vector<std::uint32_t> cpis;
+  for (CoreId c = 0; c < config.cores; ++c) {
+    auto src = std::make_unique<CountingSource>(
+        make_workload(spec.bench, c, spec.scale, spec.seed));
+    out.sources.push_back(src.get());
+    traces.push_back(std::move(src));
+    cpis.push_back(workload_cpi_centi(spec.bench, c));
+  }
+  out.sim = std::make_unique<MulticoreSimulator>(config, std::move(traces),
+                                                 std::move(cpis));
+  return out;
+}
+
+// A restore repositions every core from its saved generator state and
+// stored refill-buffer tail: no source is ever skip()ped, and the resumed
+// run equals the uninterrupted one in its result, its JSONL trace and the
+// position and size of every later refill.  Covered: the plain run loop,
+// the prefetching one, and fault injection (whose trace perturbation acts
+// on a copy, so the stored tail must be the unperturbed references).
+TEST_F(CkptCodecTest, RestoreRepositionsEveryCoreWithoutReplay) {
+  for (const std::string feature : {"plain", "prefetch", "fault"}) {
+    SCOPED_TRACE(feature);
+    RunSpec spec = small_spec();
+    spec.prefetch = feature == "prefetch";
+    const std::string trace = (dir_ / "run.jsonl").string();
+    spec.tweak = [&feature, &trace](HierarchyConfig& hc) {
+      hc.obs.enabled = true;
+      hc.obs.epoch_refs = 4'000;
+      hc.obs.trace_path = trace;
+      if (feature == "fault") {
+        hc.fault.enabled = true;
+        hc.fault.rate_per_mref = 2'000;
+        hc.audit.enabled = true;
+      }
+    };
+    const std::uint64_t key = key_of(spec);
+    const std::string ckpt = (dir_ / "tail.ckpt").string();
+
+    // Uninterrupted, checkpointing once mid-run (saving is invisible).
+    SimResult plain;
+    std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> refills;
+    {
+      CkptControl ctl;
+      ctl.save_at_refs = 10'000;  // of 32k aggregate
+      ctl.save = [&ckpt, key](MulticoreSimulator& s) {
+        ASSERT_TRUE(save_checkpoint(s, ckpt, key).ok());
+      };
+      CountedSim run = build_counted_sim(spec);
+      run.sim->set_ckpt_control(&ctl);
+      plain = run.sim->run(spec.refs_per_core);
+      for (const CountingSource* src : run.sources) {
+        refills.push_back(src->refills);
+      }
+    }
+    const std::string plain_trace = slurp(trace);
+
+    CountedSim resumed = build_counted_sim(spec);
+    CkptControl no_saves;  // as run_spec does: capture the trace prefix
+    resumed.sim->set_ckpt_control(&no_saves);
+    const Status st = load_checkpoint(ckpt, key, *resumed.sim);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    // Some core was saved mid-batch: its source stands past what it has
+    // consumed, and the difference sits in the restored refill buffer.
+    std::uint64_t generated = 0;
+    for (const CountingSource* src : resumed.sources) generated += src->pos;
+    EXPECT_GT(generated, resumed.sim->ckpt_refs_done());
+    std::vector<std::uint64_t> start;
+    for (const CountingSource* src : resumed.sources) {
+      start.push_back(src->pos);
+    }
+    const SimResult got = resumed.sim->run(spec.refs_per_core);
+    for (std::size_t c = 0; c < resumed.sources.size(); ++c) {
+      const CountingSource& src = *resumed.sources[c];
+      EXPECT_EQ(src.skips, 0u) << "core " << c;
+      std::vector<std::pair<std::uint64_t, std::size_t>> later;
+      for (const auto& refill : refills[c]) {
+        if (refill.first >= start[c]) later.push_back(refill);
+      }
+      EXPECT_EQ(src.refills, later) << "core " << c;
+    }
+    resumed.sim.reset();  // flush the trace
+    EXPECT_TRUE(stats_identical(plain, got));
+    EXPECT_EQ(to_json(plain), to_json(got));
+    EXPECT_EQ(slurp(trace), plain_trace);
+  }
+}
+
+// Offset of core 0's refill-buffer tail count in a payload whose sources
+// keep an 8-byte state (VectorTraceSource): the structural echo (cores,
+// levels), core 0's fixed fields (refs_done, clock, CPI remainder, L1
+// memo line, memo dirty, exhausted), the trace-state flag, the state's
+// length and the state itself.
+constexpr std::size_t kCore0StateLenAt = 4 + 4 + 8 + 8 + 4 + 8 + 1 + 1 + 1;
+constexpr std::size_t kCore0TailAt = kCore0StateLenAt + 8 + 8;
+
+// A stored tail longer than one refill batch cannot have come from the
+// simulator; the restore refuses it rather than overrun the buffer.
+TEST(CkptTail, TailLongerThanARefillBatchIsDataLoss) {
+  const HierarchyConfig config = resolved_config(small_spec());
+  const auto build = [&config] {
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (CoreId c = 0; c < config.cores; ++c) {
+      std::vector<MemRef> refs(2'000);
+      for (std::size_t i = 0; i < refs.size(); ++i) {
+        refs[i].addr = (std::uint64_t{c + 1} << 32) + 64 * (i % 300);
+        refs[i].gap = 3;
+      }
+      traces.push_back(std::make_unique<VectorTraceSource>(std::move(refs)));
+    }
+    return std::make_unique<MulticoreSimulator>(
+        config, std::move(traces),
+        std::vector<std::uint32_t>(config.cores, 100));
+  };
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "redhip_ckpt_tail").string();
+  const FileEnvelope env{"RDHPCKPT", kCkptSchemaVersion, "checkpoint"};
+  const std::uint64_t key = 0x5eed;
+  CkptControl ctl;
+  ctl.save_at_refs = 3'000;
+  ctl.save = [&path, key](MulticoreSimulator& s) {
+    ASSERT_TRUE(save_checkpoint(s, path, key).ok());
+  };
+  {
+    auto sim = build();
+    sim->set_ckpt_control(&ctl);
+    sim->run(2'000);
+  }
+  Result<std::string> payload = open_envelope(env, key, path);
+  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
+  std::string bytes = std::move(payload).value();
+  ASSERT_GT(bytes.size(), kCore0TailAt + 4);
+  ASSERT_EQ(load_le64(bytes.data() + kCore0StateLenAt), 8u);
+  const std::uint32_t tail = load_le32(bytes.data() + kCore0TailAt);
+  ASSERT_LE(tail, MulticoreSimulator::kRefillBatch);
+
+  // The file as written restores; the same file claiming one more entry
+  // than a batch holds is DATA_LOSS.
+  ASSERT_TRUE(load_checkpoint(path, key, *build()).ok());
+  const std::uint32_t too_long = MulticoreSimulator::kRefillBatch + 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[kCore0TailAt + i] = static_cast<char>(too_long >> (8 * i));
+  }
+  spill(path, seal_envelope(env, key, bytes));
+  const Status st = load_checkpoint(path, key, *build());
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  std::filesystem::remove(path);
+}
+
+// A file from before the current schema names its version in the
+// diagnostic: the header is checked before the checksum is computed, so an
+// old file never reads as damage.
+TEST_F(CkptCodecTest, OlderSchemaIsDataLossNamingTheVersion) {
+  std::string bytes = slurp(path_);
+  const std::uint32_t old_version = kCkptSchemaVersion - 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[8 + i] = static_cast<char>(old_version >> (8 * i));
+  }
+  const std::string old_path = (dir_ / "v3.ckpt").string();
+  spill(old_path, bytes);
+  auto sim = build_sim(spec_);
+  const Status st = load_checkpoint(old_path, key_of(spec_), *sim);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_NE(st.to_string().find("schema version 3"), std::string::npos)
+      << st.to_string();
+  EXPECT_EQ(st.to_string().find("checksum"), std::string::npos)
+      << st.to_string();
 }
 
 }  // namespace

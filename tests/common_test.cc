@@ -1,10 +1,16 @@
-// Tests for src/common: bit ops, deterministic RNG, fixed-point CPI, CLI.
+// Tests for src/common: bit ops, deterministic RNG, fixed-point CPI, CLI,
+// the envelope checksum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/check.h"
+#include "common/checksum.h"
 #include "common/cli.h"
 #include "common/fixed_point.h"
 #include "common/rng.h"
@@ -303,6 +309,56 @@ TEST(Types, KibMibLiterals) {
   EXPECT_EQ(64_KiB, 65536u);
   EXPECT_EQ(1_MiB, 1048576u);
   EXPECT_EQ(2_GiB, std::uint64_t{1} << 31);
+}
+
+std::vector<std::uint8_t> checksum_probe(std::size_t n) {
+  std::vector<std::uint8_t> buf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return buf;
+}
+
+// Pins the on-disk checksum.  The lengths cover the empty input, the
+// byte, word and half-word tails, and one stripe either side of the
+// four-lane loop's 32-byte boundary.  The values are the reference XXH64
+// (seed 0); "abc" is the algorithm's published test vector.
+TEST(Checksum64, KnownAnswers) {
+  const std::vector<std::pair<std::size_t, std::uint64_t>> known = {
+      {0, 0xef46db3751d8e999ull},  {1, 0xa96c7f0ce858bbb7ull},
+      {7, 0x2744460dd675d2c0ull},  {31, 0x6711d55e306b5d8full},
+      {32, 0x07f7b8e3bc5d6e25ull}, {33, 0x09f85eeb4e1cbe9full},
+      {1000, 0x0bf0bdbcc82eb373ull},
+  };
+  for (const auto& [n, want] : known) {
+    const std::vector<std::uint8_t> buf = checksum_probe(n);
+    EXPECT_EQ(checksum64(buf.data(), buf.size()), want) << "length " << n;
+  }
+  const std::string abc = "abc";
+  EXPECT_EQ(checksum64(abc.data(), abc.size()), 0x44bc2cf5ad770999ull);
+}
+
+// The digest does not depend on where the buffer starts: words are
+// assembled byte by byte, never loaded through a cast pointer.
+TEST(Checksum64, AlignmentIndependent) {
+  const std::vector<std::uint8_t> buf = checksum_probe(1000);
+  std::vector<std::uint8_t> shifted(buf.size() + 3);
+  std::copy(buf.begin(), buf.end(), shifted.begin() + 3);
+  EXPECT_EQ(checksum64(shifted.data() + 3, buf.size()),
+            checksum64(buf.data(), buf.size()));
+}
+
+TEST(Checksum64, EverySingleBitFlipChangesTheDigest) {
+  std::vector<std::uint8_t> buf = checksum_probe(1024);
+  const std::uint64_t good = checksum64(buf.data(), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[i] = static_cast<std::uint8_t>(buf[i] ^ (1u << bit));
+      ASSERT_NE(checksum64(buf.data(), buf.size()), good)
+          << "byte " << i << " bit " << bit;
+      buf[i] = static_cast<std::uint8_t>(buf[i] ^ (1u << bit));
+    }
+  }
 }
 
 }  // namespace

@@ -175,6 +175,33 @@ TEST(ConfigFile, ValidateRejectsMoreCoresThanTheScheduler) {
   EXPECT_THROW(c.validate(), std::logic_error);
 }
 
+// An exclusive ReDHiP machine gives each private level below L1 a PT
+// scaled from the LLC's by capacity; a level that is not a power-of-two
+// fraction of the LLC would get a PT the table cannot be built with, so
+// validate() names the level instead of letting construction fail.
+TEST(ConfigFile, ValidateRejectsExclusiveRedhipWithUnbuildableLevelPt) {
+  // L1 8K, L2 `l2`, LLC 4M with a 256K-bit PT: the L2's PT gets
+  // 256K * l2 / 4M bits.
+  const auto machine = [](const std::string& inclusion, const std::string& l2,
+                          const std::string& l2_ways) {
+    return "scheme = redhip\ninclusion = " + inclusion +
+           "\n[level]\nsize = 8K\nways = 2\n[level]\nsize = " + l2 +
+           "\nways = " + l2_ways +
+           "\n[level]\nsize = 4M\nways = 16\n[redhip]\ntable_bits = 256K\n";
+  };
+  EXPECT_NO_THROW(parse_config_text(machine("exclusive", "64K", "4")));
+  try {
+    parse_config_text(machine("exclusive", "96K", "6"));  // 6144 bits
+    FAIL() << "should have thrown";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("L2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("6144 bits"), std::string::npos) << msg;
+  }
+  // Only exclusive ReDHiP sizes per-level tables.
+  EXPECT_NO_THROW(parse_config_text(machine("inclusive", "96K", "6")));
+}
+
 TEST(ConfigFile, ParsesFaultAndAuditSections) {
   const HierarchyConfig c = parse_config_text(R"(
 scheme = redhip

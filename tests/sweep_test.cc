@@ -216,7 +216,7 @@ SamplingPlan interval_plan() {
 TEST(SweepSpecFromCli, BaseMachineAndKeysArePinned) {
   // `sweep --scale 32 --refs 200000 --axis workload=mcf`: the base machine
   // is ReDHiP with the default inclusion and prefetch, and the key is the
-  // one existing result caches are addressed by (cache schema v3).
+  // one existing result caches are addressed by (cache schema v4).
   ExperimentOptions opts;
   opts.scale = 32;
   opts.refs_per_core = 200'000;
@@ -229,13 +229,13 @@ TEST(SweepSpecFromCli, BaseMachineAndKeysArePinned) {
   EXPECT_EQ(spec.base.seed, opts.seed);
   const std::vector<SweepCell> cells = expand(spec);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].key, 0xf904a474b9710bdaull);
+  EXPECT_EQ(cells[0].key, 0x1d411d72129739b7ull);
 
   // The same cell under the sample=50000/5000/10000 axis value.
   const std::vector<SweepCell> sampled =
       expand(make_sweep_spec(opts, {"workload=mcf", "sample=50000/5000/10000"}));
   ASSERT_EQ(sampled.size(), 1u);
-  EXPECT_EQ(sampled[0].key, 0x6a8e29f5d524e204ull);
+  EXPECT_EQ(sampled[0].key, 0x1ed37b5d20972a41ull);
 }
 
 TEST(SweepSpecFromCli, SamplingPlanReachesEveryCell) {
