@@ -316,6 +316,7 @@ SyntheticTrace::SyntheticTrace(std::vector<Component> components,
                                std::uint32_t gap_mean, std::uint64_t seed)
     : components_(std::move(components)), gap_mean_(gap_mean), rng_(seed) {
   REDHIP_CHECK(!components_.empty());
+  REDHIP_CHECK_MSG(gap_mean_ >= 1, "gap_mean must be at least 1");
   std::uint64_t total = 0;
   for (const auto& c : components_) total += c.weight_ppm;
   REDHIP_CHECK_MSG(total == 1'000'000, "component weights must sum to 1M ppm");
@@ -338,11 +339,9 @@ void SyntheticTrace::reschedule() {
 bool SyntheticTrace::next(MemRef& out) {
   if (burst_left_ == 0) reschedule();
   --burst_left_;
-  components_[active_].kernel->next(out);
-  out.gap = gap_mean_ == 0
-                ? 0
-                : static_cast<std::uint16_t>(rng_.range(
-                      gap_mean_ - gap_mean_ / 2, gap_mean_ + gap_mean_ / 2));
+  components_[active_].kernel->next_n(&out, 1);
+  out.gap = static_cast<std::uint16_t>(
+      rng_.range(gap_mean_ - gap_mean_ / 2, gap_mean_ + gap_mean_ / 2));
   return true;
 }
 
@@ -362,13 +361,9 @@ std::size_t SyntheticTrace::next_batch(MemRef* out, std::size_t n) {
     // emitted references — identical to the scalar path, while paying one
     // virtual dispatch per chunk instead of one per reference.
     components_[active_].kernel->next_n(out + filled, chunk);
-    if (gap_mean_ == 0) {
-      for (std::size_t i = 0; i < chunk; ++i) out[filled + i].gap = 0;
-    } else {
-      for (std::size_t i = 0; i < chunk; ++i) {
-        out[filled + i].gap =
-            static_cast<std::uint16_t>(rng_.range(gap_lo, gap_hi));
-      }
+    for (std::size_t i = 0; i < chunk; ++i) {
+      out[filled + i].gap =
+          static_cast<std::uint16_t>(rng_.range(gap_lo, gap_hi));
     }
     filled += chunk;
   }
@@ -390,11 +385,7 @@ void SyntheticTrace::skip(std::uint64_t n) {
     // stream vs the trace's), so the fused loop may interleave them freely:
     // each stream still sees exactly the draws next_batch makes, in the
     // same per-stream order, while the two serial generator chains overlap.
-    if (gap_mean_ != 0) {
-      components_[active_].kernel->skip_with_gaps(chunk, rng_, gap_bound);
-    } else {
-      components_[active_].kernel->skip(chunk);
-    }
+    components_[active_].kernel->skip_with_gaps(chunk, rng_, gap_bound);
     n -= chunk;
   }
 }

@@ -60,6 +60,8 @@ class SyntheticTrace final : public TraceSource {
     std::uint32_t burst_mean;
   };
 
+  // Each reference's gap is drawn uniformly from gap_mean +- gap_mean / 2;
+  // gap_mean must be at least 1 (every workload's is 2-4).
   SyntheticTrace(std::vector<Component> components, std::uint32_t gap_mean,
                  std::uint64_t seed);
 
