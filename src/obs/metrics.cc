@@ -2,22 +2,6 @@
 
 namespace redhip {
 
-std::string to_string(ObsCounter c) {
-  switch (c) {
-    case ObsCounter::kRefs:
-      return "refs";
-    case ObsCounter::kRefillBatches:
-      return "refill_batches";
-    case ObsCounter::kRecoveries:
-      return "recoveries";
-    case ObsCounter::kDisableFlips:
-      return "disable_flips";
-    case ObsCounter::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 MetricsRegistry::MetricsRegistry(std::uint32_t cores) : slots_(cores) {}
 
 std::uint64_t MetricsRegistry::total(ObsCounter c) const {

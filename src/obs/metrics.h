@@ -31,7 +31,6 @@ enum class ObsCounter : std::uint32_t {
   kDisableFlips,    // auto-disable state changes (counted on core 0)
   kCount,           // sentinel
 };
-std::string to_string(ObsCounter c);
 
 class MetricsRegistry {
  public:

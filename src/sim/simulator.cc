@@ -843,9 +843,10 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
     CoreState& cs = cores_[best];
     if (cs.buf_pos == cs.buf_len) {
       // An empty refill buffer is a safe checkpoint boundary: the scheduler
-      // is between references, and the other cores' partially-consumed
-      // buffers hold raw (unperturbed) trace content that a restore
-      // regenerates from the trace position — they are not serialized.
+      // is between references.  The other cores' partly consumed buffers
+      // hold raw (unperturbed) trace content: the codec stores each one's
+      // unconsumed tail beside its generator state, and a source without
+      // state capture is instead replayed to its position on restore.
       ckpt_poll();
       // Refill, capped at what this core still needs so the source never
       // generates references the run will not consume.

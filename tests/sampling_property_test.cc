@@ -17,11 +17,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "harness/run.h"
 #include "sim/sampling.h"
 #include "trace/workloads.h"
@@ -94,12 +96,25 @@ double exact_ipc(const SimResult& r) {
 
 TEST(SamplingProperty, CiCoversExactValueAtNinetyPercentRate) {
   const std::vector<Draw> draws = make_draws();
+  // The 400 simulations are independent and deterministic, so they run on a
+  // pool, each task filling its own draw's slot; the checks and sums below
+  // then run on this thread in draw order.
+  std::vector<SimResult> exacts(draws.size()), sampleds(draws.size());
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    tasks.push_back([&draws, &exacts, &sampleds, i] {
+      exacts[i] = run_spec(spec_for(draws[i], /*sampled=*/false));
+      sampleds[i] = run_spec(spec_for(draws[i], /*sampled=*/true));
+    });
+  }
+  ThreadPool::run_all(std::move(tasks));
   int n = 0, ipc_covered = 0, hit_covered = 0, energy_covered = 0;
   double ipc_bias = 0, hit_bias = 0, energy_bias = 0;
   double ipc_width = 0, hit_width = 0, energy_width = 0;
-  for (const Draw& d : draws) {
-    const SimResult exact = run_spec(spec_for(d, /*sampled=*/false));
-    const SimResult sampled = run_spec(spec_for(d, /*sampled=*/true));
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const Draw& d = draws[i];
+    const SimResult& exact = exacts[i];
+    const SimResult& sampled = sampleds[i];
     ASSERT_TRUE(sampled.sampling.enabled);
     ASSERT_EQ(sampled.sampling.windows, d.windows);
     // A sampled run covers the same reference stream as the exact run.
