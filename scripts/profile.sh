@@ -35,7 +35,9 @@
 # --sampled profiles the *sampled* hot path instead: it drives `quickstart`
 # under an interval plan whose wall time is dominated by the skip + warm
 # phases (period 1M, warmup 100k, window 10k per core), so the table ranks
-# skip_with_gaps and the warm loop rather than the measured-window run loop.
+# the kernels' fast-forward (SteppedKernel::skip_with_gaps, which inlines
+# each kernel's step) and the warm loop rather than the measured-window run
+# loop.
 # Extra flags go to quickstart.
 set -euo pipefail
 
