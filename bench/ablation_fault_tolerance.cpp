@@ -20,6 +20,7 @@
 #include "common/cli.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "sweep/sweep.h"
 
 using namespace redhip;
 

@@ -48,6 +48,10 @@
 // (run.cc's resume contract, pinned by tests/ckpt_restore_test.cc) and its
 // wall-clock ratio is gated by --sampled-min-resumed-speedup.
 //
+// The matrix runs on run_matrix (sweep/sweep.h), but `--cache-dir` is
+// rejected with INVALID_ARGUMENT: a warm cache would turn the timed legs
+// into cache reads.
+//
 // Usage: bench_speed [--scale=8] [--refs=1000000] [--seed=42] [--jobs=N]
 //                    [--repeat=N] [--out=BENCH_speed.json]
 //                    [--cpu-model=TEXT] [--compiler-flags=TEXT]
@@ -74,6 +78,7 @@
 #include "harness/run.h"
 #include "sim/sampling.h"
 #include "sim/stats.h"
+#include "sweep/sweep.h"
 
 using namespace redhip;
 
@@ -99,13 +104,13 @@ double median_of(std::vector<double> v) {
 // clock — aggregate and per cell, so `runs[]` can report min/median pairs.
 struct Leg {
   std::vector<std::vector<SimResult>> results;
-  std::vector<MatrixStats> reps;
+  std::vector<SweepStats> reps;
   // cell_seconds[bench][column][repeat]: per-cell host wall clock of every
   // repeat.  The SimResults themselves are bit-identical across repeats, so
   // only the timing is worth keeping more than once.
   std::vector<std::vector<std::vector<double>>> cell_seconds;
 
-  const MatrixStats& best() const {
+  const SweepStats& best() const {
     std::size_t bi = 0;
     for (std::size_t i = 1; i < reps.size(); ++i) {
       if (reps[i].wall_seconds < reps[bi].wall_seconds) bi = i;
@@ -114,8 +119,21 @@ struct Leg {
   }
   double median_wall() const {
     std::vector<double> w;
-    for (const MatrixStats& s : reps) w.push_back(s.wall_seconds);
+    for (const SweepStats& s : reps) w.push_back(s.wall_seconds);
     return median_of(std::move(w));
+  }
+  // Simulated references of one repeat (every repeat simulates the same).
+  std::uint64_t total_refs() const {
+    std::uint64_t n = 0;
+    for (const auto& row : results) {
+      for (const SimResult& r : row) n += r.total_refs;
+    }
+    return n;
+  }
+  // Aggregate throughput of the best repeat.
+  double mrefs_per_s() const {
+    const double wall = best().wall_seconds;
+    return wall > 0.0 ? static_cast<double>(total_refs()) / wall / 1e6 : 0.0;
   }
 };
 
@@ -123,7 +141,7 @@ Leg measure(const ExperimentOptions& opts,
             const std::vector<SchemeColumn>& columns, std::uint32_t repeat) {
   Leg leg;
   for (std::uint32_t r = 0; r < repeat; ++r) {
-    MatrixStats stats;
+    SweepStats stats;
     auto results = run_matrix(opts, columns, &stats);
     if (r == 0) leg.cell_seconds.resize(results.size());
     for (std::size_t b = 0; b < results.size(); ++b) {
@@ -138,7 +156,7 @@ Leg measure(const ExperimentOptions& opts,
   std::printf("matrix:           %.3fs best / %.3fs median of %u  "
               "(%.3f Mrefs/s)\n",
               leg.best().wall_seconds, leg.median_wall(), repeat,
-              leg.best().mrefs_per_s);
+              leg.mrefs_per_s());
   return leg;
 }
 
@@ -163,7 +181,6 @@ void append_matrix_block(std::ostringstream& os,
                          const ExperimentOptions& opts,
                          const std::vector<SchemeColumn>& columns,
                          const Leg& leg) {
-  const MatrixStats& best = leg.best();
   os << "  \"fast_engine\": {\n";
   char buf[320];
   std::snprintf(buf, sizeof(buf),
@@ -172,9 +189,9 @@ void append_matrix_block(std::ostringstream& os,
                 "    \"repeats\": %zu,\n"
                 "    \"total_refs\": %llu,\n"
                 "    \"mrefs_per_s\": %.3f,\n",
-                best.wall_seconds, leg.median_wall(), leg.reps.size(),
-                static_cast<unsigned long long>(best.total_refs),
-                best.mrefs_per_s);
+                leg.best().wall_seconds, leg.median_wall(), leg.reps.size(),
+                static_cast<unsigned long long>(leg.total_refs()),
+                leg.mrefs_per_s());
   os << buf;
   os << "    \"runs\": [\n";
   for (std::size_t b = 0; b < opts.benches.size(); ++b) {
@@ -209,6 +226,14 @@ void append_matrix_block(std::ostringstream& os,
 int main(int argc, char** argv) {
   CliOptions cli(argc, argv);
   ExperimentOptions opts = ExperimentOptions::parse(cli);
+  // Every leg must simulate: a result cache would turn the timed matrix
+  // into cache reads.
+  if (!opts.cache_dir.empty()) {
+    Status(StatusCode::kInvalidArgument,
+           "--cache-dir: bench_speed times simulation and takes no result "
+           "cache")
+        .throw_if_error();
+  }
   const std::string out_path = cli.get("out", "BENCH_speed.json");
   const double pre_pr_wall = cli.get_double("pre-pr-wall", 0.0);
   const std::string pre_pr_note = cli.get("pre-pr-note", "");
@@ -277,7 +302,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t r = 0; r < repeat; ++r) {
       std::filesystem::remove_all(ckpt_dir);
       ckpt_profile_reset();
-      MatrixStats stats;
+      SweepStats stats;
       const double c0 = cpu_now();
       auto results = run_matrix(copts, columns, &stats);
       const double ckpt_cpu = cpu_now() - c0;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
          reshape},
     };
     SweepStats sweep_stats;
-    const auto results = sweep_matrix(opts, columns, &sweep_stats);
+    const auto results = run_matrix(opts, columns, &sweep_stats);
     total_stats.cells += sweep_stats.cells;
     total_stats.cache_hits += sweep_stats.cache_hits;
     total_stats.simulated += sweep_stats.simulated;

@@ -54,10 +54,8 @@ int main(int argc, char** argv) {
     };
     columns.push_back(std::move(col));
   }
-  // The sweep engine: same matrix, plus the resumable result cache when
-  // --cache-dir is set (warm cells load instead of re-simulating).
   SweepStats sweep_stats;
-  const auto results = sweep_matrix(opts, columns, &sweep_stats);
+  const auto results = run_matrix(opts, columns, &sweep_stats);
 
   std::printf(
       "Figure 11 — ReDHiP dynamic energy vs PT size, normalized to Base\n"

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     columns.push_back(std::move(col));
   }
   SweepStats sweep_stats;
-  const auto results = sweep_matrix(opts, columns, &sweep_stats);
+  const auto results = run_matrix(opts, columns, &sweep_stats);
 
   std::printf(
       "Figure 12 — ReDHiP dynamic energy vs recalibration interval, "

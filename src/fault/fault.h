@@ -53,7 +53,8 @@ struct FaultConfig {
   std::uint64_t seed = 0xfa175eed;
   // Treat injected faults as transient host-side events: a run aborted by
   // the auditor (RecoveryPolicy::kAbortRetry) is eligible for a reseeded
-  // bounded retry in run_matrix instead of failing the whole matrix.
+  // bounded retry in the cell executor (run_sweep, under run_matrix)
+  // instead of failing the whole matrix.
   bool transient = true;
 
   void validate() const;
@@ -81,7 +82,8 @@ struct FaultStats {
 };
 
 // Thrown by the invariant auditor under RecoveryPolicy::kAbortRetry.
-// run_matrix treats it as retryable (bounded, reseeded) when
+// The cell executor (run_sweep, under run_matrix) treats it as retryable
+// (bounded, reseeded) when
 // FaultConfig::transient is set; every other exception fails the matrix.
 class TransientFaultError : public std::runtime_error {
  public:

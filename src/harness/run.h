@@ -54,7 +54,8 @@ struct RunSpec {
   const std::atomic<bool>* stop_flag = nullptr;
   // Wall-clock budget for this run, measured from run_spec entry (0 =
   // none).  Exceeding it throws DeadlineExceededError from a safe boundary;
-  // run_matrix converts that to Status(kDeadlineExceeded) for the cell.
+  // the cell executor (run_sweep, under run_matrix) retries once, then
+  // records Status(kDeadlineExceeded) for the cell.
   double deadline_seconds = 0.0;
 };
 

@@ -72,14 +72,18 @@ std::vector<SweepCell> expand(const SweepSpec& spec) {
 
 namespace {
 
-// One cell, with the same retry policy run_matrix applies.  A transient
-// injected fault reseeds the fault stream (nothing else) and tries again,
-// bounded by kMaxTransientAttempts; the reseed changes the config digest,
-// so a checkpoint from the aborted attempt misses on key and the retry
-// cold-starts.  A deadline abort retries once with the original spec (an
-// interval checkpoint from the first attempt — same key — shortens the
-// retry); a second timeout lands in cell.status instead of hanging or
-// zeroing the sweep.
+// Bounded retry budget for a cell aborted by a transient injected fault
+// (TransientFaultError under RecoveryPolicy::kAbortRetry).
+constexpr std::uint32_t kMaxTransientAttempts = 3;
+
+// One cell.  A transient injected fault reseeds the fault stream (nothing
+// else) and tries again, bounded by kMaxTransientAttempts; the reseed
+// changes the config digest, so a checkpoint from the aborted attempt
+// misses on key and the retry cold-starts.  A deadline abort retries once
+// with the original spec (a timeout is usually host contention, not the
+// cell, and an interval checkpoint from the first attempt — same key —
+// shortens the retry); a second timeout lands in cell.status instead of
+// hanging or zeroing the sweep.
 void run_cell_with_retry(SweepCell& cell) {
   std::uint32_t fault_attempt = 0;
   bool deadline_retried = false;
@@ -188,7 +192,7 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
       cell.spec.ckpt_restore = true;
     }
   }
-  // Longest-estimated-job first, like run_matrix.  Sweep cells can differ
+  // Longest-estimated-job first.  Sweep cells can differ
   // in refs *and* scale (a scale axis is the common case), so the whole-run
   // estimate — per-reference cost x refs / scale — orders them; sorting on
   // the per-reference cost alone used to leave a scale-1 heavyweight at the
@@ -239,7 +243,7 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
   return out;
 }
 
-std::vector<std::vector<SimResult>> sweep_matrix(
+std::vector<std::vector<SimResult>> run_matrix(
     const ExperimentOptions& opts, const std::vector<SchemeColumn>& columns,
     SweepStats* stats) {
   SweepSpec spec;

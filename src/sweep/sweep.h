@@ -8,7 +8,8 @@
 // ResultCache, and simulates only the missing ones — longest-estimated-job
 // first on the shared ThreadPool, persisting each completed cell
 // immediately so an interrupted sweep resumes having lost at most the
-// in-flight cells.
+// in-flight cells.  It is the one cell executor: run_matrix below builds
+// every figure bench's (benchmark x scheme-column) matrix on it.
 #pragma once
 
 #include <cstdint>
@@ -113,12 +114,18 @@ std::vector<SweepCell> expand(const SweepSpec& spec);
 // cell that completed first is already in the cache.
 SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt = {});
 
-// run_matrix's (benchmark x scheme-column) contract on the sweep engine:
-// same results (bit-identical — same RunSpecs, and every run is
-// deterministic), plus the result cache when opts.cache_dir is set.  When
-// opts.trace_events is set the cache is bypassed entirely (a cache hit
-// would skip the simulation that writes the per-cell event trace).
-std::vector<std::vector<SimResult>> sweep_matrix(
+// The (benchmark x scheme-column) matrix every figure bench runs, on the
+// executor above: result[b][c] corresponds to opts.benches[b] under
+// columns[c].  Each run is single-threaded and deterministic, so the matrix
+// is bit-identical whatever the pool size, submission order or cache state.
+// opts.cache_dir/resume, ckpt_dir/ckpt_interval and cell_timeout map onto
+// SweepRunOptions.  When opts.trace_events is set every cell writes
+// `<trace_events>/trace_file_name(bench, label)` and the cache is bypassed
+// (a cache hit would skip the simulation that writes the trace).  A cell
+// that times out twice throws DEADLINE_EXCEEDED rather than leaving a
+// zeroed result.  `stats`, when given, receives the sweep's counters and
+// wall time.
+std::vector<std::vector<SimResult>> run_matrix(
     const ExperimentOptions& opts, const std::vector<SchemeColumn>& columns,
     SweepStats* stats = nullptr);
 

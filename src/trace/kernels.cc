@@ -126,29 +126,33 @@ void PointerChaseKernel::step(State& s, Emit&& emit) {
   s.node = (mul_ * s.node + add_) & (lines_ - 1);
   emit(region_.base + s.node * kDefaultLineBytes, pc_base_, false);
   if (payload_lines_ > 0) {
-    s.payload_left = payload_lines_ * (kDefaultLineBytes / 8);
+    s.payload_left = payload_refs();
     s.payload_cursor = s.node * kDefaultLineBytes;
   }
 }
 
-// ------------------------------------------------------------------ ZipfWalk
+// ----------------------------------------------------------------- BurstWalk
 
-ZipfWalkKernel::ZipfWalkKernel(Region region, std::uint32_t zipf_k,
-                               std::uint32_t burst_mean,
-                               std::uint32_t write_ppm, std::uint32_t pc_base,
-                               std::uint64_t seed)
+template <class Sampler>
+BurstWalkKernel<Sampler>::BurstWalkKernel(Region region, Sampler sampler,
+                                          std::uint32_t burst_mean,
+                                          std::uint32_t write_ppm,
+                                          std::uint32_t pc_base,
+                                          std::uint64_t seed)
     : region_(region),
-      sampler_(region.bytes / kDefaultLineBytes, zipf_k),
+      sampler_(sampler),
       burst_mean_(burst_mean),
       write_ppm_(write_ppm),
       pc_base_(pc_base),
       state_{Xoshiro256(seed)} {}
 
+template <class Sampler>
 template <class Emit>
-void ZipfWalkKernel::step(State& s, Emit&& emit) {
+void BurstWalkKernel<Sampler>::step(State& s, Emit&& emit) {
   if (s.burst_left == 0) {
     s.burst_cursor = sampler_.sample(s.rng) * kDefaultLineBytes;
-    s.burst_left = static_cast<std::uint32_t>(s.rng.burst(burst_mean_, 256));
+    s.burst_left =
+        static_cast<std::uint32_t>(s.rng.burst(burst_mean_, kMaxBurst));
   }
   --s.burst_left;
   emit(region_.base + s.burst_cursor % region_.bytes,
@@ -222,7 +226,7 @@ void BfsKernel::step(State& s, Emit&& emit) {
   if (s.edges_left > 0 && s.visited_after == 0) {
     // Visited-map check: skewed random access, writes when the vertex is
     // newly discovered (~1/4 of checks).
-    s.visited_after = 3;  // three edge reads per check (word-packed map)
+    s.visited_after = kEdgesPerCheck;
     const std::uint64_t line = visited_sampler_.sample(s.rng);
     emit(visited_region_.base + line * kDefaultLineBytes, pc_base_ + 2,
          s.rng.chance_ppm(250'000));
@@ -239,9 +243,10 @@ void BfsKernel::step(State& s, Emit&& emit) {
   // a random offset in the edge array.
   emit(frontier_region_.at(s.frontier_cursor), pc_base_, false);
   s.frontier_cursor += 8;
-  s.edges_left = static_cast<std::uint32_t>(s.rng.burst(mean_degree_, 512));
+  s.edges_left =
+      static_cast<std::uint32_t>(s.rng.burst(mean_degree_, kMaxDegree));
   s.edge_cursor = s.rng.below(edge_region_.bytes / 8) * 8;
-  s.visited_after = 3;
+  s.visited_after = kEdgesPerCheck;
 }
 
 // ---------------------------------------------------------------------- SGD
@@ -273,34 +278,6 @@ void SgdKernel::step(State& s, Emit&& emit) {
     s.offset = 0;
     s.phase = (s.phase + 1) % 4;
   }
-}
-
-// ------------------------------------------------------------------ HotCold
-
-HotColdKernel::HotColdKernel(Region region, std::uint32_t hot_fraction_ppm,
-                             std::uint32_t hot_access_ppm,
-                             std::uint32_t burst_mean, std::uint32_t write_ppm,
-                             std::uint32_t pc_base, std::uint64_t seed)
-    : region_(region),
-      sampler_(region.bytes / kDefaultLineBytes, hot_fraction_ppm,
-               hot_access_ppm),
-      burst_mean_(burst_mean),
-      write_ppm_(write_ppm),
-      pc_base_(pc_base),
-      state_{Xoshiro256(seed)} {}
-
-template <class Emit>
-void HotColdKernel::step(State& s, Emit&& emit) {
-  if (s.burst_left == 0) {
-    // Sample a line, then walk it (and its successors) element by element —
-    // the burst models touching the fields of a small record.
-    s.burst_cursor = sampler_.sample(s.rng) * kDefaultLineBytes;
-    s.burst_left = static_cast<std::uint32_t>(s.rng.burst(burst_mean_, 256));
-  }
-  --s.burst_left;
-  emit(region_.base + s.burst_cursor % region_.bytes,
-       pc_base_ + (s.burst_left == 0 ? 0 : 1), s.rng.chance_ppm(write_ppm_));
-  s.burst_cursor += 8;
 }
 
 // --------------------------------------------------------------- bulk loops
@@ -337,11 +314,11 @@ void SteppedKernel<K>::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
 template class SteppedKernel<StreamKernel>;
 template class SteppedKernel<StencilKernel>;
 template class SteppedKernel<PointerChaseKernel>;
-template class SteppedKernel<ZipfWalkKernel>;
+template class SteppedKernel<BurstWalkKernel<ZipfSampler>>;
+template class SteppedKernel<BurstWalkKernel<HotColdSampler>>;
 template class SteppedKernel<SparseGatherKernel>;
 template class SteppedKernel<BfsKernel>;
 template class SteppedKernel<SgdKernel>;
-template class SteppedKernel<HotColdKernel>;
 
 // ------------------------------------------------------------- checkpointing
 // Mutable state only: regions, weights, LCG constants and sampler tables
@@ -350,7 +327,8 @@ template class SteppedKernel<HotColdKernel>;
 // is load order; the reader fail-latches, so loads run to completion and
 // report r.ok() once.  Address-bearing fields the step does not reduce
 // modulo a region are range-checked: a cursor, row or gather target outside
-// its region would emit lines another core owns.
+// its region would emit lines another core owns.  So are counters: one the
+// step never produces would restore a different, in-region stream.
 
 namespace {
 
@@ -407,21 +385,27 @@ bool PointerChaseKernel::ckpt_load(ByteReader& r) {
   state_.node = r.u64();
   state_.payload_left = r.u32();
   state_.payload_cursor = r.u64();
-  return r.ok() && state_.node < lines_;
+  return r.ok() && state_.node < lines_ &&
+         state_.payload_left <= payload_refs();
 }
 
-void ZipfWalkKernel::ckpt_save(ByteWriter& w) const {
+template <class Sampler>
+void BurstWalkKernel<Sampler>::ckpt_save(ByteWriter& w) const {
   ckpt_save_rng(w, state_.rng);
   w.u32(state_.burst_left);
   w.u64(state_.burst_cursor);
 }
 
-bool ZipfWalkKernel::ckpt_load(ByteReader& r) {
+template <class Sampler>
+bool BurstWalkKernel<Sampler>::ckpt_load(ByteReader& r) {
   ckpt_load_rng(r, state_.rng);
   state_.burst_left = r.u32();
   state_.burst_cursor = r.u64();
-  return r.ok();
+  return r.ok() && state_.burst_left <= kMaxBurst;
 }
+
+template class BurstWalkKernel<ZipfSampler>;
+template class BurstWalkKernel<HotColdSampler>;
 
 void SparseGatherKernel::ckpt_save(ByteWriter& w) const {
   ckpt_save_rng(w, state_.rng);
@@ -456,7 +440,8 @@ bool BfsKernel::ckpt_load(ByteReader& r) {
   state_.edge_cursor = r.u64();
   state_.edges_left = r.u32();
   state_.visited_after = r.u32();
-  return r.ok();
+  return r.ok() && state_.edges_left <= kMaxDegree &&
+         state_.visited_after <= kEdgesPerCheck;
 }
 
 void SgdKernel::ckpt_save(ByteWriter& w) const {
@@ -477,19 +462,6 @@ bool SgdKernel::ckpt_load(ByteReader& r) {
   return r.ok() && s.offset < row_bytes_ && s.phase < 4 &&
          is_row_start(user_region_, s.user_row, row_bytes_) &&
          is_row_start(item_region_, s.item_row, row_bytes_);
-}
-
-void HotColdKernel::ckpt_save(ByteWriter& w) const {
-  ckpt_save_rng(w, state_.rng);
-  w.u32(state_.burst_left);
-  w.u64(state_.burst_cursor);
-}
-
-bool HotColdKernel::ckpt_load(ByteReader& r) {
-  ckpt_load_rng(r, state_.rng);
-  state_.burst_left = r.u32();
-  state_.burst_cursor = r.u64();
-  return r.ok();
 }
 
 }  // namespace redhip

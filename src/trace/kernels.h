@@ -10,7 +10,8 @@
 // The kernels are chosen to span the locality behaviours that drive the
 // paper's per-benchmark differences (Fig. 9): pure streaming, stencil plane
 // reuse, uniform pointer chasing, indexed sparse gathers, frontier-driven
-// graph traversal, SGD row updates, and hot/cold skewed sets.
+// graph traversal, SGD row updates, and bursts over power-law or hot/cold
+// skewed lines.
 #pragma once
 
 #include <cstdint>
@@ -176,6 +177,11 @@ class PointerChaseKernel final : public SteppedKernel<PointerChaseKernel> {
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  // Payload references per node visit: element-granular reads of the
+  // payload lines.
+  std::uint32_t payload_refs() const {
+    return payload_lines_ * (kDefaultLineBytes / 8);
+  }
 
   Region region_;
   std::uint64_t lines_;       // power of two
@@ -186,20 +192,28 @@ class PointerChaseKernel final : public SteppedKernel<PointerChaseKernel> {
   State state_;
 };
 
-// ------------------------------------------------------------------ ZipfWalk
-// Power-law line accesses over the region with short element bursts: the
-// workhorse for "hot spectrum" structures (open lists, node attributes,
-// score tables) whose reuse distances span every cache tier.
-class ZipfWalkKernel final : public SteppedKernel<ZipfWalkKernel> {
+// ----------------------------------------------------------------- BurstWalk
+// Sampled line accesses with short element bursts: each burst starts at a
+// line drawn from `sampler` (a line index below region.bytes / line size)
+// and walks it element by element, into its successors when the burst runs
+// past the line.  With a ZipfSampler it models "hot spectrum" structures
+// (open lists, node attributes, score tables) whose reuse distances span
+// every cache tier; with a HotColdSampler, a small hot set absorbing most
+// accesses over a uniform background (astar's open list + grid mixture,
+// the fields of small records).
+template <class Sampler>
+class BurstWalkKernel final : public SteppedKernel<BurstWalkKernel<Sampler>> {
  public:
-  ZipfWalkKernel(Region region, std::uint32_t zipf_k, std::uint32_t burst_mean,
-                 std::uint32_t write_ppm, std::uint32_t pc_base,
-                 std::uint64_t seed);
+  BurstWalkKernel(Region region, Sampler sampler, std::uint32_t burst_mean,
+                  std::uint32_t write_ppm, std::uint32_t pc_base,
+                  std::uint64_t seed);
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
 
  private:
-  friend SteppedKernel;
+  friend class SteppedKernel<BurstWalkKernel>;
+  // The longest burst the step draws.
+  static constexpr std::uint32_t kMaxBurst = 256;
   struct State {
     Xoshiro256 rng;
     std::uint32_t burst_left = 0;
@@ -209,7 +223,7 @@ class ZipfWalkKernel final : public SteppedKernel<ZipfWalkKernel> {
   void step(State& s, Emit&& emit);
 
   Region region_;
-  ZipfSampler sampler_;
+  Sampler sampler_;
   std::uint32_t burst_mean_;
   std::uint32_t write_ppm_;
   std::uint32_t pc_base_;
@@ -276,6 +290,9 @@ class BfsKernel final : public SteppedKernel<BfsKernel> {
 
  private:
   friend SteppedKernel;
+  static constexpr std::uint32_t kMaxDegree = 512;  // longest edge run
+  // Edge reads per visited-map check (the map is word-packed).
+  static constexpr std::uint32_t kEdgesPerCheck = 3;
   struct State {
     Xoshiro256 rng;
     std::uint64_t frontier_cursor = 0;
@@ -322,37 +339,6 @@ class SgdKernel final : public SteppedKernel<SgdKernel> {
   std::uint32_t row_bytes_;
   std::uint32_t pc_base_;
   ZipfSampler user_sampler_, item_sampler_;
-  State state_;
-};
-
-// ------------------------------------------------------------------ HotCold
-// Skewed random line accesses: a small hot set absorbs most accesses, the
-// rest fall uniformly over the region; occasional short sequential bursts.
-// Models astar's open list + grid mixture.
-class HotColdKernel final : public SteppedKernel<HotColdKernel> {
- public:
-  HotColdKernel(Region region, std::uint32_t hot_fraction_ppm,
-                std::uint32_t hot_access_ppm, std::uint32_t burst_mean,
-                std::uint32_t write_ppm, std::uint32_t pc_base,
-                std::uint64_t seed);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
-
- private:
-  friend SteppedKernel;
-  struct State {
-    Xoshiro256 rng;
-    std::uint32_t burst_left = 0;
-    Addr burst_cursor = 0;
-  };
-  template <class Emit>
-  void step(State& s, Emit&& emit);
-
-  Region region_;
-  HotColdSampler sampler_;
-  std::uint32_t burst_mean_;
-  std::uint32_t write_ppm_;
-  std::uint32_t pc_base_;
   State state_;
 };
 

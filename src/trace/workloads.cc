@@ -93,6 +93,31 @@ StencilDims stencil_dims(std::uint64_t base_xy, std::uint64_t base_nz,
   return d;
 }
 
+// Burst walks whose bursts start at power-law lines of `region`...
+std::unique_ptr<Kernel> zipf_walk(Region region, std::uint32_t zipf_k,
+                                  std::uint32_t burst_mean,
+                                  std::uint32_t write_ppm,
+                                  std::uint32_t pc_base, std::uint64_t seed) {
+  return std::make_unique<BurstWalkKernel<ZipfSampler>>(
+      region, ZipfSampler(region.bytes / kDefaultLineBytes, zipf_k),
+      burst_mean, write_ppm, pc_base, seed);
+}
+
+// ...or at lines of a small hot set (most draws) over a uniform background.
+std::unique_ptr<Kernel> hot_cold_walk(Region region,
+                                      std::uint32_t hot_fraction_ppm,
+                                      std::uint32_t hot_access_ppm,
+                                      std::uint32_t burst_mean,
+                                      std::uint32_t write_ppm,
+                                      std::uint32_t pc_base,
+                                      std::uint64_t seed) {
+  return std::make_unique<BurstWalkKernel<HotColdSampler>>(
+      region,
+      HotColdSampler(region.bytes / kDefaultLineBytes, hot_fraction_ppm,
+                     hot_access_ppm),
+      burst_mean, write_ppm, pc_base, seed);
+}
+
 Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
                          std::uint64_t seed) {
   const ProfileSeeds s = seeds_for(id, core, seed);
@@ -110,8 +135,7 @@ Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
       add(std::make_unique<StreamKernel>(arena.alloc(192_MiB, scale), 4, 8,
                                          120'000, 0x1000, s.k1, 2),
           850'000, 256);
-      add(std::make_unique<ZipfWalkKernel>(arena.alloc(48_MiB, scale), 4, 24,
-                                           50'000, 0x1100, s.k2),
+      add(zipf_walk(arena.alloc(48_MiB, scale), 4, 24, 50'000, 0x1100, s.k2),
           150'000, 48);
       break;
     }
@@ -122,8 +146,7 @@ Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
       add(std::make_unique<StencilKernel>(arena.alloc_exact(d.bytes()), d.nx,
                                           d.ny, d.nz, 0x2000),
           860'000, 512);
-      add(std::make_unique<ZipfWalkKernel>(arena.alloc(32_MiB, scale), 4, 8,
-                                           100'000, 0x2200, s.k2),
+      add(zipf_walk(arena.alloc(32_MiB, scale), 4, 8, 100'000, 0x2200, s.k2),
           60'000, 32);
       add(std::make_unique<StreamKernel>(arena.alloc(24_MiB, scale), 2, 8,
                                          200'000, 0x2100, s.k1),
@@ -144,8 +167,7 @@ Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
       add(std::make_unique<PointerChaseKernel>(arena.alloc(384_MiB, scale), 1,
                                                150'000, 0x4000, s.k1),
           750'000, 64);
-      add(std::make_unique<ZipfWalkKernel>(arena.alloc(16_MiB, scale), 4, 8,
-                                           100'000, 0x4100, s.k2),
+      add(zipf_walk(arena.alloc(16_MiB, scale), 4, 8, 100'000, 0x4100, s.k2),
           250'000, 32);
       break;
     }
@@ -170,16 +192,16 @@ Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
               arena.alloc(8_MiB, scale), 1, 0, 0, 0x6000, s.k1,
               /*zipf_k=*/4, /*gather_elems=*/4),
           700'000, 96);
-      add(std::make_unique<HotColdKernel>(arena.alloc(4_MiB, scale), 100'000,
-                                          850'000, 24, 150'000, 0x6100, s.k2),
+      add(hot_cold_walk(arena.alloc(4_MiB, scale), 100'000, 850'000, 24,
+                        150'000, 0x6100, s.k2),
           300'000, 48);
       break;
     }
     case BenchmarkId::kAstar: {
       // Path search: skewed open-list/grid traffic plus pointer-y region
       // walks with node payloads.
-      add(std::make_unique<ZipfWalkKernel>(arena.alloc(64_MiB, scale), 4, 24,
-                                           200'000, 0x7000, s.k1),
+      add(zipf_walk(arena.alloc(64_MiB, scale), 4, 24, 200'000, 0x7000,
+                    s.k1),
           700'000, 64);
       add(std::make_unique<PointerChaseKernel>(arena.alloc(24_MiB, scale), 2,
                                                100'000, 0x7100, s.k2),
@@ -192,8 +214,8 @@ Components build_profile(BenchmarkId id, CoreId core, std::uint32_t scale,
       add(std::make_unique<StencilKernel>(arena.alloc_exact(d.bytes()), d.nx,
                                           d.ny, d.nz, 0x8000),
           880'000, 512);
-      add(std::make_unique<HotColdKernel>(arena.alloc(1_MiB, scale), 100'000,
-                                          900'000, 16, 100'000, 0x8100, s.k1),
+      add(hot_cold_walk(arena.alloc(1_MiB, scale), 100'000, 900'000, 16,
+                        100'000, 0x8100, s.k1),
           120'000, 32);
       break;
     }
@@ -333,7 +355,7 @@ void SyntheticTrace::reschedule() {
       break;
     }
   }
-  burst_left_ = rng_.burst(components_[active_].burst_mean, 1 << 16);
+  burst_left_ = rng_.burst(components_[active_].burst_mean, kMaxBurst);
 }
 
 bool SyntheticTrace::next(MemRef& out) {
@@ -404,6 +426,7 @@ bool SyntheticTrace::ckpt_load_state(ByteReader& r) {
   if (!r.ok() || active >= components_.size()) return false;
   active_ = static_cast<std::size_t>(active);
   burst_left_ = r.u64();
+  if (!r.ok() || burst_left_ > kMaxBurst) return false;
   for (Component& c : components_) {
     if (!c.kernel->ckpt_load(r)) return false;
   }

@@ -92,6 +92,8 @@ class SyntheticTrace final : public TraceSource {
  private:
   void reschedule();
 
+  static constexpr std::uint64_t kMaxBurst = 1 << 16;  // longest burst drawn
+
   std::vector<Component> components_;
   std::uint32_t gap_mean_;
   Xoshiro256 rng_;

@@ -1,6 +1,7 @@
 // Tests for src/fault + the online invariant auditor: injector determinism,
 // PT corruption semantics, auditor detection and recovery policies, the
-// perturbed-trace decorator, and the bounded transient retry in run_matrix.
+// perturbed-trace decorator, and the bounded transient retry in the cell
+// executor (run_matrix, sweep/sweep.h).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "harness/run.h"
 #include "predict/redhip_table.h"
 #include "sim/simulator.h"
+#include "sweep/sweep.h"
 #include "trace/mem_ref.h"
 #include "trace/workloads.h"
 

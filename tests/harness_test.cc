@@ -1,14 +1,18 @@
-// Tests for src/harness: run_spec / compare, the experiment matrix runner,
-// the thread pool, and the table printer.
+// Tests for src/harness: run_spec / compare, option parsing, the matrix
+// runner the benches use (run_matrix, on the sweep executor), the thread
+// pool, and the table printer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 
 #include "common/thread_pool.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/run.h"
+#include "sim/sampling.h"
+#include "sweep/sweep.h"
 
 namespace redhip {
 namespace {
@@ -87,27 +91,101 @@ TEST(ExperimentTest, ParseRejectsUnknownBench) {
   EXPECT_THROW(ExperimentOptions::parse(cli), std::logic_error);
 }
 
+// Every matrix cell equals run_spec of the same RunSpec (determinism
+// across the thread pool), exact and under the --sample-* plan every cell
+// inherits, including a column with a config tweak.
 TEST(ExperimentTest, MatrixMatchesIndividualRuns) {
+  SchemeColumn quarter;
+  quarter.label = "ReDHiP/4";
+  quarter.scheme = Scheme::kRedhip;
+  quarter.tweak = [](HierarchyConfig& c) { c.redhip.table_bits >>= 2; };
+  const std::vector<SchemeColumn> cols = {
+      {"Base", Scheme::kBase}, {"ReDHiP", Scheme::kRedhip}, quarter};
+  SamplingPlan sampled;
+  sampled.mode = SampleMode::kInterval;
+  sampled.period_refs = 1'000;
+  sampled.window_refs = 100;
+  sampled.warmup_refs = 200;
+  for (const SamplingPlan& plan : {SamplingPlan{}, sampled}) {
+    ExperimentOptions o;
+    o.scale = 32;
+    o.refs_per_core = 2'000;
+    o.benches = {BenchmarkId::kLbm, BenchmarkId::kMcf};
+    o.sampling = plan;
+    SweepStats stats;
+    const auto m = run_matrix(o, cols, &stats);
+    EXPECT_EQ(stats.cells, 6u);
+    EXPECT_EQ(stats.simulated, 6u);  // no cache configured
+    ASSERT_EQ(m.size(), o.benches.size());
+    for (std::size_t b = 0; b < o.benches.size(); ++b) {
+      ASSERT_EQ(m[b].size(), cols.size());
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        RunSpec spec;
+        spec.bench = o.benches[b];
+        spec.scheme = cols[c].scheme;
+        spec.inclusion = cols[c].inclusion;
+        spec.prefetch = cols[c].prefetch;
+        spec.tweak = cols[c].tweak;
+        spec.scale = o.scale;
+        spec.refs_per_core = o.refs_per_core;
+        spec.seed = o.seed;
+        spec.sampling = plan;
+        EXPECT_EQ(m[b][c].sampling.enabled, plan.enabled());
+        EXPECT_TRUE(stats_identical(m[b][c], run_spec(spec)))
+            << to_string(o.benches[b]) << "/" << cols[c].label
+            << (plan.enabled() ? " sampled" : " exact");
+      }
+    }
+  }
+}
+
+// With --cache-dir the matrix stores every cell and a second call loads
+// them all; --trace-events bypasses the cache, since each cell must
+// simulate to write its event trace.
+TEST(ExperimentTest, MatrixUsesTheCacheUnlessTracing) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "redhip_matrix_cache";
+  std::filesystem::remove_all(root);
   ExperimentOptions o;
   o.scale = 32;
-  o.refs_per_core = 5'000;
-  o.benches = {BenchmarkId::kLbm, BenchmarkId::kMcf};
+  o.refs_per_core = 2'000;
+  o.jobs = 2;
+  o.benches = {BenchmarkId::kMcf, BenchmarkId::kLbm};
+  o.cache_dir = (root / "cache").string();
   const std::vector<SchemeColumn> cols = {{"Base", Scheme::kBase},
                                           {"ReDHiP", Scheme::kRedhip}};
-  const auto m = run_matrix(o, cols);
-  ASSERT_EQ(m.size(), 2u);
-  ASSERT_EQ(m[0].size(), 2u);
-  // The matrix result equals a directly-executed run (determinism across
-  // the thread pool).
-  RunSpec spec;
-  spec.bench = BenchmarkId::kMcf;
-  spec.scheme = Scheme::kRedhip;
-  spec.scale = 32;
-  spec.refs_per_core = 5'000;
-  const SimResult direct = run_spec(spec);
-  EXPECT_EQ(m[1][1].exec_cycles, direct.exec_cycles);
-  EXPECT_EQ(m[1][1].predictor.predicted_absent,
-            direct.predictor.predicted_absent);
+
+  SweepStats cold;
+  const auto first = run_matrix(o, cols, &cold);
+  EXPECT_EQ(cold.cells, 4u);
+  EXPECT_EQ(cold.simulated, 4u);
+  EXPECT_EQ(cold.cache_hits, 0u);
+  SweepStats warm;
+  const auto second = run_matrix(o, cols, &warm);
+  EXPECT_EQ(warm.cache_hits, warm.cells);
+  EXPECT_EQ(warm.simulated, 0u);
+  for (std::size_t b = 0; b < o.benches.size(); ++b) {
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      EXPECT_TRUE(stats_identical(first[b][c], second[b][c]))
+          << to_string(o.benches[b]) << "/" << cols[c].label;
+    }
+  }
+
+  o.trace_events = (root / "trace").string();
+  SweepStats traced;
+  const auto third = run_matrix(o, cols, &traced);
+  EXPECT_EQ(traced.simulated, traced.cells);
+  EXPECT_EQ(traced.cache_hits, 0u);
+  for (std::size_t b = 0; b < o.benches.size(); ++b) {
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      EXPECT_TRUE(std::filesystem::exists(
+          std::filesystem::path(o.trace_events) /
+          trace_file_name(o.benches[b], cols[c].label)))
+          << to_string(o.benches[b]) << "/" << cols[c].label;
+      EXPECT_EQ(third[b][c].exec_cycles, first[b][c].exec_cycles);
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 // The scheduling-cost estimate must weight run length and scale, not just

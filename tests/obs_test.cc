@@ -268,8 +268,6 @@ TEST(ObsConfigFile, TraceFileNamesAreSanitized) {
   EXPECT_EQ(trace_file_name(BenchmarkId::kMcf, "redhip"), "mcf-redhip.jsonl");
   EXPECT_EQ(trace_file_name(BenchmarkId::kMcf, "L4 (64M)/x"),
             "mcf-L4__64M__x.jsonl");
-  EXPECT_EQ(ckpt_file_name(BenchmarkId::kMcf, "L4 (64M)/x"),
-            "mcf-L4__64M__x.ckpt");
 }
 
 // --- Event-stream determinism ------------------------------------------------

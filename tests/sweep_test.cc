@@ -1,7 +1,6 @@
 // The sweep expansion, its content-addressed keys, and the aggregation
-// layer.  The executor-vs-run_matrix equivalence matters most: sweep_matrix
-// replaced run_matrix under the figure benches, so the two must produce
-// bit-identical SimResults for the same options and columns.
+// layer.  run_matrix, the figure benches' entry to the same executor, is
+// checked cell by cell against run_spec in harness_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -289,46 +288,6 @@ TEST(SweepKey, TracePathDoesNotChangeTheKey) {
   RunSpec c = tiny_base();
   chain_tweak(c, [](HierarchyConfig& hc) { hc.obs.enabled = true; });
   EXPECT_NE(sweep_cache_key(a), sweep_cache_key(c));
-}
-
-TEST(SweepExecutor, MatchesRunMatrixBitForBit) {
-  std::vector<SchemeColumn> columns = {{"Base", Scheme::kBase}};
-  SchemeColumn red;
-  red.label = "ReDHiP/4";
-  red.scheme = Scheme::kRedhip;
-  red.tweak = [](HierarchyConfig& c) { c.redhip.table_bits >>= 2; };
-  columns.push_back(std::move(red));
-
-  // Exact, and under the --sample-* plan both executors apply to every
-  // cell.
-  SamplingPlan sampled;
-  sampled.mode = SampleMode::kInterval;
-  sampled.period_refs = 1'000;
-  sampled.window_refs = 100;
-  sampled.warmup_refs = 200;
-  for (const SamplingPlan& plan : {SamplingPlan{}, sampled}) {
-    ExperimentOptions opts;
-    opts.scale = 32;
-    opts.refs_per_core = 2'000;
-    opts.benches = {BenchmarkId::kMcf, BenchmarkId::kAstar};
-    opts.sampling = plan;
-
-    const auto via_matrix = run_matrix(opts, columns);
-    SweepStats stats;
-    const auto via_sweep = sweep_matrix(opts, columns, &stats);
-    EXPECT_EQ(stats.cells, 4u);
-    EXPECT_EQ(stats.simulated, 4u);  // no cache configured
-    EXPECT_EQ(stats.cache_hits, 0u);
-    ASSERT_EQ(via_sweep.size(), via_matrix.size());
-    for (std::size_t b = 0; b < via_matrix.size(); ++b) {
-      ASSERT_EQ(via_sweep[b].size(), via_matrix[b].size());
-      for (std::size_t c = 0; c < via_matrix[b].size(); ++c) {
-        EXPECT_EQ(via_sweep[b][c].sampling.enabled, plan.enabled());
-        EXPECT_TRUE(stats_identical(via_matrix[b][c], via_sweep[b][c]))
-            << "bench " << b << " column " << c;
-      }
-    }
-  }
 }
 
 TEST(SweepAggregate, SensitivityTableAveragesOverOtherAxes) {

@@ -206,8 +206,11 @@ TEST(SgdKernel, ReadsRowsThenWritesThemBack) {
 
 TEST(HotCold, MostAccessesHitTheHotPrefix) {
   Region r{0x5000000, 4_MiB};
-  HotColdKernel k(r, /*hot_fraction_ppm=*/10'000, /*hot_access_ppm=*/900'000,
-                  /*burst_mean=*/1, /*write_ppm=*/0, 0x800, 19);
+  BurstWalkKernel<HotColdSampler> k(
+      r,
+      HotColdSampler(r.bytes / kDefaultLineBytes, /*hot_fraction_ppm=*/10'000,
+                     /*hot_access_ppm=*/900'000),
+      /*burst_mean=*/1, /*write_ppm=*/0, 0x800, 19);
   MemRef m;
   const Addr hot_end = r.base + (4_MiB / 100) ;  // hot = 1% of region
   int hot = 0;
@@ -241,10 +244,11 @@ std::vector<MemRef> take_refs(TraceSource& src, std::size_t n) {
 }
 
 // ------------------------------------------------------- kernel checkpoints
-// Restore rejects an address-bearing field the step could not have produced,
-// so a re-sealed checkpoint cannot make a kernel emit lines outside its
-// regions (possibly another core's).  Each test moves one saved field and
-// expects the kernel's load, and the owning trace's load, to fail.
+// Restore rejects a field the step could not have produced, so a re-sealed
+// checkpoint cannot make a kernel emit lines outside its regions (possibly
+// another core's), or restore a counter that turns the stream into a
+// different one.  Each test moves one saved field and expects the kernel's
+// load, and the owning trace's load, to fail.
 
 std::vector<std::uint8_t> saved_state(const Kernel& k) {
   ByteWriter w;
@@ -264,17 +268,33 @@ bool loads_with(Kernel& k, std::vector<std::uint8_t> bytes, std::size_t at,
   return loads(k, bytes);
 }
 
+// Loads `bytes` into `k` with the u32 at byte `at` replaced by `value`.
+bool loads_with_u32(Kernel& k, std::vector<std::uint8_t> bytes, std::size_t at,
+                    std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return loads(k, bytes);
+}
+
+// Offset of the first kernel's state in a SyntheticTrace's: the scheduler's
+// RNG, active component and burst count come first.
+constexpr std::size_t kFirstKernel = 32 + 8 + 8;
+
 // Saves core 0 of `id` after 10,000 references, adds `delta` to the u64 at
-// byte `at` of its first kernel's state, and loads that into a fresh trace.
+// byte `at` of its first kernel's state (or, with `from_trace_start`, of
+// the whole trace state), and loads that into a fresh trace.  A u32 field
+// followed by more state moves the same way as long as it does not carry.
 bool trace_loads_with_moved_field(BenchmarkId id, std::size_t at,
-                                  std::uint64_t delta) {
+                                  std::uint64_t delta,
+                                  bool from_trace_start = false) {
   auto src = make_workload(id, 0, 8, 777);
   take_refs(*src, 10'000);
   ByteWriter w;
   EXPECT_TRUE(src->ckpt_save_state(w));
   std::vector<std::uint8_t> bytes = w.take();
-  // The scheduler's RNG, active component and burst count come first.
-  std::uint8_t* field = bytes.data() + 32 + 8 + 8 + at;
+  std::uint8_t* field =
+      bytes.data() + (from_trace_start ? 0 : kFirstKernel) + at;
   store_le64(field, load_le64(field) + delta);
   auto fresh = make_workload(id, 0, 8, 777);
   ByteReader r(bytes.data(), bytes.size());
@@ -340,6 +360,78 @@ TEST(KernelCheckpoint, SparseGatherRejectsTargetOutsideVector) {
   EXPECT_TRUE(trace_loads_with_moved_field(BenchmarkId::kMilc, 48, 0));
   EXPECT_FALSE(
       trace_loads_with_moved_field(BenchmarkId::kMilc, 48, kNextCore));
+}
+
+// Counters are range-checked against what the step can leave behind.
+TEST(KernelCheckpoint, RejectsCountersTheStepNeverProduces) {
+  MemRef m;
+  const Region r{0x1000000, 1_MiB};
+  {
+    // Burst walks: RNG (32 bytes), then the u32 burst count.
+    auto zipf = [&] {
+      return BurstWalkKernel<ZipfSampler>(
+          r, ZipfSampler(r.bytes / kDefaultLineBytes, 4), 24, 0, 0x100, 3);
+    };
+    auto hot_cold = [&] {
+      return BurstWalkKernel<HotColdSampler>(
+          r, HotColdSampler(r.bytes / kDefaultLineBytes, 100'000, 900'000), 16,
+          0, 0x200, 5);
+    };
+    BurstWalkKernel<ZipfSampler> z = zipf();
+    BurstWalkKernel<HotColdSampler> h = hot_cold();
+    for (int i = 0; i < 100; ++i) {
+      z.next(m);
+      h.next(m);
+    }
+    BurstWalkKernel<ZipfSampler> fresh_z = zipf();
+    EXPECT_TRUE(loads_with_u32(fresh_z, saved_state(z), 32, 256));
+    EXPECT_FALSE(loads_with_u32(fresh_z, saved_state(z), 32, 257));
+    BurstWalkKernel<HotColdSampler> fresh_h = hot_cold();
+    EXPECT_TRUE(loads_with_u32(fresh_h, saved_state(h), 32, 256));
+    EXPECT_FALSE(loads_with_u32(fresh_h, saved_state(h), 32, 257));
+  }
+  {
+    // BFS: RNG, frontier and edge cursors, edges left, edges to the next
+    // visited-map check.
+    const Region frontier{0x100000, 64_KiB}, edges{0x200000, 1_MiB},
+        visited{0x300000, 64_KiB};
+    auto make = [&] {
+      return BfsKernel(frontier, edges, visited, 48, 3, 0x300, 7);
+    };
+    BfsKernel k = make();
+    for (int i = 0; i < 100; ++i) k.next(m);
+    const std::vector<std::uint8_t> bytes = saved_state(k);
+    BfsKernel fresh = make();
+    EXPECT_TRUE(loads_with_u32(fresh, bytes, 48, 512));
+    EXPECT_FALSE(loads_with_u32(fresh, bytes, 48, 513));
+    EXPECT_TRUE(loads_with_u32(fresh, bytes, 52, 3));
+    EXPECT_FALSE(loads_with_u32(fresh, bytes, 52, 4));
+  }
+  {
+    // Pointer chase: RNG, node, then the payload references left.
+    auto make = [&] { return PointerChaseKernel(r, 2, 0, 0x400, 9); };
+    PointerChaseKernel k = make();
+    for (int i = 0; i < 100; ++i) k.next(m);
+    const std::vector<std::uint8_t> bytes = saved_state(k);
+    PointerChaseKernel fresh = make();
+    EXPECT_TRUE(loads_with_u32(fresh, bytes, 40, 2 * 8));
+    EXPECT_FALSE(loads_with_u32(fresh, bytes, 40, 2 * 8 + 1));
+  }
+  // The same fields inside a workload's trace, each moved past its bound
+  // whatever it held: astar's first kernel is a Zipf burst walk, cactusADM's
+  // second (after the stencil's u64 cell and u32 point) a hot/cold one,
+  // blas's first the BFS, and mcf's first a pointer chase with one payload
+  // line.  The scheduler's own burst count (at byte 40) never exceeds 65,536.
+  EXPECT_TRUE(trace_loads_with_moved_field(BenchmarkId::kAstar, 32, 0));
+  EXPECT_FALSE(trace_loads_with_moved_field(BenchmarkId::kAstar, 32, 257));
+  EXPECT_FALSE(
+      trace_loads_with_moved_field(BenchmarkId::kCactusADM, 12 + 32, 257));
+  EXPECT_FALSE(trace_loads_with_moved_field(BenchmarkId::kBlas, 48, 513));
+  EXPECT_FALSE(trace_loads_with_moved_field(BenchmarkId::kBlas, 52, 4));
+  EXPECT_FALSE(trace_loads_with_moved_field(BenchmarkId::kMcf, 40, 9));
+  EXPECT_TRUE(trace_loads_with_moved_field(BenchmarkId::kMcf, 40, 0, true));
+  EXPECT_FALSE(
+      trace_loads_with_moved_field(BenchmarkId::kMcf, 40, 65'537, true));
 }
 
 // ---------------------------------------------------------------- workloads
