@@ -1,9 +1,10 @@
 #include "common/cli.h"
 
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cstdlib>
+
+#include "common/parse_number.h"
 
 namespace redhip {
 namespace {
@@ -109,20 +110,12 @@ Result<double> CliOptions::try_get_double(const std::string& name,
                                           double def) const {
   const std::string v = get(name, "");
   if (v.empty()) return def;
-  // strtod skips leading whitespace; reject it explicitly so the accepted
-  // grammar matches the integer accessors (the value, the whole value).
-  if (std::isspace(static_cast<unsigned char>(v[0]))) {
-    return bad_value(name, v, "expected a number");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) {
-    return bad_value(name, v, "expected a number");
-  }
-  if (errno == ERANGE) {
+  double out = 0.0;
+  const std::errc ec = parse_real(v, out);
+  if (ec == std::errc::result_out_of_range) {
     return bad_value(name, v, "number out of range");
   }
+  if (ec != std::errc()) return bad_value(name, v, "expected a number");
   return out;
 }
 

@@ -40,8 +40,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Convenience: run `tasks` to completion on a fresh pool.  Rethrows the
-  // first task failure after all tasks have run.
+  // Convenience: run `tasks` to completion on a fresh pool of
+  // min(threads, tasks.size()) workers (`threads` 0 = hardware
+  // concurrency).  Rethrows the first task failure after all tasks have
+  // run.
   static void run_all(std::vector<std::function<void()>> tasks,
                       std::size_t threads = 0);
 

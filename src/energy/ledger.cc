@@ -4,40 +4,32 @@
 
 namespace redhip {
 
+namespace {
+
+// Adds `b` into `a` field by field, over the record's field list.
+template <class T>
+T& add_fields(T& a, const T& b) {
+  std::apply(
+      [&b](auto&... x) {
+        std::apply([&x...](const auto&... y) { ((x += y), ...); },
+                   T::fields(b));
+      },
+      T::fields(a));
+  return a;
+}
+
+}  // namespace
+
 LevelEvents& LevelEvents::operator+=(const LevelEvents& o) {
-  tag_probes += o.tag_probes;
-  data_probes += o.data_probes;
-  fills += o.fills;
-  invalidations += o.invalidations;
-  writebacks += o.writebacks;
-  accesses += o.accesses;
-  hits += o.hits;
-  misses += o.misses;
-  evictions += o.evictions;
-  skipped += o.skipped;
-  return *this;
+  return add_fields(*this, o);
 }
 
 PredictorEvents& PredictorEvents::operator+=(const PredictorEvents& o) {
-  lookups += o.lookups;
-  updates += o.updates;
-  recalibrations += o.recalibrations;
-  recal_sets_read += o.recal_sets_read;
-  recal_words_written += o.recal_words_written;
-  predicted_absent += o.predicted_absent;
-  predicted_present += o.predicted_present;
-  false_positives += o.false_positives;
-  true_positives += o.true_positives;
-  return *this;
+  return add_fields(*this, o);
 }
 
 PrefetchEvents& PrefetchEvents::operator+=(const PrefetchEvents& o) {
-  table_lookups += o.table_lookups;
-  issued += o.issued;
-  useful += o.useful;
-  useless += o.useless;
-  redundant += o.redundant;
-  return *this;
+  return add_fields(*this, o);
 }
 
 double EnergyBreakdown::dynamic_total_j() const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "energy/params.h"
@@ -31,6 +32,14 @@ struct LevelEvents {
   std::uint64_t evictions = 0;
   std::uint64_t skipped = 0;  // lookups avoided by a predictor bypass
 
+  // Serialized fields in on-disk order (common/bytestream.h); operator+=
+  // sums the same list.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.tag_probes, s.data_probes, s.fills, s.invalidations,
+                    s.writebacks, s.accesses, s.hits, s.misses, s.evictions,
+                    s.skipped);
+  }
   LevelEvents& operator+=(const LevelEvents& o);
   bool operator==(const LevelEvents&) const = default;
 };
@@ -49,6 +58,12 @@ struct PredictorEvents {
   std::uint64_t false_positives = 0;  // predicted present, LLC missed
   std::uint64_t true_positives = 0;   // predicted present, LLC hit
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.lookups, s.updates, s.recalibrations, s.recal_sets_read,
+                    s.recal_words_written, s.predicted_absent,
+                    s.predicted_present, s.false_positives, s.true_positives);
+  }
   PredictorEvents& operator+=(const PredictorEvents& o);
   bool operator==(const PredictorEvents&) const = default;
 };
@@ -60,6 +75,11 @@ struct PrefetchEvents {
   std::uint64_t useless = 0;      // prefetched lines evicted untouched
   std::uint64_t redundant = 0;    // prefetch target already cached
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.table_lookups, s.issued, s.useful, s.useless,
+                    s.redundant);
+  }
   PrefetchEvents& operator+=(const PrefetchEvents& o);
   bool operator==(const PrefetchEvents&) const = default;
 };
@@ -73,6 +93,12 @@ struct EnergyBreakdown {
   double memory_j = 0.0;                // off-chip (0 in paper mode)
   double leakage_j = 0.0;               // all arrays, over the run time
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.level_dynamic_j, s.predictor_dynamic_j,
+                    s.recalibration_j, s.prefetcher_j, s.memory_j,
+                    s.leakage_j);
+  }
   double dynamic_total_j() const;
   double total_j() const { return dynamic_total_j() + leakage_j; }
   bool operator==(const EnergyBreakdown&) const = default;

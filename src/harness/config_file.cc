@@ -1,11 +1,12 @@
 #include "harness/config_file.h"
 
 #include <cctype>
-#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse_number.h"
 #include "energy/cacti_lite.h"
 
 namespace redhip {
@@ -29,41 +30,31 @@ std::string lower(std::string s) {
   return s;
 }
 
-// "32K" / "4M" / "1G" / plain integers.  `key` makes the diagnostic name
-// the offending key, not just the line.
-std::uint64_t parse_size(const std::string& v, int line_no,
-                         const std::string& key) {
-  if (v.empty()) fail(line_no, "key '" + key + "': empty numeric value");
-  std::uint64_t mult = 1;
-  std::string digits = v;
-  const char suffix = static_cast<char>(std::toupper(v.back()));
-  if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
-    mult = suffix == 'K' ? 1_KiB : suffix == 'M' ? 1_MiB : 1_GiB;
-    digits = v.substr(0, v.size() - 1);
+// "32K" / "4m" / "1G" / plain integers (binary magnitudes, either case)
+// into an unsigned field of any width.  A sign, a malformed value or one
+// past the field's width is an error naming the line and the key.
+template <class T>
+void parse_uint(T& field, const std::string& v, int line_no,
+                const std::string& key) {
+  std::string upper = v;
+  if (!upper.empty()) {
+    upper.back() = static_cast<char>(std::toupper(upper.back()));
   }
   std::uint64_t parsed = 0;
-  std::size_t pos = 0;
-  try {
-    parsed = std::stoull(digits, &pos);
-  } catch (const std::exception&) {
+  if (!parse_magnitude(upper, 1024, parsed)) {
     fail(line_no, "key '" + key + "': bad numeric value: " + v);
   }
-  if (pos != digits.size()) {
-    fail(line_no, "key '" + key + "': bad numeric value: " + v);
+  if (parsed > std::numeric_limits<T>::max()) {
+    fail(line_no, "key '" + key + "': " + v + " is larger than " +
+                      std::to_string(std::numeric_limits<T>::max()));
   }
-  return parsed * mult;
+  field = static_cast<T>(parsed);
 }
 
 double parse_double(const std::string& v, int line_no,
                     const std::string& key) {
   double parsed = 0.0;
-  std::size_t pos = 0;
-  try {
-    parsed = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    fail(line_no, "key '" + key + "': bad floating-point value: " + v);
-  }
-  if (pos != v.size()) {
+  if (parse_real(v, parsed) != std::errc()) {
     fail(line_no, "key '" + key + "': bad floating-point value: " + v);
   }
   return parsed;
@@ -164,7 +155,8 @@ HierarchyConfig parse_config_text(const std::string& text) {
 
     if (section.empty()) {
       if (key == "cores") {
-        const std::uint64_t cores = parse_size(value, line_no, key);
+        std::uint64_t cores = 0;
+        parse_uint(cores, value, line_no, key);
         if (cores < 1 || cores > HierarchyConfig::kMaxCores) {
           fail(line_no, "key 'cores': " + value + " is outside [1, " +
                             std::to_string(HierarchyConfig::kMaxCores) + "]");
@@ -177,7 +169,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
       } else if (key == "inclusion") {
         c.inclusion = parse_inclusion(value, line_no);
       } else if (key == "memory_latency") {
-        c.memory_latency = parse_size(value, line_no, key);
+        parse_uint(c.memory_latency, value, line_no, key);
       } else if (key == "memory_energy_nj") {
         c.memory_energy_nj = parse_double(value, line_no, key);
       } else if (key == "prefetch") {
@@ -187,21 +179,20 @@ HierarchyConfig parse_config_text(const std::string& text) {
       } else if (key == "model_writebacks") {
         c.model_writebacks = parse_bool(value, line_no, key);
       } else if (key == "seed") {
-        c.seed = parse_size(value, line_no, key);
+        parse_uint(c.seed, value, line_no, key);
       } else {
         fail(line_no, "unknown key: " + key);
       }
     } else if (section == "level") {
       PendingLevel& pl = levels.back();
       if (key == "size") {
-        pl.geom.size_bytes = parse_size(value, line_no, key);
+        parse_uint(pl.geom.size_bytes, value, line_no, key);
       } else if (key == "ways") {
-        pl.geom.ways = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(pl.geom.ways, value, line_no, key);
       } else if (key == "banks") {
-        pl.geom.banks = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(pl.geom.banks, value, line_no, key);
       } else if (key == "line_bytes") {
-        pl.geom.line_bytes =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(pl.geom.line_bytes, value, line_no, key);
       } else if (key == "replacement") {
         pl.geom.replacement = parse_replacement(value, line_no);
       } else if (key == "phased") {
@@ -213,12 +204,11 @@ HierarchyConfig parse_config_text(const std::string& text) {
       }
     } else if (section == "redhip") {
       if (key == "table_bits") {
-        c.redhip.table_bits = parse_size(value, line_no, key);
+        parse_uint(c.redhip.table_bits, value, line_no, key);
       } else if (key == "recal_interval") {
-        c.redhip.recal_interval_l1_misses = parse_size(value, line_no, key);
+        parse_uint(c.redhip.recal_interval_l1_misses, value, line_no, key);
       } else if (key == "banks") {
-        c.redhip.banks =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.redhip.banks, value, line_no, key);
       } else if (key == "recal_mode") {
         const std::string l = lower(value);
         if (l == "batch") {
@@ -233,31 +223,25 @@ HierarchyConfig parse_config_text(const std::string& text) {
       }
     } else if (section == "cbf") {
       if (key == "index_bits") {
-        c.cbf.index_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.cbf.index_bits, value, line_no, key);
       } else if (key == "counter_bits") {
-        c.cbf.counter_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.cbf.counter_bits, value, line_no, key);
       } else {
         fail(line_no, "unknown [cbf] key: " + key);
       }
     } else if (section == "partial_tag") {
       if (key == "partial_bits") {
-        c.partial_tag.partial_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.partial_tag.partial_bits, value, line_no, key);
       } else {
         fail(line_no, "unknown [partial_tag] key: " + key);
       }
     } else if (section == "prefetcher") {
       if (key == "index_bits") {
-        c.prefetcher.index_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.prefetcher.index_bits, value, line_no, key);
       } else if (key == "degree") {
-        c.prefetcher.degree =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.prefetcher.degree, value, line_no, key);
       } else if (key == "distance") {
-        c.prefetcher.distance =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.prefetcher.distance, value, line_no, key);
       } else {
         fail(line_no, "unknown [prefetcher] key: " + key);
       }
@@ -265,8 +249,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.fault.enabled = parse_bool(value, line_no, key);
       } else if (key == "rate_per_mref") {
-        c.fault.rate_per_mref =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.fault.rate_per_mref, value, line_no, key);
       } else if (key == "sites") {
         try {
           c.fault.site_mask = parse_fault_sites(value);
@@ -274,7 +257,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
           fail(line_no, "key 'sites': " + std::string(e.what()));
         }
       } else if (key == "seed") {
-        c.fault.seed = parse_size(value, line_no, key);
+        parse_uint(c.fault.seed, value, line_no, key);
       } else if (key == "transient") {
         c.fault.transient = parse_bool(value, line_no, key);
       } else {
@@ -301,9 +284,9 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.obs.enabled = parse_bool(value, line_no, key);
       } else if (key == "epoch_refs") {
-        c.obs.epoch_refs = parse_size(value, line_no, key);
+        parse_uint(c.obs.epoch_refs, value, line_no, key);
       } else if (key == "epoch_cycles") {
-        c.obs.epoch_cycles = parse_size(value, line_no, key);
+        parse_uint(c.obs.epoch_cycles, value, line_no, key);
       } else if (key == "trace_path") {
         c.obs.trace_path = value;
       } else if (key == "timing") {
@@ -315,13 +298,11 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.auto_disable.enabled = parse_bool(value, line_no, key);
       } else if (key == "epoch_refs") {
-        c.auto_disable.epoch_refs = parse_size(value, line_no, key);
+        parse_uint(c.auto_disable.epoch_refs, value, line_no, key);
       } else if (key == "min_l1_miss_ppm") {
-        c.auto_disable.min_l1_miss_ppm =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.auto_disable.min_l1_miss_ppm, value, line_no, key);
       } else if (key == "min_bypass_ppm") {
-        c.auto_disable.min_bypass_ppm =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_uint(c.auto_disable.min_bypass_ppm, value, line_no, key);
       } else {
         fail(line_no, "unknown [auto_disable] key: " + key);
       }

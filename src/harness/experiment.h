@@ -20,6 +20,9 @@ struct ExperimentOptions {
   std::uint64_t seed = 42;
   bool csv = false;
   std::size_t jobs = 0;  // 0 = hardware concurrency
+  // The largest --jobs accepted.  A pool never starts more workers than it
+  // has cells (ThreadPool::run_all); the bound turns a typo into an error.
+  static constexpr std::size_t kMaxJobs = 4096;
   std::vector<BenchmarkId> benches;
   // Observability (src/obs): when `trace_events` names a directory, every
   // matrix cell runs with obs enabled and writes its JSONL event trace to
@@ -60,8 +63,9 @@ struct ExperimentOptions {
   // REDHIP_BENCH_* environment equivalents).  --bench limits the workload
   // list to one named benchmark.  refs and seed are parsed with full 64-bit
   // range (a seed is an arbitrary u64, and ref counts past 2^31 are
-  // legitimate).  The retired run-loop selector is rejected with
-  // INVALID_ARGUMENT.
+  // legitimate); --scale must lie in [1, 2^32-1] and --jobs in [0,
+  // kMaxJobs].  A sign on an unsigned flag, a value out of its range and
+  // the retired run-loop selector are rejected with INVALID_ARGUMENT.
   static ExperimentOptions parse(const CliOptions& cli);
 };
 

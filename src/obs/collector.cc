@@ -185,38 +185,6 @@ void ObsCollector::on_rolling_pass(std::uint64_t bits_set) {
   w.emit(*sink_);
 }
 
-namespace {
-
-void save_snapshot(ByteWriter& w, const ObsSnapshot& s) {
-  w.u64(s.l1_accesses);
-  w.u64(s.l1_misses);
-  w.u64(s.lookups);
-  w.u64(s.predicted_absent);
-  w.u64(s.predicted_present);
-  w.u64(s.true_positives);
-  w.u64(s.false_positives);
-  w.u64(s.recalibrations);
-  w.u64(s.invariant_violations);
-  w.u64(s.pt_occupancy);
-  w.boolean(s.predictor_active);
-}
-
-void load_snapshot(ByteReader& r, ObsSnapshot& s) {
-  s.l1_accesses = r.u64();
-  s.l1_misses = r.u64();
-  s.lookups = r.u64();
-  s.predicted_absent = r.u64();
-  s.predicted_present = r.u64();
-  s.true_positives = r.u64();
-  s.false_positives = r.u64();
-  s.recalibrations = r.u64();
-  s.invariant_violations = r.u64();
-  s.pt_occupancy = r.u64();
-  s.predictor_active = r.boolean();
-}
-
-}  // namespace
-
 void ObsCollector::ckpt_enable_capture() {
   if (capture_ != nullptr) return;
   auto capture = std::make_unique<CaptureEventSink>(std::move(sink_));
@@ -228,26 +196,8 @@ void ObsCollector::ckpt_save(ByteWriter& w) const {
   w.u64(total_refs_);
   w.u64(epoch_refs_);
   w.u64(epoch_start_cycles_);
-  save_snapshot(w, prev_);
-  w.u64(epochs_.size());
-  for (const EpochSample& e : epochs_) {
-    w.u64(e.index);
-    w.u64(e.end_ref);
-    w.u64(e.end_cycles);
-    w.u64(e.refs);
-    w.u64(e.l1_accesses);
-    w.u64(e.l1_misses);
-    w.u64(e.lookups);
-    w.u64(e.predicted_absent);
-    w.u64(e.predicted_present);
-    w.u64(e.tp);
-    w.u64(e.fp);
-    w.u64(e.tn);
-    w.u64(e.fn);
-    w.u64(e.recalibrations);
-    w.u64(e.pt_occupancy);
-    w.boolean(e.predictor_active);
-  }
+  w.put(prev_);
+  w.put(epochs_);
   metrics_.ckpt_save(w);
   w.str(capture_ != nullptr ? capture_->captured() : std::string());
 }
@@ -256,28 +206,8 @@ bool ObsCollector::ckpt_load(ByteReader& r) {
   total_refs_ = r.u64();
   epoch_refs_ = r.u64();
   epoch_start_cycles_ = r.u64();
-  load_snapshot(r, prev_);
-  const std::uint64_t n = r.u64();
-  if (!r.ok() || n > kMaxVectorLen) return false;
-  epochs_.resize(n);
-  for (EpochSample& e : epochs_) {
-    e.index = r.u64();
-    e.end_ref = r.u64();
-    e.end_cycles = r.u64();
-    e.refs = r.u64();
-    e.l1_accesses = r.u64();
-    e.l1_misses = r.u64();
-    e.lookups = r.u64();
-    e.predicted_absent = r.u64();
-    e.predicted_present = r.u64();
-    e.tp = r.u64();
-    e.fp = r.u64();
-    e.tn = r.u64();
-    e.fn = r.u64();
-    e.recalibrations = r.u64();
-    e.pt_occupancy = r.u64();
-    e.predictor_active = r.boolean();
-  }
+  r.get(prev_);
+  r.get(epochs_);
   if (!metrics_.ckpt_load(r)) return false;
   std::string prefix = r.str();
   if (!r.ok()) return false;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/bytestream.h"
 #include "obs/epoch.h"
@@ -44,6 +45,15 @@ struct ObsSnapshot {
   std::uint64_t invariant_violations = 0;
   std::uint64_t pt_occupancy = 0;  // RedhipTable::bits_set(), 0 otherwise
   bool predictor_active = true;
+
+  // Serialized fields in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.l1_accesses, s.l1_misses, s.lookups, s.predicted_absent,
+                    s.predicted_present, s.true_positives, s.false_positives,
+                    s.recalibrations, s.invariant_violations, s.pt_occupancy,
+                    s.predictor_active);
+  }
 };
 
 // Static facts about the run, emitted once as the run_begin event.  All

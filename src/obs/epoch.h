@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace redhip {
@@ -38,6 +39,14 @@ struct EpochSample {
   std::uint64_t pt_occupancy = 0;    // presence-table bits set at close
   bool predictor_active = true;      // auto-disable state at close
 
+  // Serialized fields in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.index, s.end_ref, s.end_cycles, s.refs, s.l1_accesses,
+                    s.l1_misses, s.lookups, s.predicted_absent,
+                    s.predicted_present, s.tp, s.fp, s.tn, s.fn,
+                    s.recalibrations, s.pt_occupancy, s.predictor_active);
+  }
   friend bool operator==(const EpochSample&, const EpochSample&) = default;
 };
 

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bytestream.h"
@@ -62,19 +63,10 @@ class MetricsRegistry {
   // --- Checkpoint ----------------------------------------------------------
   // The per-core counters and histograms feed the run_end trace event, so
   // they are part of the bit-identity contract and must survive a restore.
-  void ckpt_save(ByteWriter& w) const {
-    w.u64(slots_.size());
-    for (const CoreSlot& s : slots_) {
-      for (std::uint64_t c : s.counters) w.u64(c);
-      for (std::uint64_t l : s.latency) w.u64(l);
-    }
-  }
+  void ckpt_save(ByteWriter& w) const { w.put(slots_); }
   bool ckpt_load(ByteReader& r) {
     if (r.u64() != slots_.size()) return false;
-    for (CoreSlot& s : slots_) {
-      for (std::uint64_t& c : s.counters) c = r.u64();
-      for (std::uint64_t& l : s.latency) l = r.u64();
-    }
+    for (CoreSlot& s : slots_) r.get(s);
     return r.ok();
   }
 
@@ -82,6 +74,11 @@ class MetricsRegistry {
   struct alignas(64) CoreSlot {
     std::uint64_t counters[static_cast<std::uint32_t>(ObsCounter::kCount)] = {};
     std::uint64_t latency[kHistogramBuckets] = {};
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.counters, s.latency);
+    }
   };
   std::vector<CoreSlot> slots_;
 };

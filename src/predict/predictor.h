@@ -58,27 +58,9 @@ class LlcPredictor {
   // their structures, and must read back exactly what they wrote.
   // ckpt_load returns false on any structural mismatch (the payload was
   // written by a differently-configured predictor).
-  virtual void ckpt_save(ByteWriter& w) const {
-    w.u64(events_.lookups);
-    w.u64(events_.updates);
-    w.u64(events_.recalibrations);
-    w.u64(events_.recal_sets_read);
-    w.u64(events_.recal_words_written);
-    w.u64(events_.predicted_absent);
-    w.u64(events_.predicted_present);
-    w.u64(events_.false_positives);
-    w.u64(events_.true_positives);
-  }
+  virtual void ckpt_save(ByteWriter& w) const { w.put(events_); }
   virtual bool ckpt_load(ByteReader& r) {
-    events_.lookups = r.u64();
-    events_.updates = r.u64();
-    events_.recalibrations = r.u64();
-    events_.recal_sets_read = r.u64();
-    events_.recal_words_written = r.u64();
-    events_.predicted_absent = r.u64();
-    events_.predicted_present = r.u64();
-    events_.false_positives = r.u64();
-    events_.true_positives = r.u64();
+    r.get(events_);
     return r.ok();
   }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/bitops.h"
@@ -52,42 +53,20 @@ class StridePrefetcher {
 
   // Introspection for tests.
   enum class State : std::uint8_t { kInitial, kTransient, kSteady };
+  friend constexpr State last_enumerator(State) { return State::kSteady; }
   State state_of(std::uint32_t pc) const;
   std::int64_t stride_of(std::uint32_t pc) const;
 
   // Checkpoint/restore: the reference prediction table plus the event
   // counters are the prefetcher's complete state.
   void ckpt_save(ByteWriter& w) const {
-    w.u64(table_.size());
-    for (const Entry& e : table_) {
-      w.u32(e.tag);
-      w.u8(e.valid ? 1 : 0);
-      w.u8(static_cast<std::uint8_t>(e.state));
-      w.u64(e.last_addr);
-      w.i64(e.stride);
-    }
-    w.u64(events_.table_lookups);
-    w.u64(events_.issued);
-    w.u64(events_.useful);
-    w.u64(events_.useless);
-    w.u64(events_.redundant);
+    w.put(table_);
+    w.put(events_);
   }
   bool ckpt_load(ByteReader& r) {
     if (r.u64() != table_.size()) return false;
-    for (Entry& e : table_) {
-      e.tag = r.u32();
-      e.valid = r.u8() != 0;
-      const std::uint8_t s = r.u8();
-      if (s > static_cast<std::uint8_t>(State::kSteady)) return false;
-      e.state = static_cast<State>(s);
-      e.last_addr = r.u64();
-      e.stride = r.i64();
-    }
-    events_.table_lookups = r.u64();
-    events_.issued = r.u64();
-    events_.useful = r.u64();
-    events_.useless = r.u64();
-    events_.redundant = r.u64();
+    for (Entry& e : table_) r.get(e);
+    r.get(events_);
     return r.ok();
   }
 
@@ -98,6 +77,11 @@ class StridePrefetcher {
     State state = State::kInitial;
     Addr last_addr = 0;
     std::int64_t stride = 0;
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.tag, s.valid, s.state, s.last_addr, s.stride);
+    }
   };
 
   std::uint64_t index_of(std::uint32_t pc) const {

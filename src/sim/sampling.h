@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +26,9 @@
 namespace redhip {
 
 enum class SampleMode : std::uint8_t { kOff = 0, kInterval = 1 };
+constexpr SampleMode last_enumerator(SampleMode) {
+  return SampleMode::kInterval;
+}
 
 const char* to_string(SampleMode m);
 
@@ -46,6 +50,11 @@ struct SamplingPlan {
   // periods complete — one window has no variance, hence no interval.
   Status validate(std::uint64_t refs_per_core) const;
 
+  // Serialized fields in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.mode, s.period_refs, s.window_refs, s.warmup_refs);
+  }
   bool operator==(const SamplingPlan&) const = default;
 };
 
@@ -61,6 +70,11 @@ struct SampleSnapshot {
   std::uint64_t l1_hits = 0;
   double energy_j = 0.0;  // counters priced cumulatively (ledger is linear)
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.refs, s.core_cycles, s.max_clock, s.l1_accesses,
+                    s.l1_hits, s.energy_j);
+  }
   bool operator==(const SampleSnapshot&) const = default;
 };
 
@@ -75,6 +89,11 @@ struct WindowSample {
   std::uint64_t l1_hits = 0;
   double energy_j = 0.0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.index, s.start_refs, s.refs, s.core_cycles,
+                    s.l1_accesses, s.l1_hits, s.energy_j);
+  }
   bool operator==(const WindowSample&) const = default;
 };
 

@@ -1104,37 +1104,8 @@ SampleSnapshot MulticoreSimulator::sample_snapshot() const {
   }
   s.l1_accesses = events_[0].accesses;
   s.l1_hits = events_[0].hits;
-  s.energy_j = sample_cumulative_energy_j(s.max_clock);
+  s.energy_j = price_counters(s.max_clock).energy.total_j();
   return s;
-}
-
-double MulticoreSimulator::sample_cumulative_energy_j(Cycles max_clock) const {
-  // EnergyLedger::price is linear in every counter and in elapsed_seconds,
-  // so pricing the cumulative state at each window boundary makes window
-  // energy an exact difference — identical to pricing the window's deltas.
-  std::vector<LevelEnergyParams> level_params;
-  for (const auto& lvl : config_.levels) level_params.push_back(lvl.energy);
-  const PredictorEnergyParams pred_params = config_.scheme == Scheme::kCbf
-                                                ? config_.cbf.energy
-                                                : config_.redhip.energy;
-  EnergyLedger ledger(std::move(level_params), pred_params, config_.cores,
-                      /*shared_last_level=*/true, config_.charge_fill_energy);
-  PredictorEvents pred;
-  if (llc_pred_) pred = llc_pred_->events();
-  for (const auto& per_core : excl_pred_) {
-    for (const auto& t : per_core) {
-      if (t) pred += t->events();
-    }
-  }
-  if (excl_shared_pred_) pred += excl_shared_pred_->events();
-  PrefetchEvents pf = prefetch_events_;
-  for (const auto& p : prefetchers_) pf += p->events();
-  const double elapsed =
-      static_cast<double>(max_clock) / (config_.freq_ghz * 1e9);
-  return ledger
-      .price(events_, pred, pf, memory_accesses_ + memory_writebacks_,
-             config_.memory_energy_nj, elapsed, predictor_leakage_w_)
-      .total_j();
 }
 
 void MulticoreSimulator::sample_close_window(std::uint64_t window_index) {
@@ -1228,6 +1199,35 @@ ObsSnapshot MulticoreSimulator::obs_snapshot() const {
   return s;
 }
 
+MulticoreSimulator::Priced MulticoreSimulator::price_counters(
+    Cycles max_clock) const {
+  Priced p;
+  if (llc_pred_) p.predictor = llc_pred_->events();
+  for (const auto& per_core : excl_pred_) {
+    for (const auto& t : per_core) {
+      if (t) p.predictor += t->events();
+    }
+  }
+  if (excl_shared_pred_) p.predictor += excl_shared_pred_->events();
+  p.prefetch = prefetch_events_;
+  for (const auto& pf : prefetchers_) p.prefetch += pf->events();
+  p.elapsed_seconds =
+      static_cast<double>(max_clock) / (config_.freq_ghz * 1e9);
+  std::vector<LevelEnergyParams> level_params;
+  for (const auto& lvl : config_.levels) level_params.push_back(lvl.energy);
+  const PredictorEnergyParams pred_params = config_.scheme == Scheme::kCbf
+                                                ? config_.cbf.energy
+                                                : config_.redhip.energy;
+  const EnergyLedger ledger(std::move(level_params), pred_params,
+                            config_.cores, /*shared_last_level=*/true,
+                            config_.charge_fill_energy);
+  p.energy = ledger.price(events_, p.predictor, p.prefetch,
+                          memory_accesses_ + memory_writebacks_,
+                          config_.memory_energy_nj, p.elapsed_seconds,
+                          predictor_leakage_w_);
+  return p;
+}
+
 SimResult MulticoreSimulator::finalize_result() {
   if (obs_ != nullptr) {
     // Close the final (possibly partial) epoch at the run's end time — the
@@ -1242,17 +1242,6 @@ SimResult MulticoreSimulator::finalize_result() {
                                   : std::chrono::steady_clock::time_point{};
   SimResult r;
   r.levels = events_;
-  if (llc_pred_) {
-    r.predictor = llc_pred_->events();
-  }
-  for (const auto& per_core : excl_pred_) {
-    for (const auto& t : per_core) {
-      if (t) r.predictor += t->events();
-    }
-  }
-  if (excl_shared_pred_) r.predictor += excl_shared_pred_->events();
-  r.prefetch = prefetch_events_;
-  for (const auto& pf : prefetchers_) r.prefetch += pf->events();
   r.memory_accesses = memory_accesses_;
   r.demand_memory_accesses = demand_memory_accesses_;
   r.memory_writebacks = memory_writebacks_;
@@ -1271,21 +1260,11 @@ SimResult MulticoreSimulator::finalize_result() {
     r.total_core_cycles += clock;
     r.total_refs += cs.refs_done;
   }
-  r.elapsed_seconds =
-      static_cast<double>(r.exec_cycles) / (config_.freq_ghz * 1e9);
-
-  std::vector<LevelEnergyParams> level_params;
-  for (const auto& lvl : config_.levels) level_params.push_back(lvl.energy);
-  const PredictorEnergyParams pred_params = config_.scheme == Scheme::kCbf
-                                                ? config_.cbf.energy
-                                                : config_.redhip.energy;
-  EnergyLedger ledger(std::move(level_params), pred_params, config_.cores,
-                      /*shared_last_level=*/true,
-                      config_.charge_fill_energy);
-  r.energy = ledger.price(r.levels, r.predictor, r.prefetch,
-                          r.memory_accesses + r.memory_writebacks,
-                          config_.memory_energy_nj, r.elapsed_seconds,
-                          predictor_leakage_w_);
+  Priced priced = price_counters(r.exec_cycles);
+  r.predictor = priced.predictor;
+  r.prefetch = priced.prefetch;
+  r.elapsed_seconds = priced.elapsed_seconds;
+  r.energy = std::move(priced.energy);
   if (obs_ != nullptr) {
     r.epochs = obs_->epochs();
     r.obs_timing = obs_->timing();

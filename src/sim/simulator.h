@@ -244,6 +244,18 @@ class MulticoreSimulator {
   void segment(std::uint64_t target_refs_per_core);
   // Shared epilogue: aggregate events, price energy, apply the stall offset.
   SimResult finalize_result();
+  // The one pricing path: the predictor and prefetch events summed over
+  // every table, and the current counters priced over `max_clock` cycles.
+  // finalize_result prices the whole run with it; a sampled run prices the
+  // cumulative counters at each window boundary (the ledger is linear, so
+  // a window's energy is the difference of two boundary prices).
+  struct Priced {
+    PredictorEvents predictor;
+    PrefetchEvents prefetch;
+    double elapsed_seconds = 0.0;
+    EnergyBreakdown energy;
+  };
+  Priced price_counters(Cycles max_clock) const;
 
   // --- Statistical sampling machinery (see run_sampled in simulator.cc) ------
   // The skip/warm/measure orchestrator; each measurement window is one
@@ -256,9 +268,6 @@ class MulticoreSimulator {
   // per-reference observability and auto-disable epoch ticking frozen.
   void sample_warm_to(std::uint64_t target_refs_per_core);
   SampleSnapshot sample_snapshot() const;
-  // Current counters priced cumulatively (the ledger is linear, so window
-  // energy is the difference of two boundary prices).
-  double sample_cumulative_energy_j(Cycles max_clock) const;
   void sample_close_window(std::uint64_t window_index);
 
   // Mark cores that have reached `max_refs_per_core` exhausted and build the

@@ -3,17 +3,7 @@
 namespace redhip {
 
 bool stats_identical(const SimResult& a, const SimResult& b) {
-  return a.levels == b.levels && a.predictor == b.predictor &&
-         a.prefetch == b.prefetch && a.memory_accesses == b.memory_accesses &&
-         a.demand_memory_accesses == b.demand_memory_accesses &&
-         a.memory_writebacks == b.memory_writebacks &&
-         a.core_cycles == b.core_cycles && a.exec_cycles == b.exec_cycles &&
-         a.total_core_cycles == b.total_core_cycles &&
-         a.recal_stall_cycles == b.recal_stall_cycles &&
-         a.total_refs == b.total_refs &&
-         a.predictor_disabled_refs == b.predictor_disabled_refs &&
-         a.fault == b.fault && a.elapsed_seconds == b.elapsed_seconds &&
-         a.energy == b.energy && a.epochs == b.epochs &&
+  return SimResult::fields(a) == SimResult::fields(b) &&
          a.sampling == b.sampling;
 }
 

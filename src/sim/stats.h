@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/types.h"
@@ -69,6 +70,19 @@ struct SimResult {
   // Host-side phase timings from the observability layer; excluded from
   // stats_identical for the same reason.
   ObsTiming obs_timing;
+
+  // Every simulated field but `sampling`, in the sweep cache's on-disk
+  // order (common/bytestream.h).  The cache stores the sampling report's
+  // raw windows after these and recomputes its estimates on load.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.levels, s.predictor, s.prefetch, s.memory_accesses,
+                    s.demand_memory_accesses, s.memory_writebacks,
+                    s.core_cycles, s.exec_cycles, s.total_core_cycles,
+                    s.recal_stall_cycles, s.total_refs,
+                    s.predictor_disabled_refs, s.fault, s.elapsed_seconds,
+                    s.energy, s.epochs);
+  }
 
   // Rate conventions for degenerate runs: a level with zero accesses has
   // hit rate 0.0 *and* miss rate 0.0 (nothing happened — neither "all hit"

@@ -1,10 +1,10 @@
 #include "sweep/axes.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 
 #include "common/bitops.h"
+#include "common/parse_number.h"
 #include "energy/cacti_lite.h"
 
 namespace redhip {
@@ -27,28 +27,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
-}
-
-// A decimal integer with an optional K/M/G suffix worth unit^1/2/3.
-// Fails closed on malformed text and on a value past 2^64-1 (the multiply
-// is checked, so "20000000000G" is an error rather than a wrapped number).
-bool parse_magnitude(const std::string& v, std::uint64_t unit,
-                     std::uint64_t& out) {
-  if (v.empty()) return false;
-  std::uint64_t mult = 1;
-  std::size_t digits = v.size();
-  switch (v.back()) {
-    case 'K': mult = unit; --digits; break;
-    case 'M': mult = unit * unit; --digits; break;
-    case 'G': mult = unit * unit * unit; --digits; break;
-    default: break;
-  }
-  if (digits == 0) return false;
-  std::uint64_t base = 0;
-  const char* begin = v.data();
-  const auto [ptr, ec] = std::from_chars(begin, begin + digits, base);
-  if (ec != std::errc() || ptr != begin + digits) return false;
-  return !__builtin_mul_overflow(base, mult, &out);
 }
 
 // "512K" / "2M" / "64" with binary (KiB/MiB/GiB) magnitudes — sizes.

@@ -15,246 +15,47 @@ namespace {
 constexpr FileEnvelope kEnvelope{"RDHPSWPC", kSweepCacheSchemaVersion,
                                  "sweep cache"};
 
-void write_level(ByteWriter& w, const LevelEvents& ev) {
-  w.u64(ev.tag_probes);
-  w.u64(ev.data_probes);
-  w.u64(ev.fills);
-  w.u64(ev.invalidations);
-  w.u64(ev.writebacks);
-  w.u64(ev.accesses);
-  w.u64(ev.hits);
-  w.u64(ev.misses);
-  w.u64(ev.evictions);
-  w.u64(ev.skipped);
-}
-
-void read_level(ByteReader& r, LevelEvents& ev) {
-  ev.tag_probes = r.u64();
-  ev.data_probes = r.u64();
-  ev.fills = r.u64();
-  ev.invalidations = r.u64();
-  ev.writebacks = r.u64();
-  ev.accesses = r.u64();
-  ev.hits = r.u64();
-  ev.misses = r.u64();
-  ev.evictions = r.u64();
-  ev.skipped = r.u64();
-}
-
 }  // namespace
 
 std::string serialize_result(const SimResult& r) {
   ByteWriter w;
-  w.u64(r.levels.size());
-  for (const LevelEvents& ev : r.levels) write_level(w, ev);
-
-  w.u64(r.predictor.lookups);
-  w.u64(r.predictor.updates);
-  w.u64(r.predictor.recalibrations);
-  w.u64(r.predictor.recal_sets_read);
-  w.u64(r.predictor.recal_words_written);
-  w.u64(r.predictor.predicted_absent);
-  w.u64(r.predictor.predicted_present);
-  w.u64(r.predictor.false_positives);
-  w.u64(r.predictor.true_positives);
-
-  w.u64(r.prefetch.table_lookups);
-  w.u64(r.prefetch.issued);
-  w.u64(r.prefetch.useful);
-  w.u64(r.prefetch.useless);
-  w.u64(r.prefetch.redundant);
-
-  w.u64(r.memory_accesses);
-  w.u64(r.demand_memory_accesses);
-  w.u64(r.memory_writebacks);
-
-  w.u64(r.core_cycles.size());
-  for (Cycles c : r.core_cycles) w.u64(c);
-  w.u64(r.exec_cycles);
-  w.u64(r.total_core_cycles);
-  w.u64(r.recal_stall_cycles);
-  w.u64(r.total_refs);
-  w.u64(r.predictor_disabled_refs);
-
-  w.u64(r.fault.pt_bits_cleared);
-  w.u64(r.fault.pt_bits_set);
-  w.u64(r.fault.recal_chunks_dropped);
-  w.u64(r.fault.trace_refs_perturbed);
-  w.u64(r.fault.audit_checks);
-  w.u64(r.fault.invariant_violations);
-  w.u64(r.fault.recovery_recalibrations);
-  w.u64(r.fault.recovery_stall_cycles);
-
-  w.f64(r.elapsed_seconds);
-
-  w.u64(r.energy.level_dynamic_j.size());
-  for (double v : r.energy.level_dynamic_j) w.f64(v);
-  w.f64(r.energy.predictor_dynamic_j);
-  w.f64(r.energy.recalibration_j);
-  w.f64(r.energy.prefetcher_j);
-  w.f64(r.energy.memory_j);
-  w.f64(r.energy.leakage_j);
-
-  w.u64(r.epochs.size());
-  for (const EpochSample& e : r.epochs) {
-    w.u64(e.index);
-    w.u64(e.end_ref);
-    w.u64(e.end_cycles);
-    w.u64(e.refs);
-    w.u64(e.l1_accesses);
-    w.u64(e.l1_misses);
-    w.u64(e.lookups);
-    w.u64(e.predicted_absent);
-    w.u64(e.predicted_present);
-    w.u64(e.tp);
-    w.u64(e.fp);
-    w.u64(e.tn);
-    w.u64(e.fn);
-    w.u64(e.recalibrations);
-    w.u64(e.pt_occupancy);
-    w.u8(e.predictor_active ? 1 : 0);
-  }
-
-  // Sampling report (schema v2).  Plan + aggregate counts + per-window
-  // samples; the estimates are recomputed on load (pure function of the
+  w.put(r);
+  // Sampling report (schema v2): plan, aggregate counts and per-window
+  // samples.  The estimates are recomputed on load (a pure function of the
   // windows), so the payload stores only the raw data.
-  w.u8(r.sampling.enabled ? 1 : 0);
+  w.boolean(r.sampling.enabled);
   if (r.sampling.enabled) {
-    w.u8(static_cast<std::uint8_t>(r.sampling.plan.mode));
-    w.u64(r.sampling.plan.period_refs);
-    w.u64(r.sampling.plan.window_refs);
-    w.u64(r.sampling.plan.warmup_refs);
+    w.put(r.sampling.plan);
     w.u64(r.sampling.skipped_refs);
     w.u64(r.sampling.warmed_refs);
-    w.u64(r.sampling.window_samples.size());
-    for (const WindowSample& ws : r.sampling.window_samples) {
-      w.u64(ws.index);
-      w.u64(ws.start_refs);
-      w.u64(ws.refs);
-      w.u64(ws.core_cycles);
-      w.u64(ws.l1_accesses);
-      w.u64(ws.l1_hits);
-      w.f64(ws.energy_j);
-    }
+    w.put(r.sampling.window_samples);
   }
-
   const std::vector<std::uint8_t>& buf = w.buffer();
   return std::string(buf.begin(), buf.end());
 }
 
 Result<SimResult> deserialize_result(const std::string& payload) {
-  const Status bad(StatusCode::kDataLoss,
-                   "sweep cache payload: truncated or malformed");
   ByteReader r(reinterpret_cast<const std::uint8_t*>(payload.data()),
                payload.size());
   SimResult out;
-
-  std::uint64_t n = r.u64();
-  if (!r.ok() || n > kMaxVectorLen) return bad;
-  out.levels.resize(n);
-  for (LevelEvents& ev : out.levels) read_level(r, ev);
-
-  out.predictor.lookups = r.u64();
-  out.predictor.updates = r.u64();
-  out.predictor.recalibrations = r.u64();
-  out.predictor.recal_sets_read = r.u64();
-  out.predictor.recal_words_written = r.u64();
-  out.predictor.predicted_absent = r.u64();
-  out.predictor.predicted_present = r.u64();
-  out.predictor.false_positives = r.u64();
-  out.predictor.true_positives = r.u64();
-
-  out.prefetch.table_lookups = r.u64();
-  out.prefetch.issued = r.u64();
-  out.prefetch.useful = r.u64();
-  out.prefetch.useless = r.u64();
-  out.prefetch.redundant = r.u64();
-
-  out.memory_accesses = r.u64();
-  out.demand_memory_accesses = r.u64();
-  out.memory_writebacks = r.u64();
-
-  n = r.u64();
-  if (!r.ok() || n > kMaxVectorLen) return bad;
-  out.core_cycles.resize(n);
-  for (Cycles& c : out.core_cycles) c = r.u64();
-  out.exec_cycles = r.u64();
-  out.total_core_cycles = r.u64();
-  out.recal_stall_cycles = r.u64();
-  out.total_refs = r.u64();
-  out.predictor_disabled_refs = r.u64();
-
-  out.fault.pt_bits_cleared = r.u64();
-  out.fault.pt_bits_set = r.u64();
-  out.fault.recal_chunks_dropped = r.u64();
-  out.fault.trace_refs_perturbed = r.u64();
-  out.fault.audit_checks = r.u64();
-  out.fault.invariant_violations = r.u64();
-  out.fault.recovery_recalibrations = r.u64();
-  out.fault.recovery_stall_cycles = r.u64();
-
-  out.elapsed_seconds = r.f64();
-
-  n = r.u64();
-  if (!r.ok() || n > kMaxVectorLen) return bad;
-  out.energy.level_dynamic_j.resize(n);
-  for (double& v : out.energy.level_dynamic_j) v = r.f64();
-  out.energy.predictor_dynamic_j = r.f64();
-  out.energy.recalibration_j = r.f64();
-  out.energy.prefetcher_j = r.f64();
-  out.energy.memory_j = r.f64();
-  out.energy.leakage_j = r.f64();
-
-  n = r.u64();
-  if (!r.ok() || n > kMaxVectorLen) return bad;
-  out.epochs.resize(n);
-  for (EpochSample& e : out.epochs) {
-    e.index = r.u64();
-    e.end_ref = r.u64();
-    e.end_cycles = r.u64();
-    e.refs = r.u64();
-    e.l1_accesses = r.u64();
-    e.l1_misses = r.u64();
-    e.lookups = r.u64();
-    e.predicted_absent = r.u64();
-    e.predicted_present = r.u64();
-    e.tp = r.u64();
-    e.fp = r.u64();
-    e.tn = r.u64();
-    e.fn = r.u64();
-    e.recalibrations = r.u64();
-    e.pt_occupancy = r.u64();
-    e.predictor_active = r.u8() != 0;
-  }
-
-  if (r.u8() != 0) {
+  r.get(out);
+  if (r.boolean()) {
     SamplingPlan plan;
-    plan.mode = static_cast<SampleMode>(r.u8());
-    plan.period_refs = r.u64();
-    plan.window_refs = r.u64();
-    plan.warmup_refs = r.u64();
+    r.get(plan);
     const std::uint64_t skipped = r.u64();
     const std::uint64_t warmed = r.u64();
-    n = r.u64();
-    if (!r.ok() || n > kMaxVectorLen) return bad;
-    std::vector<WindowSample> windows(n);
-    for (WindowSample& ws : windows) {
-      ws.index = r.u64();
-      ws.start_refs = r.u64();
-      ws.refs = r.u64();
-      ws.core_cycles = r.u64();
-      ws.l1_accesses = r.u64();
-      ws.l1_hits = r.u64();
-      ws.energy_j = r.f64();
+    std::vector<WindowSample> windows;
+    r.get(windows);
+    if (r.ok()) {
+      out.sampling = build_sampling_report(
+          plan, windows, skipped, warmed, out.total_refs,
+          static_cast<std::uint32_t>(out.core_cycles.size()));
     }
-    if (!r.ok()) return bad;
-    out.sampling = build_sampling_report(plan, windows, skipped, warmed,
-                                         out.total_refs,
-                                         static_cast<std::uint32_t>(
-                                             out.core_cycles.size()));
   }
-
-  if (!r.ok()) return bad;
+  if (!r.ok()) {
+    return Status(StatusCode::kDataLoss,
+                  "sweep cache payload: truncated or malformed");
+  }
   if (!r.exhausted()) {
     return Status(StatusCode::kDataLoss,
                   "sweep cache payload: trailing bytes after result");

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 
 #include "common/bytestream.h"
 #include "common/rng.h"
@@ -23,17 +24,6 @@
 #include "trace/mem_ref.h"
 
 namespace redhip {
-
-// Xoshiro256 state round-trip for kernel/scheduler checkpointing: a
-// restored stream continues the exact output sequence (rng.h contract).
-inline void ckpt_save_rng(ByteWriter& w, const Xoshiro256& rng) {
-  for (std::uint64_t word : rng.state().s) w.u64(word);
-}
-inline void ckpt_load_rng(ByteReader& r, Xoshiro256& rng) {
-  Xoshiro256::State st;
-  for (std::uint64_t& word : st.s) word = r.u64();
-  rng.set_state(st);
-}
 
 // A contiguous address region owned by one kernel.
 struct Region {
@@ -78,6 +68,10 @@ class Kernel {
 // the step updates fields conditionally, and only a local stays in
 // registers across such updates.  The loops are instantiated for the
 // eight kernels in kernels.cc.
+//
+// The checkpoint is State's field list (common/bytestream.h); K also
+// defines `bool state_ok(const State& s) const`, the range check a load
+// applies after reading it.
 template <class K>
 class SteppedKernel : public Kernel {
  public:
@@ -85,6 +79,8 @@ class SteppedKernel : public Kernel {
   void next_n(MemRef* out, std::size_t n) final;
   void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
                       std::uint64_t gap_bound) final;
+  void ckpt_save(ByteWriter& w) const override;
+  bool ckpt_load(ByteReader& r) override;
 };
 
 // ----------------------------------------------------------------- Streaming
@@ -109,9 +105,18 @@ class StreamKernel final : public SteppedKernel<StreamKernel> {
     Xoshiro256 rng;
     std::uint32_t turn;         // the stream the next reference comes from
     std::uint32_t repeat_left;  // touches left on the current element
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.turn, s.repeat_left);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const {
+    return s.turn < streams_ && s.repeat_left >= 1 &&
+           s.repeat_left <= repeats_;
+  }
 
   Region region_;
   std::uint32_t streams_;
@@ -136,17 +141,21 @@ class StencilKernel final : public SteppedKernel<StencilKernel> {
  public:
   StencilKernel(Region region, std::uint64_t nx, std::uint64_t ny,
                 std::uint64_t nz, std::uint32_t pc_base);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend SteppedKernel;
   struct State {
     std::uint64_t cell = 0;
     std::uint32_t point = 0;  // 0..6: -z,-y,-x,center,+x,+y,+z ; 7: write
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.cell, s.point);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const { return s.point <= 7; }
 
   Region region_;
   std::uint64_t nx_, ny_, nz_;
@@ -164,8 +173,6 @@ class PointerChaseKernel final : public SteppedKernel<PointerChaseKernel> {
   PointerChaseKernel(Region region, std::uint32_t payload_lines,
                      std::uint32_t write_ppm, std::uint32_t pc_base,
                      std::uint64_t seed);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend SteppedKernel;
@@ -174,9 +181,17 @@ class PointerChaseKernel final : public SteppedKernel<PointerChaseKernel> {
     std::uint64_t node = 0;  // the LCG's current line
     std::uint32_t payload_left = 0;
     LineAddr payload_cursor = 0;
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.node, s.payload_left, s.payload_cursor);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const {
+    return s.node < lines_ && s.payload_left <= payload_refs();
+  }
   // Payload references per node visit: element-granular reads of the
   // payload lines.
   std::uint32_t payload_refs() const {
@@ -207,8 +222,6 @@ class BurstWalkKernel final : public SteppedKernel<BurstWalkKernel<Sampler>> {
   BurstWalkKernel(Region region, Sampler sampler, std::uint32_t burst_mean,
                   std::uint32_t write_ppm, std::uint32_t pc_base,
                   std::uint64_t seed);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend class SteppedKernel<BurstWalkKernel>;
@@ -218,9 +231,15 @@ class BurstWalkKernel final : public SteppedKernel<BurstWalkKernel<Sampler>> {
     Xoshiro256 rng;
     std::uint32_t burst_left = 0;
     Addr burst_cursor = 0;
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.burst_left, s.burst_cursor);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const { return s.burst_left <= kMaxBurst; }
 
   Region region_;
   Sampler sampler_;
@@ -248,8 +267,6 @@ class SparseGatherKernel final : public SteppedKernel<SparseGatherKernel> {
                      std::uint32_t hot_access_ppm, std::uint32_t pc_base,
                      std::uint64_t seed, std::uint32_t zipf_k = 0,
                      std::uint32_t gather_elems = 1);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend SteppedKernel;
@@ -259,9 +276,16 @@ class SparseGatherKernel final : public SteppedKernel<SparseGatherKernel> {
     std::uint64_t result_cursor = 0;
     Addr gather_target;  // a line of the vector; starts at its first
     std::uint32_t phase = 0;  // 0: index; then g groups of gather_elems; write
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.index_cursor, s.result_cursor, s.gather_target,
+                      s.phase);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const;
 
   Region index_region_, vector_region_, result_region_;
   std::uint32_t gathers_per_index_;
@@ -285,8 +309,6 @@ class BfsKernel final : public SteppedKernel<BfsKernel> {
   BfsKernel(Region frontier_region, Region edge_region, Region visited_region,
             std::uint32_t mean_degree, std::uint32_t visited_zipf_k,
             std::uint32_t pc_base, std::uint64_t seed);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend SteppedKernel;
@@ -299,9 +321,18 @@ class BfsKernel final : public SteppedKernel<BfsKernel> {
     std::uint64_t edge_cursor = 0;
     std::uint32_t edges_left = 0;
     std::uint32_t visited_after = 0;  // emit a visited check every N edges
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.frontier_cursor, s.edge_cursor, s.edges_left,
+                      s.visited_after);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const {
+    return s.edges_left <= kMaxDegree && s.visited_after <= kEdgesPerCheck;
+  }
 
   Region frontier_region_, edge_region_, visited_region_;
   std::uint32_t mean_degree_;
@@ -321,8 +352,6 @@ class SgdKernel final : public SteppedKernel<SgdKernel> {
   SgdKernel(Region user_region, Region item_region, std::uint32_t row_bytes,
             std::uint32_t pc_base, std::uint64_t seed,
             std::uint32_t zipf_k = 1);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
 
  private:
   friend SteppedKernel;
@@ -331,9 +360,15 @@ class SgdKernel final : public SteppedKernel<SgdKernel> {
     Addr user_row, item_row;  // row starts in their regions
     std::uint32_t offset = 0;
     std::uint32_t phase = 0;  // 0/1: read user/item row, 2/3: write them
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.rng, s.user_row, s.item_row, s.offset, s.phase);
+    }
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
+  bool state_ok(const State& s) const;
 
   Region user_region_, item_region_;
   std::uint32_t row_bytes_;

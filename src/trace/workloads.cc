@@ -413,7 +413,7 @@ void SyntheticTrace::skip(std::uint64_t n) {
 }
 
 bool SyntheticTrace::ckpt_save_state(ByteWriter& w) const {
-  ckpt_save_rng(w, rng_);
+  w.put(rng_);
   w.u64(active_);
   w.u64(burst_left_);
   for (const Component& c : components_) c.kernel->ckpt_save(w);
@@ -421,7 +421,7 @@ bool SyntheticTrace::ckpt_save_state(ByteWriter& w) const {
 }
 
 bool SyntheticTrace::ckpt_load_state(ByteReader& r) {
-  ckpt_load_rng(r, rng_);
+  r.get(rng_);
   const std::uint64_t active = r.u64();
   if (!r.ok() || active >= components_.size()) return false;
   active_ = static_cast<std::size_t>(active);

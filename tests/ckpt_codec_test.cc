@@ -476,6 +476,55 @@ TEST(CkptTail, TailLongerThanARefillBatchIsDataLoss) {
   std::filesystem::remove(path);
 }
 
+// A re-sealed checkpoint passes the checksum, so the decoder must judge
+// values itself: an EpochSample::predictor_active byte of 2 (neither false
+// nor true) is DATA_LOSS, not a restored `true`.
+TEST_F(CkptCodecTest, ResealedNonBooleanByteIsDataLoss) {
+  RunSpec spec = small_spec();
+  spec.tweak = [](HierarchyConfig& c) {
+    c.obs.enabled = true;
+    c.obs.epoch_refs = 2'000;
+  };
+  const std::string path = (dir_ / "obs.ckpt").string();
+  const std::uint64_t key = key_of(spec);
+  CkptControl ctl;
+  ctl.save_at_refs = 8'000;
+  ctl.save = [&path, key](MulticoreSimulator& s) {
+    ASSERT_TRUE(save_checkpoint(s, path, key).ok());
+  };
+  auto sim = build_sim(spec);
+  sim->set_ckpt_control(&ctl);
+  const SimResult result = sim->run(spec.refs_per_core);
+  ASSERT_GE(result.epochs.size(), 2u);
+
+  // The first epoch closed before the save; find its fields in the payload
+  // (15 words, then the flag byte).
+  const EpochSample& e = result.epochs.front();
+  ByteWriter words;
+  for (std::uint64_t v :
+       {e.index, e.end_ref, e.end_cycles, e.refs, e.l1_accesses, e.l1_misses,
+        e.lookups, e.predicted_absent, e.predicted_present, e.tp, e.fp, e.tn,
+        e.fn, e.recalibrations, e.pt_occupancy}) {
+    words.u64(v);
+  }
+  const FileEnvelope env{"RDHPCKPT", kCkptSchemaVersion, "checkpoint"};
+  Result<std::string> payload = open_envelope(env, key, path);
+  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
+  std::string bytes = std::move(payload).value();
+  const std::string needle(words.buffer().begin(), words.buffer().end());
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  const std::size_t flag_at = at + needle.size();
+  ASSERT_EQ(bytes[flag_at], 1);
+
+  ASSERT_TRUE(load_checkpoint(path, key, *build_sim(spec)).ok());
+  bytes[flag_at] = 2;
+  spill(path, seal_envelope(env, key, bytes));
+  const Status st = load_checkpoint(path, key, *build_sim(spec));
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+}
+
 // A file from before the current schema names its version in the
 // diagnostic: the header is checked before the checksum is computed, so an
 // old file never reads as damage.

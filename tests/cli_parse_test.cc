@@ -90,6 +90,30 @@ TEST(CliParse, NegativeUnsignedIsRejectedNotWrapped) {
   EXPECT_THROW(ExperimentOptions::parse(cli), std::runtime_error);
 }
 
+// --jobs and --scale once went through a signed parse and a cast:
+// --jobs=-1 asked for SIZE_MAX workers and --scale=8589934600 (2^33 + 8)
+// silently ran at scale 8.  Both are usage errors now.  Parse only; no
+// pool is built.
+TEST(CliParse, JobsAndScaleRejectNegativeAndOutOfRange) {
+  for (const char* bad :
+       {"--jobs=-1", "--jobs=8589934600", "--scale=-1",
+        "--scale=8589934600", "--scale=0"}) {
+    try {
+      ExperimentOptions::parse(make_cli({bad}));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      const std::string flag = std::string(bad).substr(0, 7);
+      EXPECT_EQ(what.rfind("INVALID_ARGUMENT: " + flag, 0), 0u)
+          << bad << ": " << what;
+    }
+  }
+  const ExperimentOptions o =
+      ExperimentOptions::parse(make_cli({"--jobs=4", "--scale=4294967295"}));
+  EXPECT_EQ(o.jobs, 4u);
+  EXPECT_EQ(o.scale, 4'294'967'295u);
+}
+
 TEST(CliParse, ExplicitPlusSignIsRejectedOnUnsigned) {
   const auto r = make_cli({"--seed=+7"}).try_get_uint64("seed", 0);
   ASSERT_FALSE(r.ok());

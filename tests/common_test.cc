@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/bitops.h"
+#include "common/bytestream.h"
 #include "common/check.h"
 #include "common/checksum.h"
 #include "common/cli.h"
@@ -359,6 +361,105 @@ TEST(Checksum64, EverySingleBitFlipChangesTheDigest) {
       buf[i] = static_cast<std::uint8_t>(buf[i] ^ (1u << bit));
     }
   }
+}
+
+// ------------------------------------------------------ bytestream records
+
+enum class Shade : std::uint8_t { kDark, kLight };
+constexpr Shade last_enumerator(Shade) { return Shade::kLight; }
+
+struct Leaf {
+  std::int64_t delta = 0;
+  bool on = false;
+
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.delta, s.on);
+  }
+  bool operator==(const Leaf&) const = default;
+};
+
+struct Tree {
+  std::uint16_t tag = 0;
+  Shade shade = Shade::kDark;
+  std::uint32_t words[2] = {};
+  double weight = 0.0;
+  std::vector<Leaf> leaves;
+  std::vector<std::uint64_t> ids;
+
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.tag, s.shade, s.words, s.weight, s.leaves, s.ids);
+  }
+  bool operator==(const Tree&) const = default;
+};
+
+Tree sample_tree() {
+  Tree t;
+  t.tag = 0xbeef;
+  t.shade = Shade::kLight;
+  t.words[0] = 7;
+  t.words[1] = 0xffffffffu;
+  t.weight = -2.5;
+  t.leaves = {{-3, true}, {1ll << 40, false}};
+  t.ids = {1, 2, 3};
+  return t;
+}
+
+// put writes each field at its own width, in field-list order, exactly as
+// the hand-written calls it replaces would.
+TEST(ByteStream, PutWritesFieldsInOrderAtTheirWidths) {
+  const Tree t = sample_tree();
+  ByteWriter by_hand;
+  by_hand.u16(t.tag);
+  by_hand.u8(1);
+  by_hand.u32(t.words[0]);
+  by_hand.u32(t.words[1]);
+  by_hand.f64(t.weight);
+  by_hand.u64(2);
+  by_hand.i64(-3);
+  by_hand.boolean(true);
+  by_hand.i64(1ll << 40);
+  by_hand.boolean(false);
+  by_hand.u64_vec(t.ids);
+  ByteWriter w;
+  w.put(t);
+  EXPECT_EQ(w.buffer(), by_hand.buffer());
+
+  ByteReader r(w.buffer().data(), w.buffer().size());
+  Tree back;
+  r.get(back);
+  EXPECT_TRUE(r.ok() && r.exhausted());
+  EXPECT_EQ(back, t);
+}
+
+// get fails closed on values no writer produces.
+TEST(ByteStream, GetRejectsValuesOutsideTheirType) {
+  ByteWriter w;
+  w.put(sample_tree());
+  const std::vector<std::uint8_t> good = w.take();
+  const auto loads = [](std::vector<std::uint8_t> bytes) {
+    ByteReader r(bytes.data(), bytes.size());
+    Tree t;
+    r.get(t);
+    return r.ok();
+  };
+  ASSERT_TRUE(loads(good));
+  std::vector<std::uint8_t> bad = good;
+  bad[2] = 2;  // the enum, one past its last enumerator
+  EXPECT_FALSE(loads(bad));
+  bad = good;
+  bad[2 + 1 + 8 + 8 + 8 + 8] = 2;  // the first leaf's bool
+  EXPECT_FALSE(loads(bad));
+  bad = good;
+  store_le64(bad.data() + 2 + 1 + 8 + 8, 1'000);  // more leaves than bytes
+  EXPECT_FALSE(loads(bad));
+  bad = good;
+  store_le64(bad.data() + 2 + 1 + 8 + 8, kMaxVectorLen + 1);
+  EXPECT_FALSE(loads(bad));
+  bad = good;
+  bad.pop_back();  // truncated
+  EXPECT_FALSE(loads(bad));
 }
 
 }  // namespace

@@ -145,6 +145,41 @@ TEST(ConfigFile, BadNumericValuesNameTheLineAndKey) {
   }
 }
 
+// Integer keys go through one checked parser: a sign, a value past 2^64-1
+// and a value past the key's own width are errors naming the line and the
+// key, never a wrapped or truncated number (memory_latency = -1 once read
+// as 2^64-1, and ways = 4294967300 as 4).
+TEST(ConfigFile, IntegerKeysRejectSignsOverflowAndNarrowing) {
+  struct Case {
+    const char* text;
+    const char* line;
+    const char* key;
+  };
+  for (const Case& c : {
+           Case{"memory_latency = -1\n[level]\nsize=8K\n", "line 1",
+                "key 'memory_latency'"},
+           Case{"[level]\nsize = 20000000000G\n", "line 2", "key 'size'"},
+           Case{"[level]\nsize = 8K\nways = 4294967300\n", "line 3",
+                "key 'ways'"},
+       }) {
+    try {
+      parse_config_text(c.text);
+      ADD_FAILURE() << c.text << " was accepted";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.line), std::string::npos) << msg;
+      EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+    }
+  }
+  // The widest value that fits still parses, and suffixes take either case.
+  const HierarchyConfig c = parse_config_text(
+      "memory_latency = 18446744073709551615\n"
+      "[level]\nsize = 16k\nways = 4\n[level]\nsize = 1m\n");
+  EXPECT_EQ(c.memory_latency, 18'446'744'073'709'551'615ull);
+  EXPECT_EQ(c.levels[0].geom.size_bytes, 16_KiB);
+  EXPECT_EQ(c.levels[1].geom.size_bytes, 1_MiB);
+}
+
 TEST(ConfigFile, CoreCountOutsideOneTo256IsRejectedBeforeNarrowing) {
   // 2^32 + 1 would narrow to 1 core; 300 does not fit the scheduler's
   // one-byte core id.

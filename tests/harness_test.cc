@@ -330,6 +330,34 @@ TEST(ThreadPoolTest, RunAllRethrowsAfterDrainingEverything) {
   EXPECT_EQ(ran.load(), 10);
 }
 
+// The threads this process runs now (Linux: one /proc/self/task entry
+// each), or 0 where that directory does not exist.
+std::size_t live_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/task", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+// run_all starts min(threads, tasks) workers: asking for 8 to run 2 tasks
+// must not start 6 idle threads (nor, from a --jobs typo, millions).
+TEST(ThreadPoolTest, RunAllStartsNoMoreWorkersThanTasks) {
+  const std::size_t before = live_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  std::atomic<std::size_t> most{0};
+  std::vector<std::function<void()>> tasks(2, [&most] {
+    std::size_t seen = live_threads();
+    std::size_t prev = most.load();
+    while (seen > prev && !most.compare_exchange_weak(prev, seen)) {
+    }
+  });
+  ThreadPool::run_all(std::move(tasks), 8);
+  EXPECT_LE(most.load() - before, 2u);
+}
+
 TEST(Report, FormattersProduceExpectedStrings) {
   EXPECT_EQ(pct_delta(1.083), "+8.3%");
   EXPECT_EQ(pct_delta(0.97), "-3.0%");
