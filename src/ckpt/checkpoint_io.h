@@ -30,7 +30,8 @@ namespace redhip {
 // Bump whenever the payload layout (sim_state.cc) or envelope shape
 // changes; older files then fail validation and are evicted as DATA_LOSS.
 // Version 4: XXH64 envelope checksum and stored refill-buffer tails.
-inline constexpr std::uint32_t kCkptSchemaVersion = 4;
+// Version 5: the L1 memo is no longer stored.
+inline constexpr std::uint32_t kCkptSchemaVersion = 5;
 
 // Process exit code for a graceful shutdown (SIGTERM/SIGINT observed, state
 // checkpointed, run intentionally incomplete).  EX_TEMPFAIL by convention:

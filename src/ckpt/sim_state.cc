@@ -16,9 +16,10 @@
 // core replays skip(refs_done).  Only a source without state capture (a
 // trace file) still takes the replay path.  Deliberately absent, because
 // it is regenerable or derived: the buffer's line addresses (recomputed
-// from the tail), the scheduler tree, the energy breakdown
-// (finalize_result reprices from counters), and host-side timings.  Layout
-// changes must bump kCkptSchemaVersion (checkpoint_io.h).
+// from the tail), the L1 MRU memo (schema v5: a restore starts it empty),
+// the scheduler tree, the energy breakdown (finalize_result reprices from
+// counters), and host-side timings.  Layout changes must bump
+// kCkptSchemaVersion (checkpoint_io.h).
 #include <cstddef>
 #include <cstdint>
 #include <tuple>
@@ -72,8 +73,6 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
     w.u64(cs.refs_done);
     w.u64(cs.clock);
     w.u32(static_cast<std::uint32_t>(cs.cpi.remainder_centi()));
-    w.u64(cs.l1_last_line);
-    w.boolean(cs.l1_last_dirty);
     w.boolean(cs.exhausted);
     // Generator state: lets restore reposition the trace in O(state)
     // instead of replaying skip(refs_done) from the origin — at deep
@@ -177,8 +176,10 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
     const std::uint32_t rem = r.u32();
     if (rem >= 100) return false;
     cs.cpi.set_remainder_centi(rem);
-    cs.l1_last_line = r.u64();
-    cs.l1_last_dirty = r.boolean();
+    // The L1 memo is derived state, not stored; an empty memo is always
+    // sound.
+    cs.l1_memo = empty_l1_memo();
+    cs.l1_memo_dirty = 0;
     cs.exhausted = r.boolean();
     if (!r.ok()) return false;
     cs.buf_pos = 0;

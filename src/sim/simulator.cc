@@ -41,6 +41,8 @@ MulticoreSimulator::MulticoreSimulator(
   l1_shift_ = l1.geom.line_shift();
   l1_hit_latency_ = l1.phased ? l1.energy.tag_delay + l1.energy.data_delay
                               : l1.energy.parallel_delay();
+  l1_memo_mask_ =
+      std::min<std::uint64_t>(l1.geom.sets(), kL1MemoSlots) - 1;
   level_timing_.resize(n);
   for (std::uint32_t lvl = 0; lvl < n; ++lvl) {
     const LevelSpec& spec = config_.levels[lvl];
@@ -165,19 +167,15 @@ const TagArray& MulticoreSimulator::level_array(std::uint32_t level,
 
 MulticoreSimulator::ProbeOutcome MulticoreSimulator::probe(std::uint32_t lvl,
                                                            CoreId core,
-                                                           LineAddr line,
-                                                           bool is_write) {
+                                                           LineAddr line) {
   TagArray& arr = level_array(lvl, core);
   const LevelTiming& t = level_timing_[lvl];
   LevelEvents& ev = events_[lvl];
 
   ++ev.accesses;
   ProbeOutcome out;
-  // Writes dirty the L1 copy (write-allocate, writeback policy).
-  const TagArray::LookupResult r =
-      arr.lookup(line, is_write && lvl == 0 && config_.model_writebacks);
+  const TagArray::LookupResult r = arr.lookup(line);
   out.hit = r.hit;
-  out.was_prefetched = r.was_prefetched;
   // Same counters and latencies as deriving them from the LevelSpec per
   // probe (a phased miss never reads the data array; a parallel access
   // always reads both); the sums were just hoisted into level_timing_.
@@ -305,9 +303,8 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
                                               CoreId core, LineAddr victim) {
   // The L1 memo's residency guarantee ends here: this is the only path
   // that removes an L1 line outside the owning core's own access.
-  if (cores_[core].l1_last_line == victim) {
-    cores_[core].l1_last_line = kNoLine;
-  }
+  LineAddr& memo = cores_[core].l1_memo[victim & l1_memo_mask_];
+  if (memo == victim) memo = kNoLine;
   // Directory-precise: only actual residents are touched, and only
   // successful invalidations are charged (one tag write each).  A dirty
   // upper copy purged by level `below_level`'s eviction writes back to the
@@ -546,58 +543,66 @@ void MulticoreSimulator::evaluate_auto_disable() {
 
 Cycles MulticoreSimulator::access(CoreId core, const MemRef& ref) {
   const LineAddr line = ref.addr >> l1_shift_;
-  const bool is_write = ref.is_write;
+  const bool dirty = ref.is_write && config_.model_writebacks;
   CoreState& cs = cores_[core];
-  if (line == cs.l1_last_line) {
-    // Same-line L1 hit memo.  The memo line is resident and MRU (every
-    // access path ends with the line hit or filled into L1, and
-    // back_invalidate_core clears the memo when it removes the line), so
-    // this reproduces probe(0) exactly: a guaranteed hit charges one tag
-    // and one data probe under both phased and parallel L1 policies, the
-    // LRU touch is a no-op, and the prefetched bit is known clear because
-    // L1 only ever receives demand fills.
-    LevelEvents& ev = events_[0];
-    ++ev.accesses;
-    ++ev.tag_probes;
+  const LineAddr slot = line & l1_memo_mask_;
+  const std::uint64_t slot_bit = std::uint64_t{1} << slot;
+  LevelEvents& ev = events_[0];
+  ++ev.accesses;
+  ++ev.tag_probes;
+  if (line == cs.l1_memo[slot]) {
+    // L1 MRU memo hit (see CoreState::l1_memo): this reproduces the L1
+    // lookup exactly.  A guaranteed hit charges one tag and one data probe
+    // under both phased and parallel L1 policies, the replacement touch is
+    // a no-op, and the prefetched bit is known clear.
+    REDHIP_DCHECK(private_[core].contains(line));
     ++ev.data_probes;
     ++ev.hits;
-    if (is_write && config_.model_writebacks && !cs.l1_last_dirty) {
-      level_array(0, core).mark_dirty(line);
-      cs.l1_last_dirty = true;
+    if (dirty && (cs.l1_memo_dirty & slot_bit) == 0) {
+      private_[core].mark_dirty(line);
+      cs.l1_memo_dirty |= slot_bit;
     }
     return l1_hit_latency_;
   }
+  // The one L1 probe.  Writes dirty the L1 copy (write-allocate, writeback
+  // policy).  L1 only receives demand fills, so no prefetched mark is ever
+  // consumed here.
+  const TagArray::LookupResult r = private_[core].lookup(line, dirty);
+  REDHIP_DCHECK(!r.was_prefetched);
   Cycles lat;
-  switch (config_.inclusion) {
-    case InclusionPolicy::kInclusive:
-      lat = access_inclusive(core, line, is_write);
-      break;
-    case InclusionPolicy::kHybrid:
-      lat = access_hybrid(core, line, is_write);
-      break;
-    case InclusionPolicy::kExclusive:
-      lat = access_exclusive(core, line, is_write);
-      break;
-    default:
-      lat = 0;
-      break;
+  if (r.hit) {
+    ++ev.data_probes;
+    ++ev.hits;
+    lat = l1_hit_latency_;
+  } else {
+    if (!level_timing_[0].phased) ++ev.data_probes;
+    ++ev.misses;
+    note_l1_miss();
+    lat = level_timing_[0].miss_latency;
+    switch (config_.inclusion) {
+      case InclusionPolicy::kInclusive:
+        lat += access_inclusive(core, line, dirty);
+        break;
+      case InclusionPolicy::kHybrid:
+        lat += access_hybrid(core, line, dirty);
+        break;
+      case InclusionPolicy::kExclusive:
+        lat += access_exclusive(core, line, dirty);
+        break;
+    }
   }
-  // Every path above leaves `line` in L1; remember it for the next access.
-  // Dirty state is re-derived lazily (a spurious mark_dirty is idempotent).
-  cs.l1_last_line = line;
-  cs.l1_last_dirty = false;
+  // Every path above leaves `line` in L1 as its set's last-touched way;
+  // remember it for the next access.  Dirty state is re-derived lazily (a
+  // spurious mark_dirty is idempotent).
+  cs.l1_memo[slot] = line;
+  cs.l1_memo_dirty &= ~slot_bit;
   return lat;
 }
 
 Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
-                                            bool is_write) {
+                                            bool dirty) {
   const std::uint32_t n = config_.num_levels();
-  const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe(0, core, line, is_write);
-  Cycles lat = l1.latency;
-  if (l1.hit) return lat;
-
-  note_l1_miss();
+  Cycles lat = 0;
   const Prediction p = query_llc_predictor(line, lat);
   // The core guarantee: a bypass may never hide on-chip data.  audit_bypass
   // enforces it (debug check, or the online auditor under injected faults).
@@ -644,14 +649,9 @@ Cycles MulticoreSimulator::access_inclusive(CoreId core, LineAddr line,
 }
 
 Cycles MulticoreSimulator::access_hybrid(CoreId core, LineAddr line,
-                                         bool is_write) {
+                                         bool dirty) {
   const std::uint32_t n = config_.num_levels();
-  const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe(0, core, line, is_write);
-  Cycles lat = l1.latency;
-  if (l1.hit) return lat;
-
-  note_l1_miss();
+  Cycles lat = 0;
   const Prediction p = query_llc_predictor(line, lat);
   if (p == Prediction::kAbsent && audit_bypass(line)) {
     for (std::uint32_t lvl = 1; lvl < n; ++lvl) ++events_[lvl].skipped;
@@ -690,14 +690,9 @@ Cycles MulticoreSimulator::access_hybrid(CoreId core, LineAddr line,
 }
 
 Cycles MulticoreSimulator::access_exclusive(CoreId core, LineAddr line,
-                                            bool is_write) {
+                                            bool dirty) {
   const std::uint32_t n = config_.num_levels();
-  const bool dirty = is_write && config_.model_writebacks;
-  ProbeOutcome l1 = probe(0, core, line, is_write);
-  Cycles lat = l1.latency;
-  if (l1.hit) return lat;
-
-  note_l1_miss();
+  Cycles lat = 0;
 
   // Per-level predictions, gathered up front (the paper queries all tables
   // simultaneously on the L1 miss, one table-access latency total).
@@ -864,7 +859,8 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
       for (std::uint32_t i = 0; i < cs.buf_len; ++i) {
         cs.lines[i] = cs.buf[i].addr >> l1_shift_;
       }
-      if (cs.buf_len > 0 && cs.lines[0] != cs.l1_last_line) {
+      if (cs.buf_len > 0 &&
+          cs.lines[0] != cs.l1_memo[cs.lines[0] & l1_memo_mask_]) {
         prefetch_next_ref(best, cs.lines[0]);
       }
       if (obs_ != nullptr) {
@@ -879,8 +875,8 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
     MemRef ref = cs.buf[cs.buf_pos++];
     // Software pipeline, stage 2: while this reference simulates, pull the
     // tag lanes its successor (this core's next buffered reference) will
-    // touch.  The same-line memo makes a repeat of the current line free,
-    // so only a line change issues the hint.
+    // touch.  A repeat of the current line is served by the L1 memo, so
+    // only a line change issues the hint.
     if (cs.buf_pos < cs.buf_len) {
       const LineAddr next = cs.lines[cs.buf_pos];
       if (next != cs.lines[cs.buf_pos - 1]) prefetch_next_ref(best, next);

@@ -12,6 +12,7 @@
 // construct a fresh one per configuration.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -116,21 +117,34 @@ class MulticoreSimulator {
   static constexpr std::size_t kRefillBatch = 256;
 
  private:
-  // Sentinel for the L1 same-line memo below.
+  // Sentinel for the L1 MRU memo and the directory memo below.
   static constexpr LineAddr kNoLine = ~LineAddr{0};
+  // Slots of the per-core L1 MRU memo: one per L1 set up to this many;
+  // larger L1s share a slot between the sets `kL1MemoSlots` apart.
+  static constexpr std::uint32_t kL1MemoSlots = 64;
+  static_assert(kL1MemoSlots <= 64, "l1_memo_dirty has one bit per slot");
+  static std::array<LineAddr, kL1MemoSlots> empty_l1_memo() {
+    std::array<LineAddr, kL1MemoSlots> memo;
+    memo.fill(kNoLine);
+    return memo;
+  }
 
   struct CoreState {
     std::unique_ptr<TraceSource> trace;
     CpiAccumulator cpi{100};  // placeholder; the ctor installs the real CPI
-    // L1 same-line memo: the line this core touched last, which is
-    // guaranteed resident and MRU in its L1 set until back-invalidation
-    // removes it (back_invalidate_core clears the memo).  Traces are
-    // element-granular, so runs of references to one 64-byte line are the
-    // dominant pattern; the memo turns those into a handful of counter
-    // increments with no tag scan.  `l1_last_dirty` latches "the L1 copy is
-    // known dirty" so repeated write hits skip the mark_dirty scan.
-    LineAddr l1_last_line = kNoLine;
-    bool l1_last_dirty = false;
+    // L1 MRU memo, slot `line & l1_memo_mask_`.  Invariant: a slot's line
+    // is resident in this core's L1 and is the last-touched way of its set.
+    // A repeat reference is then a hit whose replacement touch changes
+    // nothing and whose prefetched bit is clear (L1 only receives demand
+    // fills), so access() serves it with four counter increments.  All
+    // lines of one set share a slot, so sharing a slot between sets only
+    // costs memo hits.  access() fills a slot as its last step, and
+    // back_invalidate_core clears the victim's slot (invalidation leaves the
+    // replacement order alone).  Derived state, not checkpointed: a restore
+    // starts empty.  Bit s of `l1_memo_dirty` latches "slot s's L1 copy is
+    // known dirty", so repeated write hits skip the mark_dirty scan.
+    std::array<LineAddr, kL1MemoSlots> l1_memo = empty_l1_memo();
+    std::uint64_t l1_memo_dirty = 0;
     // Excludes the global stall offset: stalls that freeze *every* core
     // (recalibration, recovery) accumulate once in global_stall_cycles_
     // instead of being added to each core's clock.  A uniform addition never
@@ -159,16 +173,14 @@ class MulticoreSimulator {
   }
 
   // --- Event recording -------------------------------------------------------
-  // Probe level `lvl` for core `core`; records tag/data probe events and the
-  // hit/miss counters, returns (hit, latency).
+  // Probe level `lvl` >= 1 (access() probes L1 itself) for core `core`;
+  // records tag/data probe events and the hit/miss counters, returns (hit,
+  // latency).
   struct ProbeOutcome {
     bool hit = false;
     Cycles latency = 0;
-    bool was_prefetched = false;
   };
-  // `is_write` only matters at L1, where a write hit dirties the line.
-  ProbeOutcome probe(std::uint32_t lvl, CoreId core, LineAddr line,
-                     bool is_write = false);
+  ProbeOutcome probe(std::uint32_t lvl, CoreId core, LineAddr line);
 
   // Install `line` at `lvl`, handling eviction fallout for the configured
   // inclusion policy (back-invalidation, predictor on_evict, prefetch and
@@ -194,10 +206,13 @@ class MulticoreSimulator {
                            std::uint32_t last_level, bool dirty = false);
 
   // --- Access paths per inclusion policy -------------------------------------
+  // access() serves the L1 (memo, then one probe); on an L1 miss the
+  // per-policy path walks L2 down and returns the latency it adds.  `dirty`
+  // is a write under model_writebacks.
   Cycles access(CoreId core, const MemRef& ref);
-  Cycles access_inclusive(CoreId core, LineAddr line, bool is_write);
-  Cycles access_hybrid(CoreId core, LineAddr line, bool is_write);
-  Cycles access_exclusive(CoreId core, LineAddr line, bool is_write);
+  Cycles access_inclusive(CoreId core, LineAddr line, bool dirty);
+  Cycles access_hybrid(CoreId core, LineAddr line, bool dirty);
+  Cycles access_exclusive(CoreId core, LineAddr line, bool dirty);
 
   // Predictor bookkeeping shared by the access paths.
   Prediction query_llc_predictor(LineAddr line, Cycles& latency);
@@ -311,9 +326,11 @@ class MulticoreSimulator {
   std::uint32_t dir_memo_way_ = 0;
 
   // Hoisted L1 constants (the memo fast path must not re-derive them per
-  // reference): line shift and the latency probe(0) charges for a hit.
+  // reference): line shift, the latency an L1 hit charges, and the memo's
+  // slot mask (min(L1 sets, kL1MemoSlots) - 1).
   std::uint32_t l1_shift_ = 0;
   Cycles l1_hit_latency_ = 0;
+  LineAddr l1_memo_mask_ = 0;
 
   // Hoisted per-level probe constants: the latency a probe charges on hit
   // and on miss, and whether the level is phased (a phased miss skips the
@@ -328,7 +345,7 @@ class MulticoreSimulator {
   std::vector<LevelTiming> level_timing_;
 
   // Software-pipeline hint: pull the tag lanes `line` will touch if it
-  // misses the same-line memo — every level's set lane plus the ReDHiP PT
+  // misses the L1 memo — every level's set lane plus the ReDHiP PT
   // row — toward the host caches while the *current* reference simulates.
   // Prefetches have no simulated side effects, so the hint cannot change a
   // simulated number; it only overlaps host memory latency with useful

@@ -284,5 +284,85 @@ TEST(TagArrayProperty, VictimsShareTheIncomingSet) {
   }
 }
 
+// The simulator's L1 memo serves a repeat reference to a set's
+// last-touched line without calling lookup(), even after touches to other
+// sets and invalidations of other lines in its set.  That is sound only if
+// every policy treats re-touching a set's last-touched way as a no-op.
+// victims_under runs one seeded stream of lookups, fills and invalidations
+// and returns its victims; after every reference it may also look up one
+// more line of a random set.
+enum class Retouch {
+  kNone,
+  kLastTouched,  // the set's last-touched line: what the memo skips
+  kOther,        // another line of the set: a real use (the control)
+};
+
+std::vector<LineAddr> victims_under(const CacheGeometry& g, Retouch retouch) {
+  constexpr LineAddr kNone = ~LineAddr{0};
+  TagArray arr(g, 42);
+  Xoshiro256 rng(7);
+  std::vector<LineAddr> last(arr.sets(), kNone);  // last-touched line per set
+  std::vector<LineAddr> victims;
+  const std::uint64_t universe = g.lines() * 3;
+  for (int i = 0; i < 20'000; ++i) {
+    const LineAddr line = rng.below(universe);
+    const std::uint64_t set = arr.set_of(line);
+    if (rng.below(8) == 0) {
+      // Back-invalidation: any line may leave; the memo forgets its own.
+      arr.invalidate(line);
+      if (last[set] == line) last[set] = kNone;
+    } else {
+      if (!arr.lookup(line).hit) {
+        const TagArray::FillResult r = arr.fill(line);
+        if (r.evicted) victims.push_back(r.victim);
+      }
+      last[set] = line;
+    }
+    // Both runs draw the same numbers, so the streams stay aligned.
+    const std::uint64_t s = rng.below(arr.sets());
+    const LineAddr other = rng.below(universe);
+    if (retouch == Retouch::kNone || last[s] == kNone) continue;
+    if (retouch == Retouch::kLastTouched) {
+      EXPECT_TRUE(arr.lookup(last[s]).hit);
+    } else if (arr.set_of(other) == s && other != last[s]) {
+      arr.lookup(other);
+    }
+  }
+  return victims;
+}
+
+TEST(ReplacementProperty, RetouchingTheLastTouchedWayChangesNothing) {
+  struct Policy {
+    const char* name;
+    std::uint64_t size;
+    std::uint32_t ways;
+    ReplacementKind kind;
+  };
+  // 16 sets each; LRU on both sides of the 16-way recency-word limit.
+  const Policy policies[] = {
+      {"lru 4-way", 4_KiB, 4, ReplacementKind::kLru},
+      {"lru 16-way", 16_KiB, 16, ReplacementKind::kLru},
+      {"lru 32-way", 32_KiB, 32, ReplacementKind::kLru},
+      {"tree-plru 8-way", 8_KiB, 8, ReplacementKind::kTreePlru},
+      {"nru 4-way", 4_KiB, 4, ReplacementKind::kNru},
+      {"nru 8-way", 8_KiB, 8, ReplacementKind::kNru},
+      {"random 4-way", 4_KiB, 4, ReplacementKind::kRandom},
+  };
+  for (const Policy& p : policies) {
+    SCOPED_TRACE(p.name);
+    const CacheGeometry g = small_geom(p.size, p.ways, p.kind);
+    const std::vector<LineAddr> plain = victims_under(g, Retouch::kNone);
+    EXPECT_GT(plain.size(), 1'000u);
+    EXPECT_EQ(victims_under(g, Retouch::kLastTouched), plain);
+  }
+}
+
+TEST(ReplacementProperty, RetouchingAnotherWayIsAUse) {
+  // The control for the test above: the stream is sensitive to touches.
+  const CacheGeometry g = small_geom(4_KiB, 4, ReplacementKind::kLru);
+  EXPECT_NE(victims_under(g, Retouch::kOther),
+            victims_under(g, Retouch::kNone));
+}
+
 }  // namespace
 }  // namespace redhip

@@ -417,10 +417,10 @@ TEST_F(CkptCodecTest, RestoreRepositionsEveryCoreWithoutReplay) {
 
 // Offset of core 0's refill-buffer tail count in a payload whose sources
 // keep an 8-byte state (VectorTraceSource): the structural echo (cores,
-// levels), core 0's fixed fields (refs_done, clock, CPI remainder, L1
-// memo line, memo dirty, exhausted), the trace-state flag, the state's
-// length and the state itself.
-constexpr std::size_t kCore0StateLenAt = 4 + 4 + 8 + 8 + 4 + 8 + 1 + 1 + 1;
+// levels), core 0's fixed fields (refs_done, clock, CPI remainder,
+// exhausted), the trace-state flag, the state's length and the state
+// itself.
+constexpr std::size_t kCore0StateLenAt = 4 + 4 + 8 + 8 + 4 + 1 + 1;
 constexpr std::size_t kCore0TailAt = kCore0StateLenAt + 8 + 8;
 
 // A stored tail longer than one refill batch cannot have come from the
@@ -534,12 +534,12 @@ TEST_F(CkptCodecTest, OlderSchemaIsDataLossNamingTheVersion) {
   for (int i = 0; i < 4; ++i) {
     bytes[8 + i] = static_cast<char>(old_version >> (8 * i));
   }
-  const std::string old_path = (dir_ / "v3.ckpt").string();
+  const std::string old_path = (dir_ / "v4.ckpt").string();
   spill(old_path, bytes);
   auto sim = build_sim(spec_);
   const Status st = load_checkpoint(old_path, key_of(spec_), *sim);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_NE(st.to_string().find("schema version 3"), std::string::npos)
+  EXPECT_NE(st.to_string().find("schema version 4"), std::string::npos)
       << st.to_string();
   EXPECT_EQ(st.to_string().find("checksum"), std::string::npos)
       << st.to_string();

@@ -44,7 +44,7 @@ std::uint64_t digest(const ByteWriter& w) {
 }
 
 TEST(CodecPin, SchemaVersionsAreUnchanged) {
-  EXPECT_EQ(kCkptSchemaVersion, 4u);
+  EXPECT_EQ(kCkptSchemaVersion, 5u);
   EXPECT_EQ(kSweepCacheSchemaVersion, 4u);
 }
 
@@ -173,28 +173,28 @@ TEST(CodecPin, CheckpointPayloads) {
   using S = Scheme;
   using I = InclusionPolicy;
   static const CkptPin kPins[] = {
-      {S::kBase, I::kInclusive, "", "0x620d7fdee8c898f1"},
-      {S::kPhased, I::kInclusive, "", "0x22dc2746f2e338d5"},
-      {S::kCbf, I::kInclusive, "", "0x49f17c8475a1baee"},
-      {S::kRedhip, I::kInclusive, "", "0xe2fe6213c9032338"},
-      {S::kOracle, I::kInclusive, "", "0x818623a534a2d073"},
-      {S::kPartialTag, I::kInclusive, "", "0x8eb6671838e737a8"},
-      {S::kBase, I::kHybrid, "", "0xb605e0144a180bf2"},
-      {S::kPhased, I::kHybrid, "", "0x718e60a2073a4cac"},
-      {S::kCbf, I::kHybrid, "", "0x5512befde83e1be9"},
-      {S::kRedhip, I::kHybrid, "", "0x0296b1fd4d0f747f"},
-      {S::kOracle, I::kHybrid, "", "0x07a7771b162da091"},
-      {S::kPartialTag, I::kHybrid, "", "0xc659c9c389e79626"},
-      {S::kBase, I::kExclusive, "", "0x85084f78746e2562"},
-      {S::kRedhip, I::kExclusive, "", "0x44991733cc495175"},
-      {S::kOracle, I::kExclusive, "", "0xc53ebaddb10f1067"},
-      {S::kRedhip, I::kInclusive, "obs", "0x09eed8b92719c26e"},
-      {S::kRedhip, I::kInclusive, "faults", "0x24abbf86933c394a"},
-      {S::kCbf, I::kHybrid, "trace-faults", "0xda96573d46f799a1"},
-      {S::kRedhip, I::kHybrid, "auto-disable", "0x61ffac2447e84e52"},
-      {S::kRedhip, I::kInclusive, "prefetch", "0xcec8ef5e6e0254f0"},
-      {S::kRedhip, I::kInclusive, "sampled", "0x5789464d52e2d19b"},
-      {S::kCbf, I::kInclusive, "sampled", "0x3ec5b48703dd5274"},
+      {S::kBase, I::kInclusive, "", "0x4a50a0840fa0259c"},
+      {S::kPhased, I::kInclusive, "", "0xc995d410a5f47584"},
+      {S::kCbf, I::kInclusive, "", "0x65df289c650555fd"},
+      {S::kRedhip, I::kInclusive, "", "0x2614ebb0d4d3df48"},
+      {S::kOracle, I::kInclusive, "", "0x86046fdc87445d24"},
+      {S::kPartialTag, I::kInclusive, "", "0xf42fedcc7894cccc"},
+      {S::kBase, I::kHybrid, "", "0xefb1b440a30e686d"},
+      {S::kPhased, I::kHybrid, "", "0x80d5c76c1d93436f"},
+      {S::kCbf, I::kHybrid, "", "0xb0b425c7cf4837a4"},
+      {S::kRedhip, I::kHybrid, "", "0x6f30871c6e0d380c"},
+      {S::kOracle, I::kHybrid, "", "0x0ca82d66736e7370"},
+      {S::kPartialTag, I::kHybrid, "", "0xf229049a96ee64a2"},
+      {S::kBase, I::kExclusive, "", "0x1bda06ffceae9a3a"},
+      {S::kRedhip, I::kExclusive, "", "0x6c255988786a7842"},
+      {S::kOracle, I::kExclusive, "", "0xa770f571d0548405"},
+      {S::kRedhip, I::kInclusive, "obs", "0xce834bcce3b43c24"},
+      {S::kRedhip, I::kInclusive, "faults", "0xc471eeddbdd085fb"},
+      {S::kCbf, I::kHybrid, "trace-faults", "0xb7ef9cbe626e1f1b"},
+      {S::kRedhip, I::kHybrid, "auto-disable", "0x36d30583560cb11f"},
+      {S::kRedhip, I::kInclusive, "prefetch", "0x9ffdcc8ce11a5980"},
+      {S::kRedhip, I::kInclusive, "sampled", "0x6882ce2d4bdfe551"},
+      {S::kCbf, I::kInclusive, "sampled", "0xa86f6b5fc52f66e3"},
   };
   const std::vector<BenchmarkId>& benches = all_benchmarks();
   for (std::size_t i = 0; i < std::size(kPins); ++i) {

@@ -51,6 +51,11 @@ HierarchyConfig draw_config(Xoshiro256& rng) {
     const std::uint64_t min_lines = (1024 + line_bytes - 1) / line_bytes;
     std::uint64_t sets = pow2_at_least((min_lines + ways - 1) / ways);
     sets <<= rng.below(lvl + 1 == n ? 4 : 3);
+    // One L1 in six has 128-512 sets, more than the engine's L1 memo has
+    // slots, so lines of different sets share a memo slot.
+    if (lvl == 0 && rng.below(6) == 0) {
+      sets = std::uint64_t{128} << rng.below(3);
+    }
     LevelSpec spec;
     spec.geom.size_bytes = sets * ways * line_bytes;
     spec.geom.line_bytes = line_bytes;

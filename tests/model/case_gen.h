@@ -2,7 +2,8 @@
 // config parser accepts plus the per-core reference streams to run on it.
 //
 // Machines span 2-5 levels, 1-16 ways over tiny power-of-two set counts
-// (every level at least the 1 KiB the energy model prices), 1-12 cores
+// (every level at least the 1 KiB the energy model prices; a share of L1s
+// have 128-512 sets, past the engine's 64-slot L1 memo), 1-12 cores
 // (both sides of the 8-core LLC presence-directory gate), every scheme on
 // every inclusion policy validate() allows, prefetch, auto-disable,
 // writebacks, fault injection and the invariant auditor.  Each machine is

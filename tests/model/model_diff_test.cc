@@ -262,6 +262,7 @@ TEST(ModelDiff, RandomMachinesMatchTheModel) {
   std::set<std::pair<int, int>> scheme_inclusion;
   std::set<std::uint32_t> depths, ways, core_counts;
   int prefetch = 0, auto_disable = 0, writebacks = 0, faults = 0, audits = 0;
+  int shared_memo_slots = 0;  // L1s with more sets than the memo has slots
   int aborted = 0;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     const Case k = draw_case(seed);
@@ -276,6 +277,7 @@ TEST(ModelDiff, RandomMachinesMatchTheModel) {
     writebacks += c.model_writebacks;
     faults += c.fault.enabled;
     audits += c.audit.enabled;
+    shared_memo_slots += c.levels[0].geom.sets() > 64;
 
     const std::string diff = run_and_compare(k, nullptr);
     if (!diff.empty()) {
@@ -304,6 +306,65 @@ TEST(ModelDiff, RandomMachinesMatchTheModel) {
   EXPECT_GT(faults, 50);
   EXPECT_GT(audits, 50);
   EXPECT_GT(aborted, 10);
+  EXPECT_GT(shared_memo_slots, 100);
+}
+
+// The engine's L1 memo has one slot per L1 set up to 64 sets; this L1 has
+// 128, so sets 1 and 65 share slot 1.  Writes ping-pong between line A (set
+// 1) and line B (set 65), each line twice in a row: the first reference
+// takes the slot from the other line, the second is a memo hit, and a
+// write must dirty the L1 copy either way (B's first reference is a read,
+// so a dirty latch left over from A would skip it).  Then an LLC conflict
+// back-invalidates A while A still holds the slot, and A is written again:
+// a memo that kept A would count a hit the model does not see.
+TEST(ModelDiff, L1SetsSharingAMemoSlotMatchTheModel) {
+  Case k;
+  k.config = parse_config_text(R"(
+cores = 1
+scheme = base
+inclusion = inclusive
+model_writebacks = true
+[level]
+size = 8K
+ways = 1
+[level]
+size = 4K
+ways = 4
+)");
+  ASSERT_EQ(k.config.levels[0].geom.sets(), 128u);
+  ASSERT_EQ(k.config.llc().geom.sets(), 16u);
+  const Addr base = Addr{1} << 30;
+  const auto ref = [&](LineAddr line, bool write) {
+    MemRef r;
+    r.addr = base + line * 64;
+    r.pc = 0x1000;
+    r.gap = 3;
+    r.is_write = write;
+    return r;
+  };
+  // L1 sets 1 and 65 share memo slot 1; lines 17, 33, 49 and 81 fill the
+  // rest of LLC set 1 from other slots.
+  const LineAddr a = 1, b = 65;
+  std::vector<MemRef> t;
+  for (int i = 0; i < 20; ++i) {
+    t.push_back(ref(a, true));
+    t.push_back(ref(a, true));
+    t.push_back(ref(b, false));
+    t.push_back(ref(b, true));
+  }
+  t.push_back(ref(17, false));
+  t.push_back(ref(33, false));
+  for (int i = 0; i < 4; ++i) t.push_back(ref(a, true));  // memo hits
+  t.push_back(ref(49, false));  // evicts A, LRU in LLC set 1
+  for (int i = 0; i < 4; ++i) t.push_back(ref(a, true));
+  t.push_back(ref(b, true));
+  t.push_back(ref(81, false));
+  t.push_back(ref(a, false));
+  k.traces.push_back(t);
+  k.cpi_centi.push_back(100);
+  k.refs_per_core = t.size();
+  const std::string diff = run_and_compare(k, nullptr);
+  EXPECT_TRUE(diff.empty()) << explain_mismatch(k, diff);
 }
 
 }  // namespace
