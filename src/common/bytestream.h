@@ -80,6 +80,9 @@ struct IsVector<std::vector<T, A>> : std::true_type {};
 class ByteWriter {
  public:
   void reserve(std::size_t n) { buf_.reserve(n); }
+  // Empty the buffer and keep its capacity, so a reused writer stops
+  // allocating once it has grown to its largest record.
+  void clear() { buf_.clear(); }
   // Append `n` bytes and return where they start, so a codec can fill a
   // large section in place (the tag arrays' entry words).  The pointer is
   // valid until the next append.

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "common/check.h"
@@ -7,6 +9,35 @@
 namespace redhip {
 
 namespace {
+
+// The process-wide CPU ledger behind spare_cpus().
+struct CpuLedger {
+  std::mutex mu;
+  std::size_t pool_workers = 0;  // workers of live ThreadPools
+  std::size_t helpers = 0;       // SpareCpus held
+};
+
+CpuLedger& ledger() {
+  static CpuLedger l;
+  return l;
+}
+
+std::size_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
+// Caller holds ledger().mu.
+std::size_t spare_locked(const CpuLedger& l) {
+  const std::size_t busy = std::max<std::size_t>(l.pool_workers, 1) + l.helpers;
+  const std::size_t cpus = affinity_cpus();
+  return cpus > busy ? cpus - busy : 0;
+}
 
 // 0 = std::thread::hardware_concurrency(), at least 1.
 std::size_t resolve_threads(std::size_t threads) {
@@ -18,6 +49,11 @@ std::size_t resolve_threads(std::size_t threads) {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = resolve_threads(threads);
+  {
+    // Counted before any worker can start a task.
+    std::lock_guard<std::mutex> lock(ledger().mu);
+    ledger().pool_workers += threads;
+  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -38,6 +74,8 @@ void ThreadPool::shutdown() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
+  std::lock_guard<std::mutex> lock(ledger().mu);
+  ledger().pool_workers -= workers_.size();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -93,6 +131,25 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks,
   ThreadPool pool(std::min(resolve_threads(threads), tasks.size()));
   for (auto& t : tasks) pool.submit(std::move(t));
   pool.wait_idle();
+}
+
+std::size_t spare_cpus() {
+  std::lock_guard<std::mutex> lock(ledger().mu);
+  return spare_locked(ledger());
+}
+
+SpareCpu::SpareCpu(bool want) {
+  if (!want) return;
+  std::lock_guard<std::mutex> lock(ledger().mu);
+  if (spare_locked(ledger()) == 0) return;
+  ++ledger().helpers;
+  held_ = true;
+}
+
+SpareCpu::~SpareCpu() {
+  if (!held_) return;
+  std::lock_guard<std::mutex> lock(ledger().mu);
+  --ledger().helpers;
 }
 
 }  // namespace redhip

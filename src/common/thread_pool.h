@@ -7,6 +7,9 @@
 // captures the first exception, keeps draining the remaining tasks, and
 // rethrows it from wait_idle()/run_all() — so a 100-run matrix with one
 // poisoned configuration still finishes the other 99 before reporting.
+//
+// Live pools also feed the process's spare-CPU count (spare_cpus below),
+// which decides whether a simulation may start a helper thread.
 #pragma once
 
 #include <condition_variable>
@@ -58,6 +61,30 @@ class ThreadPool {
   std::exception_ptr first_error_;  // guarded by mu_
   std::size_t in_flight_ = 0;
   bool stop_ = false;
+};
+
+// CPUs this process may still give a helper thread: the CPUs it may run on
+// (sched_getaffinity), minus the workers of every live ThreadPool (at least
+// 1: the calling thread), minus the helpers holding a SpareCpu.  A pool
+// counts from construction until its shutdown(), so a sweep on as many
+// workers as CPUs leaves none spare.
+std::size_t spare_cpus();
+
+// One spare CPU held for a helper thread, from construction to destruction.
+// Taking it and counting the spare CPUs is one atomic step, so two runs
+// cannot both take the last one.
+class SpareCpu {
+ public:
+  // `want` false takes nothing (held() is then false).
+  explicit SpareCpu(bool want);
+  ~SpareCpu();
+  SpareCpu(const SpareCpu&) = delete;
+  SpareCpu& operator=(const SpareCpu&) = delete;
+
+  bool held() const { return held_; }
+
+ private:
+  bool held_ = false;
 };
 
 }  // namespace redhip

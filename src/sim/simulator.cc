@@ -1,15 +1,52 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <system_error>
+#include <thread>
+#include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "energy/cacti_lite.h"
 #include "predict/counting_bloom.h"
 #include "predict/oracle.h"
 #include "predict/partial_tag.h"
+#include "sim/ref_queue.h"
+#include "trace/workloads.h"
 
 namespace redhip {
+
+static_assert(RefQueue::kBatch == MulticoreSimulator::kRefillBatch,
+              "a queued batch is one refill");
+
+// The helper thread and the queues it fills.  Built on a run's first
+// refill; the thread runs from ahead_start() to ahead_stop().
+struct MulticoreSimulator::RunAhead {
+  explicit RunAhead(const std::vector<CoreState>& cores)
+      : queues(cores.size()), budget(cores.size(), 0) {
+    for (const CoreState& cs : cores) sources.push_back(cs.trace.get());
+  }
+
+  std::vector<TraceSource*> sources;
+  std::vector<RefQueue> queues;
+  // References the helper may still generate per core (written only by
+  // the helper while it runs, set by the run thread before it starts).
+  std::vector<std::uint64_t> budget;
+  std::thread thread;
+  std::atomic<bool> stop{false};
+  // Bumped by the run thread to wake a helper that found every queue full
+  // (at most half full again, or a stop request).
+  std::atomic<std::uint32_t> wake{0};
+  // Bumped by the helper after every batch and when it exits, to wake a
+  // run thread waiting on an empty queue.
+  std::atomic<std::uint32_t> published{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // set before `failed`
+  std::uint64_t batches = 0;  // helper-owned; read after the join
+};
 
 MulticoreSimulator::MulticoreSimulator(
     const HierarchyConfig& config,
@@ -142,6 +179,7 @@ MulticoreSimulator::MulticoreSimulator(
     if (llc_redhip_ != nullptr) llc_redhip_->set_recal_observer(obs_.get());
   }
 
+  cores_.reserve(config_.cores);
   for (CoreId c = 0; c < config_.cores; ++c) {
     CoreState cs;
     cs.trace = std::move(traces[c]);
@@ -151,6 +189,9 @@ MulticoreSimulator::MulticoreSimulator(
     cores_.push_back(std::move(cs));
   }
 }
+
+// Out of line, where RunAhead is complete.  run() has joined the helper.
+MulticoreSimulator::~MulticoreSimulator() = default;
 
 TagArray& MulticoreSimulator::level_array(std::uint32_t level, CoreId core) {
   return is_shared(level) ? *shared_
@@ -849,7 +890,7 @@ void MulticoreSimulator::run_loop(std::uint64_t max_refs_per_core) {
           std::min<std::uint64_t>(kRefillBatch,
                                   max_refs_per_core - cs.refs_done));
       cs.buf_len =
-          static_cast<std::uint32_t>(cs.trace->next_batch(cs.buf.data(), want));
+          static_cast<std::uint32_t>(pull_refs(best, cs.buf.data(), want));
       cs.buf_pos = 0;
       // Software pipeline, stage 1: batch-compute the batch's line
       // addresses in one dense pass (the prefetch hints below read them),
@@ -944,15 +985,143 @@ SimResult MulticoreSimulator::run(std::uint64_t max_refs_per_core) {
   REDHIP_CHECK_MSG(!ran_, "a simulator instance runs once");
   ran_ = true;
 
+  // Run-ahead gate: only a SyntheticTrace owns all of its state, so only it
+  // may be driven from another thread (a trace file or a forwarding wrapper
+  // such as a tracing shim stays on this one), and only a spare CPU is
+  // worth a helper — on a busy process it would slow the other runs.
+  bool synthetic = true;
+  for (const CoreState& cs : cores_) {
+    synthetic &= dynamic_cast<const SyntheticTrace*>(cs.trace.get()) != nullptr;
+  }
+  const SpareCpu cpu(synthetic);
+  ahead_on_ = cpu.held();
+  // Joins the helper on every way out (the normal end, an exception, a
+  // graceful shutdown or a deadline) and leaves each source where the run
+  // loop stopped.  Declared after `cpu`, so it runs first.
+  struct JoinAhead {
+    MulticoreSimulator* sim;
+    ~JoinAhead() { sim->ahead_park(); }
+  } join{this};
+
   obs_begin_run(max_refs_per_core);
   if (sampling_.enabled()) return run_sampled(max_refs_per_core);
   {
     // Scoped so run_seconds is accumulated before finalize_result copies
     // the timings into the result.
     ScopedTimer timer(obs_ != nullptr ? obs_->run_timer() : nullptr);
+    ahead_horizon_ = max_refs_per_core;
     segment(max_refs_per_core);
   }
   return finalize_result();
+}
+
+// ------------------------------------------------------------------ run-ahead
+
+std::size_t MulticoreSimulator::pull_refs(CoreId c, MemRef* out,
+                                          std::size_t want) {
+  if (!ahead_running_ && ahead_on_) ahead_start();
+  if (!ahead_on_) return cores_[c].trace->next_batch(out, want);
+  RunAhead& a = *ahead_;
+  RefQueue& q = a.queues[c];
+  std::size_t got = 0;
+  while (true) {
+    if (a.failed.load(std::memory_order_acquire)) {
+      ahead_stop();
+      std::rethrow_exception(a.error);
+    }
+    const std::uint32_t seen = a.published.load(std::memory_order_acquire);
+    got += q.take(out + got, want - got);
+    if (got == want) break;
+    // The queue ran dry: the helper has the core's budget left to
+    // generate, so it publishes (or fails) and bumps `published`.
+    a.published.wait(seen, std::memory_order_acquire);
+  }
+  if (q.queued() <= RefQueue::kDepth / 2) {
+    // Cheap unless the helper sleeps: notify_one skips the futex when
+    // nobody waits.
+    a.wake.fetch_add(1, std::memory_order_release);
+    a.wake.notify_one();
+  }
+  return got;
+}
+
+void MulticoreSimulator::ahead_start() {
+  if (ahead_ == nullptr) ahead_ = std::make_unique<RunAhead>(cores_);
+  RunAhead& a = *ahead_;
+  for (CoreId c = 0; c < config_.cores; ++c) {
+    // The queues are empty (first start, or rewound by ahead_park), so the
+    // source stands at the end of the core's refill buffer.
+    const CoreState& cs = cores_[c];
+    const std::uint64_t at = cs.refs_done + (cs.buf_len - cs.buf_pos);
+    a.budget[c] = ahead_horizon_ > at ? ahead_horizon_ - at : 0;
+  }
+  a.stop.store(false, std::memory_order_relaxed);
+  try {
+    a.thread = std::thread([this] { ahead_loop(); });
+  } catch (const std::system_error&) {
+    ahead_on_ = false;  // no thread to be had: generate on this one
+    return;
+  }
+  ahead_running_ = true;
+}
+
+void MulticoreSimulator::ahead_loop() {
+  RunAhead& a = *ahead_;
+  try {
+    while (!a.stop.load(std::memory_order_acquire)) {
+      const std::uint32_t seen = a.wake.load(std::memory_order_acquire);
+      // Fill the emptiest queue with budget left, so a run thread blocked
+      // on an empty queue is served first.
+      std::size_t best = a.queues.size();
+      std::uint32_t best_queued = RefQueue::kDepth;
+      bool more = false;
+      for (std::size_t c = 0; c < a.queues.size(); ++c) {
+        if (a.budget[c] == 0) continue;
+        more = true;
+        const std::uint32_t queued = a.queues[c].queued();
+        if (queued < best_queued) {
+          best = c;
+          best_queued = queued;
+        }
+      }
+      if (!more) break;  // every core's share is generated
+      if (best == a.queues.size()) {
+        a.wake.wait(seen, std::memory_order_acquire);  // all queues full
+        continue;
+      }
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(RefQueue::kBatch, a.budget[best]));
+      a.queues[best].produce(*a.sources[best], n);
+      a.budget[best] -= n;
+      ++a.batches;
+      a.published.fetch_add(1, std::memory_order_release);
+      a.published.notify_one();
+    }
+  } catch (...) {
+    a.error = std::current_exception();
+    a.failed.store(true, std::memory_order_release);
+  }
+  a.published.fetch_add(1, std::memory_order_release);
+  a.published.notify_one();
+}
+
+void MulticoreSimulator::ahead_stop() {
+  if (!ahead_running_) return;
+  RunAhead& a = *ahead_;
+  a.stop.store(true, std::memory_order_release);
+  a.wake.fetch_add(1, std::memory_order_release);
+  a.wake.notify_one();
+  a.thread.join();
+  ahead_running_ = false;
+  ahead_batches_ += std::exchange(a.batches, 0);
+}
+
+void MulticoreSimulator::ahead_park() {
+  if (!ahead_running_) return;
+  ahead_stop();
+  for (CoreId c = 0; c < config_.cores; ++c) {
+    ahead_->queues[c].rewind(*cores_[c].trace);
+  }
 }
 
 // ------------------------------------------------------- statistical sampling
@@ -982,6 +1151,7 @@ SimResult MulticoreSimulator::run_sampled(std::uint64_t max_refs_per_core) {
     // already-met targets are no-ops.
     for (std::uint64_t w = sample_windows_.size(); w < windows; ++w) {
       const std::uint64_t base = w * period;
+      ahead_horizon_ = base + period;
       sample_skip_to(base + skip_len);
       sample_warm_to(base + skip_len + sampling_.warmup_refs);
       if (!sample_win_open_) {
@@ -993,6 +1163,7 @@ SimResult MulticoreSimulator::run_sampled(std::uint64_t max_refs_per_core) {
         // stays a rounding error next to the skip/warm phases.
         if (ckpt_ctl_ != nullptr && ckpt_ctl_->save_window &&
             ((w + 1) & w) == 0) {
+          ahead_park();
           ckpt_ctl_->save_window(*this, w);
         }
       }
@@ -1017,6 +1188,7 @@ void MulticoreSimulator::sample_skip_to(std::uint64_t target_refs_per_core) {
   // the L1 memo and every counter stay frozen (and the frozen PT/tag pair
   // keeps the no-false-negative invariant trivially intact).
   static constexpr std::uint64_t kSkipChunk = 64 * 1024;
+  ahead_park();
   while (true) {
     bool any = false;
     for (CoreState& cs : cores_) {
@@ -1057,7 +1229,7 @@ void MulticoreSimulator::sample_warm_to(std::uint64_t target_refs_per_core) {
       const std::uint64_t end = std::min(
           target_refs_per_core, (cs.refs_done / chunk + 1) * chunk);
       const std::size_t want = static_cast<std::size_t>(end - cs.refs_done);
-      const std::size_t got = cs.trace->next_batch(cs.buf.data(), want);
+      const std::size_t got = pull_refs(c, cs.buf.data(), want);
       for (std::size_t i = 0; i < got; ++i) {
         const MemRef& ref = cs.buf[i];
         if (prefetch) {
@@ -1133,7 +1305,7 @@ void MulticoreSimulator::ckpt_poll_slow() {
   // at the same boundary as an interval tick.
   if (ctl.stop_flag != nullptr &&
       ctl.stop_flag->load(std::memory_order_relaxed)) {
-    if (ctl.save) ctl.save(*this);
+    ckpt_save_now();
     throw GracefulShutdownRequest(
         "stop requested; checkpoint written at a safe boundary");
   }
@@ -1147,14 +1319,21 @@ void MulticoreSimulator::ckpt_poll_slow() {
     // the periodic interval — the state just hit disk.
     ckpt_save_at_done_ = true;
     ckpt_last_save_refs_ = total;
-    if (ctl.save) ctl.save(*this);
+    ckpt_save_now();
     return;
   }
   if (ctl.interval_refs > 0 &&
       total - ckpt_last_save_refs_ >= ctl.interval_refs) {
     ckpt_last_save_refs_ = total;
-    if (ctl.save) ctl.save(*this);
+    ckpt_save_now();
   }
+}
+
+void MulticoreSimulator::ckpt_save_now() {
+  // Park the run-ahead helper first, so each source stands at the end of
+  // its core's refill buffer, as the codec expects.
+  ahead_park();
+  if (ckpt_ctl_->save) ckpt_ctl_->save(*this);
 }
 
 void MulticoreSimulator::obs_begin_run(std::uint64_t max_refs_per_core) {

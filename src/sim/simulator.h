@@ -39,6 +39,7 @@ class MulticoreSimulator {
   MulticoreSimulator(const HierarchyConfig& config,
                      std::vector<std::unique_ptr<TraceSource>> traces,
                      std::vector<std::uint32_t> cpi_centi);
+  ~MulticoreSimulator();
 
   // Run until every core has executed `max_refs_per_core` references (or its
   // trace ended).  Returns the priced result.  May be called once.
@@ -48,6 +49,12 @@ class MulticoreSimulator {
   // (fault x prefetch x auto-disable) feature mask so runs with a feature
   // off never test for it per reference.  tests/model holds an independent
   // whole-hierarchy model that run() must match event for event.
+  //
+  // When every core reads a SyntheticTrace and the process has a spare CPU
+  // (spare_cpus, common/thread_pool.h), a helper thread generates each
+  // core's references ahead of the loop (see RefQueue).  No simulated
+  // number and no checkpoint byte depends on whether it ran, and it is
+  // joined before run() returns or throws.
   SimResult run(std::uint64_t max_refs_per_core);
 
   // --- Single-access hooks used by unit tests --------------------------------
@@ -67,6 +74,8 @@ class MulticoreSimulator {
   }
   std::uint64_t recovery_recals_for_test() const { return recovery_recals_; }
   const HierarchyConfig& config() const { return config_; }
+  // Batches the run-ahead helper generated (0 when it did not run).
+  std::uint64_t ahead_batches_for_test() const { return ahead_batches_; }
   // Null unless config.obs.enabled (see src/obs/collector.h).
   const ObsCollector* obs_for_test() const { return obs_.get(); }
   // --- Statistical sampling (src/sim/sampling.h) -----------------------------
@@ -109,11 +118,14 @@ class MulticoreSimulator {
     return total;
   }
 
-  // How many references a core pulls from its TraceSource per refill.  256
-  // refs (4 KiB) amortize the virtual next_batch call and keep the
-  // generator's state hot without displacing the simulated tag arrays from
-  // the host cache.  It also bounds the refill-buffer tail a checkpoint
-  // stores per core.
+  // How many references a core takes per refill.  256 refs (4 KiB)
+  // amortize the virtual next_batch call and keep the generator's state
+  // hot without displacing the simulated tag arrays from the host cache.
+  // It also bounds the refill-buffer tail a checkpoint stores per core.
+  // A SyntheticTrace is run ahead: the helper generates batches of the same
+  // size into the core's RefQueue and a refill copies from there.  Any
+  // other source (trace files, forwarding wrappers) is read on the run
+  // thread at refill time.
   static constexpr std::size_t kRefillBatch = 256;
 
  private:
@@ -289,10 +301,28 @@ class MulticoreSimulator {
   // min-clock scheduler over the rest from their current clocks.
   CoreScheduler start_scheduler(std::uint64_t max_refs_per_core);
 
+  // --- Run-ahead trace generation (DESIGN fast-path item 10) ----------------
+  // Up to `want` of core `c`'s next references into `out`: from its
+  // RefQueue while the run holds a spare CPU (starting the helper on
+  // demand, and rethrowing an exception the helper caught), else straight
+  // from the source.  Fewer than `want` only when the trace ended, which
+  // a run-ahead source never does.
+  std::size_t pull_refs(CoreId c, MemRef* out, std::size_t want);
+  void ahead_start();
+  void ahead_loop();  // the helper thread's body
+  // Stop and join the helper, leaving the queues as they are (after a
+  // helper failure).  No-op when it is not running.
+  void ahead_stop();
+  // Stop the helper and rewind every source to the end of its core's
+  // refill buffer: before a checkpoint save or a skip, and on every exit
+  // from run().
+  void ahead_park();
+
   // --- Checkpoint polling ----------------------------------------------------
   // Called at safe boundaries only (between references).  When
   // checkpointing is off the cost is one pointer test.
   void ckpt_poll_slow();  // save and/or throw, see ckpt_control.h
+  void ckpt_save_now();   // park the run-ahead helper, then save
   void ckpt_poll() {
     if (ckpt_ctl_) ckpt_poll_slow();
   }
@@ -419,6 +449,18 @@ class MulticoreSimulator {
   // SimResult::warm_host_seconds (host-side, not simulated state — never
   // checkpointed, never part of stats_identical).
   double sample_warm_host_seconds_ = 0.0;
+
+  // Run-ahead state.  `ahead_on_`: this run holds a spare CPU for the
+  // helper.  The helper may generate each core's stream up to position
+  // `ahead_horizon_` (the end of the run, or of the sampled period being
+  // simulated), so it never produces references the run will not consume.
+  // `ahead_` (queues and thread) is built on the first refill.
+  struct RunAhead;
+  std::unique_ptr<RunAhead> ahead_;
+  bool ahead_on_ = false;
+  bool ahead_running_ = false;  // started and not yet joined
+  std::uint64_t ahead_horizon_ = 0;
+  std::uint64_t ahead_batches_ = 0;
 
   // Checkpoint control (not owned; null = checkpointing off).
   CkptControl* ckpt_ctl_ = nullptr;

@@ -37,6 +37,14 @@ struct MemRef {
 // A stream of memory references.  Sources may be finite (file traces) or
 // unbounded (synthetic generators); the simulator bounds every run by a
 // reference count, so `next` returning false simply ends that core early.
+//
+// Run-ahead: the simulator may call a source from a helper thread, ahead
+// of the references it has consumed, and later rewind it with
+// ckpt_load_state + skip (sim/ref_queue.h).  It does so only for
+// SyntheticTrace, which owns all of its state.  Every other source (trace
+// files, and wrappers that forward to another source or record into
+// state of their own) is called only from the thread that runs the
+// simulation, and only for references that thread consumes next.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
