@@ -356,9 +356,7 @@ int main(int argc, char** argv) {
   std::ostringstream sampling_json;
   if (sampled_refs > 0) {
     RunSpec sspec;
-    for (BenchmarkId id : all_benchmarks()) {
-      if (to_string(id) == cli.get("sampled-bench", "mcf")) sspec.bench = id;
-    }
+    sspec.bench = benchmark_from_name(cli.get("sampled-bench", "mcf")).value();
     sspec.scheme = Scheme::kRedhip;
     sspec.scale = opts.scale;
     sspec.refs_per_core = sampled_refs;

@@ -24,13 +24,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opts.get_int("refs", 200'000));
   const std::string bench_name = opts.get("bench", "milc");
 
-  BenchmarkId bench = BenchmarkId::kMilc;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
-
   RunSpec spec;
-  spec.bench = bench;
+  spec.bench = benchmark_from_name(bench_name).value();
   spec.scale = scale;
   spec.refs_per_core = refs;
   spec.scheme = Scheme::kBase;
@@ -46,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf(
       "ReDHiP capacity planning for %s: perf-energy metric over (PT size x "
       "recalibration interval)\n\n",
-      to_string(bench).c_str());
+      to_string(spec.bench).c_str());
   std::vector<std::string> headers{"PT \\ recal"};
   for (const auto& [label, iv] : intervals) headers.push_back(label);
   headers.push_back("PT overhead");

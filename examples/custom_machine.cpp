@@ -66,10 +66,7 @@ int main(int argc, char** argv) {
   }
   HierarchyConfig config = load_config_file(path);
 
-  BenchmarkId bench = BenchmarkId::kMilc;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+  const BenchmarkId bench = benchmark_from_name(bench_name).value();
 
   std::printf("machine from %s:\n%s\n", path.c_str(),
               config_to_text(config).c_str());

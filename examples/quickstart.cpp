@@ -76,10 +76,7 @@ int main(int argc, char** argv) {
                      "unknown --sample-mode: " + sample_mode);
   }
 
-  BenchmarkId bench = BenchmarkId::kMcf;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+  const BenchmarkId bench = benchmark_from_name(bench_name).value();
 
   // Catch SIGTERM/SIGINT from the start: a stop request during the Base leg
   // (which never polls) must not kill the process with the default action —
@@ -104,10 +101,16 @@ int main(int argc, char** argv) {
   const SimResult base = run_spec(spec);
   spec.scheme = Scheme::kRedhip;
   if (!trace_events.empty()) {
-    spec.tweak = [&trace_events, refs](HierarchyConfig& hc) {
+    spec.tweak = [&trace_events, &sampling, refs](HierarchyConfig& hc) {
       hc.obs.enabled = true;
-      // Eight epochs over the run, whatever --refs was.
-      hc.obs.epoch_refs = std::max<std::uint64_t>(1, refs * hc.cores / 8);
+      // Eight epochs over the run, whatever --refs was.  A sampled run's
+      // epochs follow its plan instead, one per period: the epoch length
+      // joins the checkpoint key, and runs of one cell that differ only in
+      // --refs must keep sharing their warm window snapshots.
+      hc.obs.epoch_refs =
+          sampling.enabled()
+              ? sampling.period_refs * hc.cores
+              : std::max<std::uint64_t>(1, refs * hc.cores / 8);
       hc.obs.trace_path = trace_events;
     };
   }

@@ -29,10 +29,7 @@ int main(int argc, char** argv) {
   const std::string bench_name = opts.get("bench", "soplex");
   const std::string dir = opts.get("dir", "/tmp");
 
-  BenchmarkId bench = BenchmarkId::kSoplex;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+  const BenchmarkId bench = benchmark_from_name(bench_name).value();
   const HierarchyConfig config =
       HierarchyConfig::scaled(scale, Scheme::kRedhip);
 

@@ -28,10 +28,7 @@ namespace {
 
 int cmd_gen(const CliOptions& opts, const std::string& out) {
   const std::string bench_name = opts.get("bench", "mcf");
-  BenchmarkId bench = BenchmarkId::kMcf;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+  const BenchmarkId bench = benchmark_from_name(bench_name).value();
   const CoreId core = static_cast<CoreId>(opts.get_int("core", 0));
   const std::uint64_t refs =
       static_cast<std::uint64_t>(opts.get_int("refs", 100'000));

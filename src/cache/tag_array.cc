@@ -13,7 +13,6 @@ TagArray::TagArray(const CacheGeometry& geom, std::uint64_t seed)
   sets_ = geom_.sets();
   set_bits_ = geom_.set_bits();
   set_mask_ = sets_ - 1;
-  bank_mask_ = geom_.banks - 1;
   lane_stride_ = (geom_.ways + 3) & ~3u;
   entries_.resize(sets_ * geom_.ways);
   // All ways start invalid: a zero lane word is exactly the invalid

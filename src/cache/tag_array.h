@@ -112,7 +112,6 @@ class TagArray {
   std::uint64_t sets() const { return sets_; }
   std::uint32_t ways() const { return geom_.ways; }
   std::uint64_t set_of(LineAddr line) const { return line & set_mask_; }
-  std::uint64_t bank_of(std::uint64_t set) const { return set & bank_mask_; }
 
   // Iterate the valid lines of one set (used by ReDHiP recalibration, which
   // reads the tag array set-by-set).  The templated form avoids the
@@ -377,7 +376,6 @@ class TagArray {
   std::uint64_t sets_;
   std::uint32_t set_bits_;
   std::uint64_t set_mask_;
-  std::uint64_t bank_mask_;
   std::uint32_t lane_stride_;  // ways rounded up to a multiple of 4
   std::vector<Entry> entries_;
   std::vector<PTag> ptags_;  // derived partial-tag lanes, see rebuild_lane()

@@ -47,7 +47,8 @@ std::uint64_t ckpt_key(const std::string& bench, std::uint32_t scale,
                        std::uint64_t seed, std::uint64_t config_dig);
 
 // Serialize `sim` (which must be at a safe boundary) and publish it to
-// `path` atomically.
+// `path` atomically.  FAILED_PRECONDITION, with no file written, when the
+// machine's checkpoints cannot be complete (!sim.ckpt_supported()).
 Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
                        std::uint64_t key);
 
@@ -55,8 +56,9 @@ Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
 // freshly constructed (same workload recipe, not yet run); its trace
 // sources are repositioned from their saved generator state (a source
 // without state capture is fast-forwarded with skip()).  Returns
-// NOT_FOUND when no file exists and DATA_LOSS on any validation or
-// structural failure — in the DATA_LOSS case `sim` may be partially
+// FAILED_PRECONDITION when !sim.ckpt_supported(), NOT_FOUND when no file
+// exists — both leave `sim` untouched — and DATA_LOSS on any validation
+// or structural failure; in the DATA_LOSS case `sim` may be partially
 // mutated and must be discarded (construct a fresh one and cold-start).
 Status load_checkpoint(const std::string& path, std::uint64_t key,
                        MulticoreSimulator& sim);

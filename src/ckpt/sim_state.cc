@@ -283,16 +283,10 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   r.get(sample_windows_);
 
   if (!r.ok()) return false;
-  // Interval accounting resumes from the restored position: the state just
-  // came *from* disk, so nothing is due until another interval elapses.
+  // Checkpoint accounting resumes from the restored position: the state
+  // just came *from* disk, so nothing is due until another interval
+  // elapses, and a one-shot point already passed is not saved again.
   ckpt_last_save_refs_ = ckpt_refs_done();
-  // A restore at or past the one-shot point means that checkpoint (or a
-  // later one) already exists — rewriting it would only churn the shared
-  // warmup file other sweep cells are reading.
-  if (ckpt_ctl_ != nullptr && ckpt_ctl_->save_at_refs > 0 &&
-      ckpt_last_save_refs_ >= ckpt_ctl_->save_at_refs) {
-    ckpt_save_at_done_ = true;
-  }
   return true;
 }
 

@@ -17,10 +17,15 @@ double loglog(double size, double s0, double y0, double s1, double y1) {
   return std::exp2(std::log2(y0) + t * (std::log2(y1) - std::log2(y0)));
 }
 
-const std::vector<CactiLite::Anchor>& anchor_table() {
+struct Anchor {
+  std::uint64_t size_bytes;
+  LevelEnergyParams params;
+};
+
+const std::vector<Anchor>& anchor_table() {
   // Table I of the paper, verbatim.  L1/L2 publish a single access number:
   // modeled as tag cost 0 (see params.h).
-  static const std::vector<CactiLite::Anchor> kAnchors = {
+  static const std::vector<Anchor> kAnchors = {
       {32_KiB, {"32KB", 0, 2, 0.0, 0.0144, 0.0013}},
       {256_KiB, {"256KB", 0, 6, 0.0, 0.0634, 0.02}},
       {4_MiB, {"4MB", 9, 12, 0.348, 0.839, 0.16}},
@@ -46,10 +51,6 @@ double interp_field(std::uint64_t size_bytes,
 }
 
 }  // namespace
-
-const std::vector<CactiLite::Anchor>& CactiLite::anchors() {
-  return anchor_table();
-}
 
 LevelEnergyParams CactiLite::cache_params(std::uint64_t size_bytes,
                                           bool force_tag_split) {

@@ -37,13 +37,6 @@ class CactiLite {
   // Fig. 11 sweep: 64 KB..2 MB) scale as sqrt(size), with the access delay
   // growing by one cycle per 4x above 1 MB.
   static PredictorEnergyParams pt_params(std::uint64_t size_bytes);
-
-  struct Anchor {
-    std::uint64_t size_bytes;
-    LevelEnergyParams params;
-  };
-  // The Table I anchor rows, exposed for tests and the table1_config bench.
-  static const std::vector<Anchor>& anchors();
 };
 
 }  // namespace redhip

@@ -120,17 +120,4 @@ bool FaultInjector::maybe_perturb(MemRef& ref) {
   return true;
 }
 
-FaultyTraceSource::FaultyTraceSource(std::unique_ptr<TraceSource> inner,
-                                     const FaultConfig& config)
-    : inner_(std::move(inner)), injector_(config) {
-  REDHIP_CHECK_MSG(injector_.site_enabled(FaultSite::kTraceAddr),
-                   "FaultyTraceSource needs the trace site enabled");
-}
-
-bool FaultyTraceSource::next(MemRef& out) {
-  if (!inner_->next(out)) return false;
-  injector_.maybe_perturb(out);
-  return true;
-}
-
 }  // namespace redhip

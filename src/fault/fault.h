@@ -146,23 +146,4 @@ class FaultInjector {
   FaultStats stats_;
 };
 
-// TraceSource decorator: replays `inner` with FaultSite::kTraceAddr
-// perturbation applied, for file traces and standalone tests.  The
-// simulator perturbs its own trace stream internally (same code path via
-// FaultInjector::maybe_perturb); this wrapper exists for pipelines that
-// corrupt a trace *before* it reaches a simulator.
-class FaultyTraceSource final : public TraceSource {
- public:
-  FaultyTraceSource(std::unique_ptr<TraceSource> inner,
-                    const FaultConfig& config);
-
-  bool next(MemRef& out) override;
-
-  std::uint64_t perturbed() const { return injector_.stats().trace_refs_perturbed; }
-
- private:
-  std::unique_ptr<TraceSource> inner_;
-  FaultInjector injector_;
-};
-
 }  // namespace redhip

@@ -61,10 +61,9 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   if (bench.empty()) {
     o.benches = all_benchmarks();
   } else {
-    for (BenchmarkId id : all_benchmarks()) {
-      if (to_string(id) == bench) o.benches.push_back(id);
-    }
-    REDHIP_CHECK_MSG(!o.benches.empty(), "unknown benchmark: " + bench);
+    Result<BenchmarkId> id = benchmark_from_name(bench);
+    REDHIP_CHECK_MSG(id.ok(), id.status().to_string());
+    o.benches = {id.value()};
   }
   return o;
 }
@@ -127,13 +126,6 @@ double mean(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
-}
-
-std::vector<std::string> benchmark_row_labels(const ExperimentOptions& opts) {
-  std::vector<std::string> labels;
-  for (BenchmarkId id : opts.benches) labels.push_back(to_string(id));
-  labels.push_back("average");
-  return labels;
 }
 
 }  // namespace redhip

@@ -102,7 +102,4 @@ double estimated_run_cost(const RunSpec& spec);
 // Arithmetic mean (the paper's "average" bars).
 double mean(const std::vector<double>& v);
 
-// Standard figure header: benchmark names in the paper's order + "average".
-std::vector<std::string> benchmark_row_labels(const ExperimentOptions& opts);
-
 }  // namespace redhip

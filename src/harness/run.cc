@@ -33,6 +33,27 @@ HierarchyConfig resolved_config(const RunSpec& spec) {
   return config;
 }
 
+std::uint64_t ckpt_key(const RunSpec& spec) {
+  // The sampling plan joins the key: a sampled run's checkpoint encodes
+  // window progress that is meaningless under any other plan (or under
+  // exact execution), so such files must never cross-restore.
+  return ckpt_key(to_string(spec.bench), spec.scale, spec.seed,
+                  config_digest(resolved_config(spec)) ^
+                      sampling_digest(spec.sampling));
+}
+
+namespace {
+
+// Save through `path`; a failed save never corrupts the run, it only loses
+// restart coverage, so it warns instead of aborting a healthy simulation.
+void save_or_warn(const MulticoreSimulator& sim, const std::string& path,
+                  std::uint64_t key) {
+  const Status st = save_checkpoint(sim, path, key);
+  if (!st.ok()) std::fprintf(stderr, "warning: %s\n", st.to_string().c_str());
+}
+
+}  // namespace
+
 SimResult run_spec(const RunSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
   HierarchyConfig config = resolved_config(spec);
@@ -50,8 +71,8 @@ SimResult run_spec(const RunSpec& spec) {
     }
     auto s = std::make_unique<MulticoreSimulator>(config, std::move(traces),
                                                   std::move(cpis));
-    // Inside build_sim so a DATA_LOSS rebuild is also a *sampled* rebuild:
-    // the plan is part of the machine identity for this run.
+    // Inside build_sim so a rebuild is also a *sampled* rebuild: the plan
+    // is part of the machine identity for this run.
     s->set_sampling(spec.sampling);
     return s;
   };
@@ -61,12 +82,7 @@ SimResult run_spec(const RunSpec& spec) {
                        spec.stop_flag != nullptr || spec.deadline_seconds > 0;
   CkptControl ctl;  // must outlive the run below
   if (ckpt_on) {
-    // The sampling plan joins the key: a sampled run's checkpoint encodes
-    // window progress that is meaningless under any other plan (or under
-    // exact execution), so such files must never cross-restore.
-    const std::uint64_t key =
-        ckpt_key(to_string(spec.bench), spec.scale, spec.seed,
-                 config_digest(config) ^ sampling_digest(spec.sampling));
+    const std::uint64_t key = ckpt_key(spec);
     ctl.interval_refs = spec.ckpt_interval_refs;
     ctl.save_at_refs = spec.ckpt_save_at_refs;
     ctl.stop_flag = spec.stop_flag;
@@ -79,12 +95,7 @@ SimResult run_spec(const RunSpec& spec) {
     }
     if (!spec.ckpt_path.empty()) {
       ctl.save = [path = spec.ckpt_path, key](MulticoreSimulator& s) {
-        const Status st = save_checkpoint(s, path, key);
-        // A failed save never corrupts the run; it only loses restart
-        // coverage, so it warns instead of aborting a healthy simulation.
-        if (!st.ok()) {
-          std::fprintf(stderr, "warning: %s\n", st.to_string().c_str());
-        }
+        save_or_warn(s, path, key);
       };
       if (spec.sampling.enabled()) {
         // Shareable warm snapshots (see CkptControl::save_window): the
@@ -94,85 +105,59 @@ SimResult run_spec(const RunSpec& spec) {
         // solely in that count.
         ctl.save_window = [path = spec.ckpt_path,
                            key](MulticoreSimulator& s, std::uint64_t w) {
-          const Status st =
-              save_checkpoint(s, window_snapshot_path(path, w), key);
-          if (!st.ok()) {
-            std::fprintf(stderr, "warning: %s\n", st.to_string().c_str());
-          }
+          save_or_warn(s, window_snapshot_path(path, w), key);
         };
       }
     }
     if (!spec.ckpt_path.empty() && spec.ckpt_restore) {
-      if (!sim->ckpt_supported()) {
-        std::fprintf(stderr,
-                     "warning: checkpoint restore skipped: this "
-                     "configuration's tag-array state is not "
-                     "self-contained\n");
-      } else {
-        // Capture must be live before the restore replays the JSONL prefix.
-        sim->set_ckpt_control(&ctl);
-        const Status st = load_checkpoint(spec.ckpt_path, key, *sim);
-        if (st.code() == StatusCode::kDataLoss) {
-          // Torn, corrupt, or foreign: evict and cold-start — a wrong
-          // result is never an option, a lost warmup merely costs time.
-          std::fprintf(stderr, "warning: %s; evicting and cold-starting\n",
+      // Candidates: the main file, then a sampled run's warm snapshots
+      // (written at window opens w with w+1 a power of two, possibly by a
+      // longer run of this cell) that fit inside this run, deepest first.
+      // Restoring one skips every skip/warm phase up to that window;
+      // run_sampled's absolute-position targets make the resume exact.
+      std::vector<std::string> candidates{spec.ckpt_path};
+      if (spec.sampling.enabled()) {
+        const std::uint64_t windows =
+            spec.sampling.windows_for(spec.refs_per_core);
+        for (std::uint64_t w = 0; w < windows; w = w * 2 + 1) {
+          candidates.insert(candidates.begin() + 1,
+                            window_snapshot_path(spec.ckpt_path, w));
+        }
+      }
+      for (const std::string& path : candidates) {
+        const Status st = load_checkpoint(path, key, *sim);
+        if (st.code() == StatusCode::kNotFound) continue;  // sim untouched
+        if (st.code() == StatusCode::kFailedPrecondition) {
+          std::fprintf(stderr, "warning: %s; running without checkpoints\n",
                        st.to_string().c_str());
-          evict_checkpoint(spec.ckpt_path);
-          // Destroy the tainted simulator *before* building its
-          // replacement: its obs writer may hold the same trace file open
-          // (the restore replays the captured JSONL prefix into it), and a
-          // late flush would land inside the new run's freshly truncated
-          // file.
-          sim.reset();
-          sim = build_sim();
-        } else if (st.ok() &&
-                   sim->ckpt_refs_done() >
-                       spec.refs_per_core * config.cores) {
-          // Valid checkpoint, but past this run's end: a prefix of a longer
-          // run is useless here.  Keep the file (it is still valid for the
-          // run that wrote it) and cold-start.
+          break;  // sim untouched, and no other candidate can fit it
+        }
+        if (st.ok() &&
+            sim->ckpt_refs_done() <= spec.refs_per_core * config.cores) {
+          break;  // restored
+        }
+        if (st.ok()) {
+          // Valid, but past this run's end: a prefix of a longer run is
+          // useless here.  Keep the file, it is still valid for the run
+          // that wrote it.
           std::fprintf(stderr,
                        "warning: checkpoint %s is ahead of this run "
                        "(ignoring it)\n",
-                       spec.ckpt_path.c_str());
-          sim.reset();  // same teardown-before-rebuild rule as above
-          sim = build_sim();
+                       path.c_str());
+        } else {
+          // Torn, corrupt, or foreign: evict it — a wrong result is never
+          // an option, a lost warmup merely costs time.
+          std::fprintf(stderr, "warning: %s; evicting and %s\n",
+                       st.to_string().c_str(),
+                       &path == &candidates.back()
+                           ? "cold-starting"
+                           : "trying an older snapshot");
+          evict_checkpoint(path);
         }
-        // kNotFound: plain cold start, nothing to say.
-
-        // Still cold and sampled?  Scan the shareable warm snapshots
-        // (written by save_window at exponentially spaced window opens,
-        // possibly by a *different* run of this cell with more refs) for
-        // the deepest one that fits inside this run's window
-        // count.  Restoring one skips every skip/warm phase up to that
-        // window; run_sampled's absolute-position targets make the resume
-        // exact.
-        if (sim->ckpt_refs_done() == 0 && spec.sampling.enabled()) {
-          const std::uint64_t windows =
-              spec.sampling.windows_for(spec.refs_per_core);
-          std::vector<std::uint64_t> candidates;  // w with w+1 a power of 2
-          for (std::uint64_t w = 0; w < windows; w = w * 2 + 1) {
-            candidates.push_back(w);
-          }
-          for (std::size_t i = candidates.size(); i-- > 0;) {
-            const std::string wpath =
-                window_snapshot_path(spec.ckpt_path, candidates[i]);
-            const Status wst = load_checkpoint(wpath, key, *sim);
-            if (wst.code() == StatusCode::kNotFound) continue;
-            if (!wst.ok()) {
-              // Torn or foreign snapshot: evict it (same rationale as the
-              // main file) and rebuild the possibly-tainted simulator.
-              std::fprintf(stderr, "warning: %s; evicting snapshot\n",
-                           wst.to_string().c_str());
-              evict_checkpoint(wpath);
-              sim.reset();
-              sim = build_sim();
-              sim->set_ckpt_control(&ctl);
-              continue;
-            }
-            break;  // deepest usable snapshot restored
-          }
-        }
+        // The load may have mutated the simulator.  Nothing it did reached
+        // the trace file (ObsCollector::ckpt_load writes nothing), so the
+        // replacement may simply take its place.
+        sim = build_sim();
       }
     }
     sim->set_ckpt_control(&ctl);

@@ -65,6 +65,11 @@ struct RunSpec {
 // workload identity) as the content address of the run.
 HierarchyConfig resolved_config(const RunSpec& spec);
 
+// The checkpoint key of `spec` (ckpt/checkpoint_io.h): the resolved
+// config's digest folded with the sampling plan's, so an exact run and a
+// sampled one (or two plans) never share a file.
+std::uint64_t ckpt_key(const RunSpec& spec);
+
 // Build the machine and the per-core traces for `spec` and run it.  Fills
 // SimResult::host_seconds / host_mrefs_per_s with the wall time of the
 // whole run (trace + simulator construction + simulation).

@@ -1,5 +1,7 @@
 #include "obs/collector.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace redhip {
@@ -92,10 +94,8 @@ void ObsCollector::emit_epoch(const EpochSample& s) {
 }
 
 void ObsCollector::emit_run_begin(const ObsRunInfo& info) {
-  // A resumed run's replayed trace prefix already contains the run_begin
-  // line; emitting a second one would break byte-identity with an
-  // uninterrupted run.
-  if (!sink_ || resumed_) return;
+  const std::string prefix = std::exchange(restored_prefix_, {});
+  if (!sink_) return;
   EventWriter w("run_begin");
   w.field("cores", static_cast<std::uint64_t>(info.cores))
       .field("scheme", info.scheme)
@@ -109,6 +109,7 @@ void ObsCollector::emit_run_begin(const ObsRunInfo& info) {
       .field("epoch_refs", config_.epoch_refs)
       .field("epoch_cycles", config_.epoch_cycles);
   w.emit(*sink_);
+  if (!prefix.empty()) sink_->write_line(prefix.substr(prefix.find('\n') + 1));
 }
 
 void ObsCollector::emit_sample_window(std::uint64_t index,
@@ -199,7 +200,12 @@ void ObsCollector::ckpt_save(ByteWriter& w) const {
   w.put(prev_);
   w.put(epochs_);
   metrics_.ckpt_save(w);
-  w.str(capture_ != nullptr ? capture_->captured() : std::string());
+  // Between a restore and run(), the restored prefix is still the trace.
+  if (!restored_prefix_.empty()) {
+    w.str(restored_prefix_);
+  } else {
+    w.str(capture_ != nullptr ? capture_->captured() : std::string());
+  }
 }
 
 bool ObsCollector::ckpt_load(ByteReader& r) {
@@ -209,13 +215,9 @@ bool ObsCollector::ckpt_load(ByteReader& r) {
   r.get(prev_);
   r.get(epochs_);
   if (!metrics_.ckpt_load(r)) return false;
-  std::string prefix = r.str();
-  if (!r.ok()) return false;
-  if (capture_ != nullptr) {
-    capture_->replay(std::move(prefix));
-  }
-  resumed_ = true;
-  return true;
+  restored_prefix_ = r.str();
+  return r.ok() && (restored_prefix_.empty() ||
+                    restored_prefix_.rfind("{\"ev\":\"run_begin\"", 0) == 0);
 }
 
 }  // namespace redhip

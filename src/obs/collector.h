@@ -87,9 +87,6 @@ class ObsCollector final : public RecalObserver {
   bool timing_enabled() const { return config_.timing; }
   // Accumulator handles for ScopedTimer; null when timing is off.
   double* run_timer() { return config_.timing ? &timing_.run_seconds : nullptr; }
-  double* finalize_timer() {
-    return config_.timing ? &timing_.finalize_seconds : nullptr;
-  }
 
   // --- Hot path --------------------------------------------------------------
   // Account one executed reference; returns true when the epoch boundary
@@ -116,6 +113,9 @@ class ObsCollector final : public RecalObserver {
   void finish(std::uint64_t now, const ObsSnapshot& snap);
 
   // --- Events ----------------------------------------------------------------
+  // The run's first line.  After a restore, the checkpoint's trace prefix
+  // follows it, less the prefix's own run_begin line: that one describes
+  // the run that wrote the checkpoint, which may have had another length.
   void emit_run_begin(const ObsRunInfo& info);
   // One closed statistical-sampling measurement window (scalar args keep
   // obs free of a dependency on sim/sampling.h).  All values are simulated
@@ -139,19 +139,20 @@ class ObsCollector final : public RecalObserver {
   // --- Results ---------------------------------------------------------------
   const EpochSeries& epochs() const { return epochs_; }
   const ObsTiming& timing() const { return timing_; }
-  std::uint64_t refs_seen() const { return total_refs_; }
 
   // --- Checkpoint ------------------------------------------------------------
   // Wrap the sink so every emitted line is also kept in memory.  Must run
-  // before any event is emitted (the simulator calls it when checkpoint
-  // control is attached, which precedes run()); the captured prefix goes
-  // into each checkpoint so a restored run's trace is byte-identical.
+  // before run() emits its first event (the simulator calls it when
+  // checkpoint control is attached); the captured prefix goes into each
+  // checkpoint so a restored run's trace is byte-identical.
   void ckpt_enable_capture();
   // Serialize / restore the epoch accumulator, metrics, emitted-trace
   // prefix, and epoch series.  Host-side timing is deliberately excluded
-  // (wall time is a property of the host, not of the run).  After a
-  // successful ckpt_load the run_begin event is suppressed — the replayed
-  // prefix already contains it.
+  // (wall time is a property of the host, not of the run).  ckpt_load
+  // writes nothing: it keeps the prefix for emit_run_begin, so a load
+  // that later fails, or a simulator discarded after it, leaves no bytes
+  // in the trace file.  A prefix that does not open with run_begin fails
+  // the load.
   void ckpt_save(ByteWriter& w) const;
   bool ckpt_load(ByteReader& r);
 
@@ -163,7 +164,7 @@ class ObsCollector final : public RecalObserver {
   MetricsRegistry metrics_;
   std::unique_ptr<EventSink> sink_;  // null: epochs only, no trace
   CaptureEventSink* capture_ = nullptr;  // sink_ downcast when capturing
-  bool resumed_ = false;  // restored from a checkpoint: skip run_begin
+  std::string restored_prefix_;  // trace a checkpoint carried, not yet written
 
   // Epoch accumulator.
   std::uint64_t total_refs_ = 0;

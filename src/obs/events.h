@@ -41,8 +41,8 @@ class FileEventSink final : public EventSink {
 // Decorator that keeps a byte-exact copy of every line while forwarding to
 // an optional inner sink.  The checkpoint subsystem wraps the collector's
 // sink with one of these: the captured prefix is serialized into each
-// checkpoint, and on restore it is replayed into the fresh (truncated)
-// trace file so the resumed run's JSONL output is byte-identical to an
+// checkpoint, and a restored run writes it again after its own run_begin
+// line, so the resumed run's JSONL output is byte-identical to an
 // uninterrupted run's.
 class CaptureEventSink final : public EventSink {
  public:
@@ -56,13 +56,6 @@ class CaptureEventSink final : public EventSink {
     if (inner_) inner_->flush();
   }
   const std::string& captured() const { return buffer_; }
-  // Restore path: adopt `prefix` as the already-emitted bytes and write
-  // them straight to the inner sink (they are not re-captured — they
-  // already are the capture).
-  void replay(std::string prefix) {
-    buffer_ = std::move(prefix);
-    if (inner_ && !buffer_.empty()) inner_->write_line(buffer_);
-  }
 
  private:
   std::unique_ptr<EventSink> inner_;

@@ -2,8 +2,9 @@
 
 namespace redhip {
 
-StridePrefetcher::StridePrefetcher(const StridePrefetcherConfig& config)
-    : config_(config) {
+StridePrefetcher::StridePrefetcher(const StridePrefetcherConfig& config,
+                                   std::uint32_t line_shift)
+    : config_(config), line_shift_(line_shift) {
   config_.validate();
   table_.resize(config_.entries());
 }
@@ -41,13 +42,13 @@ void StridePrefetcher::observe(std::uint32_t pc, Addr addr,
 
   // Emit `degree` distinct line addresses starting `distance` strides ahead.
   LineAddr last_emitted = ~LineAddr{0};
-  const LineAddr own_line = addr >> config_.line_shift;
+  const LineAddr own_line = addr >> line_shift_;
   for (std::uint32_t i = 0; i < config_.degree; ++i) {
     const std::int64_t delta =
         e.stride * static_cast<std::int64_t>(config_.distance + i);
     const Addr target = static_cast<Addr>(
         static_cast<std::int64_t>(addr) + delta);
-    const LineAddr line = target >> config_.line_shift;
+    const LineAddr line = target >> line_shift_;
     if (line == own_line || line == last_emitted) continue;
     out.push_back(line);
     last_emitted = line;

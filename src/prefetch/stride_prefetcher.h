@@ -26,7 +26,6 @@ struct StridePrefetcherConfig {
   std::uint32_t index_bits = 12;  // 2^12 = 4K table entries
   std::uint32_t degree = 2;       // prefetches emitted per confirmed access
   std::uint32_t distance = 1;     // how many strides ahead the first one is
-  std::uint32_t line_shift = kDefaultLineShift;
 
   std::uint64_t entries() const { return std::uint64_t{1} << index_bits; }
   void validate() const {
@@ -39,7 +38,10 @@ struct StridePrefetcherConfig {
 
 class StridePrefetcher {
  public:
-  explicit StridePrefetcher(const StridePrefetcherConfig& config);
+  // `line_shift` is log2 of the machine's line size: the emitted line
+  // addresses must name the lines the caches hold.
+  explicit StridePrefetcher(const StridePrefetcherConfig& config,
+                            std::uint32_t line_shift = kDefaultLineShift);
 
   // Observe a demand access (pc, byte address).  Appends predicted *line*
   // addresses to `out` (it is not cleared).  Entry states follow the classic
@@ -89,6 +91,7 @@ class StridePrefetcher {
   }
 
   StridePrefetcherConfig config_;
+  std::uint32_t line_shift_;
   std::vector<Entry> table_;
   PrefetchEvents events_;
 };

@@ -1,5 +1,7 @@
 #include "sim/config_digest.h"
 
+#include <bit>
+
 #include "common/fnv.h"
 
 namespace redhip {
@@ -47,7 +49,11 @@ std::uint64_t config_digest(const HierarchyConfig& c) {
 
   h.u8(c.prefetch ? 1 : 0);
   h.u32(c.prefetcher.index_bits).u32(c.prefetcher.degree);
-  h.u32(c.prefetcher.distance).u32(c.prefetcher.line_shift);
+  // The prefetcher's line shift is the L1's, hashed at this position so
+  // every 64 B-line machine keeps its digest, cache keys and checkpoints.
+  h.u32(c.prefetcher.distance)
+      .u32(static_cast<std::uint32_t>(
+          std::countr_zero(c.levels.at(0).geom.line_bytes)));
 
   h.u64(c.memory_latency).f64(c.memory_energy_nj);
   h.u8(c.charge_fill_energy ? 1 : 0);

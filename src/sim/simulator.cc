@@ -151,7 +151,7 @@ MulticoreSimulator::MulticoreSimulator(
   if (config_.prefetch) {
     for (CoreId c = 0; c < config_.cores; ++c) {
       prefetchers_.push_back(
-          std::make_unique<StridePrefetcher>(config_.prefetcher));
+          std::make_unique<StridePrefetcher>(config_.prefetcher, l1_shift_));
     }
   }
 
@@ -1313,11 +1313,13 @@ void MulticoreSimulator::ckpt_poll_slow() {
     throw DeadlineExceededError("cell wall-clock budget exhausted");
   }
   const std::uint64_t total = ckpt_refs_done();
-  if (ctl.save_at_refs > 0 && !ckpt_save_at_done_ &&
+  if (ctl.save_at_refs > 0 && ckpt_last_save_refs_ < ctl.save_at_refs &&
       total >= ctl.save_at_refs) {
     // One-shot warmup checkpoint (sweep warmup sharing).  It also re-anchors
-    // the periodic interval — the state just hit disk.
-    ckpt_save_at_done_ = true;
+    // the periodic interval — the state just hit disk — which is what
+    // keeps it one-shot.  A run restored at or past the point skips it:
+    // that checkpoint (or a later one) already exists, and rewriting it
+    // would only churn the shared warmup file other sweep cells read.
     ckpt_last_save_refs_ = total;
     ckpt_save_now();
     return;

@@ -90,16 +90,18 @@ class MulticoreSimulator {
   const SamplingPlan& sampling_plan() const { return sampling_; }
 
   // --- Checkpoint/restore (src/ckpt) ----------------------------------------
-  // Attach the poll contract (see sim/ckpt_control.h).  Must precede run;
-  // `ctl` is not owned and must outlive the run.  Attaching also turns on
-  // JSONL capture so checkpoints can carry the emitted-trace prefix.
+  // Attach the poll contract (see sim/ckpt_control.h).  Must precede run,
+  // before or after a restore; `ctl` is not owned and must outlive the
+  // run.  Attaching also turns on JSONL capture so checkpoints can carry
+  // the emitted-trace prefix.
   void set_ckpt_control(CkptControl* ctl) {
     ckpt_ctl_ = ctl;
     if (ctl != nullptr && obs_ != nullptr) obs_->ckpt_enable_capture();
   }
   // Whether a checkpoint of this simulator can be complete: every tag array
   // must keep its full state in its packed entries and recency words
-  // (TagArray::state_is_self_contained()).
+  // (TagArray::state_is_self_contained()).  save_checkpoint and
+  // load_checkpoint refuse a simulator without it.
   bool ckpt_supported() const;
   // Payload codec, defined in src/ckpt/sim_state.cc — the subsystem that
   // owns the on-disk format; member functions so they keep private access.
@@ -464,8 +466,7 @@ class MulticoreSimulator {
 
   // Checkpoint control (not owned; null = checkpointing off).
   CkptControl* ckpt_ctl_ = nullptr;
-  std::uint64_t ckpt_last_save_refs_ = 0;  // interval anchor (aggregate refs)
-  bool ckpt_save_at_done_ = false;         // one-shot save_at_refs fired
+  std::uint64_t ckpt_last_save_refs_ = 0;  // aggregate refs at last save/load
 };
 
 }  // namespace redhip

@@ -48,15 +48,9 @@ SweepAxis workload_axis(const std::string& axis, std::vector<std::string> vals,
     ids = opts.benches;
   } else {
     for (const std::string& v : vals) {
-      bool found = false;
-      for (BenchmarkId id : all_benchmarks()) {
-        if (to_string(id) == v) {
-          ids.push_back(id);
-          found = true;
-          break;
-        }
-      }
-      if (!found) axis_error(axis, "unknown benchmark '" + v + "'");
+      Result<BenchmarkId> id = benchmark_from_name(v);
+      if (!id.ok()) axis_error(axis, id.status().message());
+      ids.push_back(id.value());
     }
   }
   for (BenchmarkId id : ids) {

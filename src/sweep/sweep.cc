@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "sim/ckpt_control.h"
-#include "sim/config_digest.h"
 #include "sweep/config_digest.h"
 
 namespace redhip {
@@ -172,16 +171,13 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepRunOptions& opt) {
     std::filesystem::create_directories(opt.ckpt_dir);
     for (std::size_t i : missing) {
       SweepCell& cell = out.cells[i];
-      // The digest folds the sampling plan exactly like run_spec's envelope
-      // key does: an exact cell and a sampled cell (or two different plans)
-      // must land in different files, or each would keep DATA_LOSS-evicting
-      // the other's checkpoint.  Sampled cells additionally write shareable
-      // per-window warm snapshots next to this file (window_snapshot_path),
-      // which cells differing only in refs restore for free.
-      const std::uint64_t key =
-          ckpt_key(to_string(cell.spec.bench), cell.spec.scale, cell.spec.seed,
-                   config_digest(resolved_config(cell.spec)) ^
-                       sampling_digest(cell.spec.sampling));
+      // Named by the key run_spec checks, which folds the sampling plan:
+      // an exact cell and a sampled cell (or two different plans) land in
+      // different files, or each would keep DATA_LOSS-evicting the other's
+      // checkpoint.  Sampled cells additionally write shareable per-window
+      // warm snapshots next to this file (window_snapshot_path), which
+      // cells differing only in refs restore for free.
+      const std::uint64_t key = ckpt_key(cell.spec);
       char name[32];
       std::snprintf(name, sizeof(name), "%016llx.ckpt",
                     static_cast<unsigned long long>(key));

@@ -282,6 +282,18 @@ std::string to_string(BenchmarkId id) {
   return "unknown";
 }
 
+Result<BenchmarkId> benchmark_from_name(const std::string& name) {
+  std::string names;
+  for (BenchmarkId id : all_benchmarks()) {
+    if (to_string(id) == name) return id;
+    if (!names.empty()) names += ", ";
+    names += to_string(id);
+  }
+  return Status(StatusCode::kInvalidArgument,
+                "unknown benchmark '" + name + "' (expected one of: " + names +
+                    ")");
+}
+
 const std::vector<BenchmarkId>& all_benchmarks() {
   // The paper's figure order: bwaves GemsFDTD lbm mcf milc soplex astar
   // cactusADM mix pmf blas.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "trace/kernels.h"
 #include "trace/mem_ref.h"
 
@@ -36,6 +37,9 @@ enum class BenchmarkId : std::uint8_t {
 };
 
 std::string to_string(BenchmarkId id);
+// The workload to_string names `name`; INVALID_ARGUMENT listing every
+// name otherwise.
+Result<BenchmarkId> benchmark_from_name(const std::string& name);
 // All 11 workloads in the paper's figure order.
 const std::vector<BenchmarkId>& all_benchmarks();
 // The 8 SPEC workloads (used to build kMix).

@@ -284,5 +284,127 @@ TEST_F(CkptRestoreTest, WindowSnapshotsShareWarmStateAcrossRefs) {
   EXPECT_TRUE(stats_identical(cold, fallback));
 }
 
+// The three places a sampled run can restore from, each under a JSONL
+// trace: the restored run's stats, json_report and trace must equal the
+// uninterrupted run's.  The trace's run_begin line describes this run even
+// when the file was written by a longer one, and a fallback to a warm
+// snapshot after a rejected main file carries the snapshot's trace prefix.
+class SampledRestoreTest : public CkptRestoreTest {
+ protected:
+  RunSpec traced(std::uint64_t windows, const std::string& trace_name) {
+    RunSpec spec = sampled_spec(windows);
+    const std::string path = (dir_ / trace_name).string();
+    spec.tweak = [path](HierarchyConfig& hc) {
+      hc.obs.enabled = true;
+      hc.obs.epoch_refs = 20'000;
+      hc.obs.trace_path = path;
+    };
+    return spec;
+  }
+  // Runs the 4-window cell from `ckpt` and checks it against a plain run.
+  void expect_restore_matches_plain(const std::string& what) {
+    const SimResult plain = run_spec(traced(4, "plain.jsonl"));
+    RunSpec resuming = traced(4, "resumed.jsonl");
+    resuming.ckpt_path = ckpt_;
+    resuming.ckpt_restore = true;
+    const SimResult resumed = run_spec(resuming);
+    expect_same_run(plain, resumed, what);
+    EXPECT_EQ(trace_of("plain.jsonl"), trace_of("resumed.jsonl")) << what;
+    // The witness that a snapshot restored (see above): window 3's open.
+    EXPECT_LT(resumed.warm_host_seconds, plain.warm_host_seconds * 0.1)
+        << what;
+  }
+  std::string ckpt_;  // set once SetUp has made dir_
+  void SetUp() override {
+    CkptRestoreTest::SetUp();
+    ckpt_ = (dir_ / "cell.ckpt").string();
+  }
+};
+
+TEST_F(SampledRestoreTest, SnapshotsOfALongerRun) {
+  RunSpec writer = traced(6, "writer.jsonl");
+  writer.ckpt_path = ckpt_;
+  run_spec(writer);
+  ASSERT_TRUE(std::filesystem::exists(window_snapshot_path(ckpt_, 3)));
+  expect_restore_matches_plain("snapshots of a 6-window run");
+}
+
+TEST_F(SampledRestoreTest, TornMainFileWithSnapshots) {
+  RunSpec writer = traced(4, "writer.jsonl");
+  writer.ckpt_path = ckpt_;
+  writer.ckpt_save_at_refs = 100'000;
+  run_spec(writer);
+  ASSERT_TRUE(std::filesystem::exists(ckpt_));
+  {
+    std::ofstream torn(ckpt_, std::ios::binary | std::ios::trunc);
+    torn << "torn";
+  }
+  expect_restore_matches_plain("torn main file");
+  EXPECT_FALSE(std::filesystem::exists(ckpt_)) << "torn file not evicted";
+}
+
+TEST_F(SampledRestoreTest, MainFileAheadOfTheRun) {
+  RunSpec writer = traced(6, "writer.jsonl");
+  writer.ckpt_path = ckpt_;
+  writer.ckpt_save_at_refs = 300'000;  // past the 4-window run's 256k
+  run_spec(writer);
+  ASSERT_TRUE(std::filesystem::exists(ckpt_));
+  expect_restore_matches_plain("main file ahead of the run");
+  EXPECT_TRUE(std::filesystem::exists(ckpt_)) << "valid file wrongly evicted";
+}
+
+// A tree-PLRU machine keeps replacement state outside the packed tag
+// entries, so no checkpoint of it can be complete: src/ckpt refuses both
+// directions, and a run asked to checkpoint writes nothing and simulates
+// exactly what a plain run does.
+TEST_F(CkptRestoreTest, TreePlruMachineNeitherSavesNorRestores) {
+  RunSpec spec;
+  spec.bench = BenchmarkId::kMcf;
+  spec.scheme = Scheme::kRedhip;
+  spec.scale = 32;
+  spec.refs_per_core = 10'000;
+  spec.tweak = [](HierarchyConfig& hc) {
+    for (LevelSpec& lvl : hc.levels) {
+      lvl.geom.replacement = ReplacementKind::kTreePlru;
+    }
+  };
+  const SimResult plain = run_spec(spec);
+
+  const std::string ckpt = (dir_ / "plru.ckpt").string();
+  RunSpec saving = spec;
+  saving.ckpt_path = ckpt;
+  saving.ckpt_interval_refs = 20'000;
+  saving.ckpt_save_at_refs = 30'000;
+  saving.ckpt_restore = true;
+  expect_same_run(plain, run_spec(saving), "tree-PLRU with checkpoints on");
+  EXPECT_FALSE(std::filesystem::exists(ckpt)) << "unrestorable file written";
+
+  // A file at the path (here an LRU machine's) is neither read nor evicted.
+  RunSpec lru = spec;
+  lru.tweak = nullptr;
+  lru.ckpt_path = ckpt;
+  lru.ckpt_save_at_refs = 30'000;
+  run_spec(lru);
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
+
+  const HierarchyConfig config = resolved_config(spec);
+  std::vector<std::unique_ptr<TraceSource>> traces;
+  std::vector<std::uint32_t> cpis;
+  for (CoreId c = 0; c < config.cores; ++c) {
+    traces.push_back(make_workload(spec.bench, c, spec.scale, spec.seed));
+    cpis.push_back(workload_cpi_centi(spec.bench, c));
+  }
+  MulticoreSimulator sim(config, std::move(traces), std::move(cpis));
+  EXPECT_EQ(load_checkpoint(ckpt, ckpt_key(lru), sim).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(std::filesystem::exists(ckpt));
+  const std::string other = (dir_ / "plru-save.ckpt").string();
+  EXPECT_EQ(save_checkpoint(sim, other, ckpt_key(spec)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(std::filesystem::exists(other));
+  // Untouched by the refused load: it runs as the plain run did.
+  EXPECT_TRUE(stats_identical(plain, sim.run(spec.refs_per_core)));
+}
+
 }  // namespace
 }  // namespace redhip

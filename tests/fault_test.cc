@@ -1,7 +1,7 @@
 // Tests for src/fault + the online invariant auditor: injector determinism,
-// PT corruption semantics, auditor detection and recovery policies, the
-// perturbed-trace decorator, and the bounded transient retry in the cell
-// executor (run_matrix, sweep/sweep.h).
+// PT corruption semantics, auditor detection and recovery policies, and
+// the bounded transient retry in the cell executor (run_matrix,
+// sweep/sweep.h).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -139,25 +139,6 @@ TEST(FaultInjector, PerturbFlipsOneLowAddressBitAtTheConfiguredRate) {
   EXPECT_NEAR(static_cast<double>(perturbed) / kN, 0.1, 0.01);
   EXPECT_EQ(inj.stats().trace_refs_perturbed,
             static_cast<std::uint64_t>(perturbed));
-}
-
-TEST(FaultyTraceSourceTest, WrapsDeterministicallyAndCounts) {
-  const FaultConfig f = enabled_config(
-      200'000, static_cast<std::uint32_t>(FaultSite::kTraceAddr), 99);
-  auto make = [&] {
-    return FaultyTraceSource(
-        make_workload(BenchmarkId::kMcf, 0, 32, 5), f);
-  };
-  FaultyTraceSource a = make();
-  FaultyTraceSource b = make();
-  MemRef ma, mb;
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(a.next(ma));
-    ASSERT_TRUE(b.next(mb));
-    ASSERT_EQ(ma, mb) << "perturbed streams must reproduce";
-  }
-  EXPECT_GT(a.perturbed(), 800u);
-  EXPECT_EQ(a.perturbed(), b.perturbed());
 }
 
 // ------------------------------------------------- PT corruption semantics

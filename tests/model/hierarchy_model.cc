@@ -502,12 +502,12 @@ std::vector<LineAddr> HierarchyModel::observe(CoreId core, const MemRef& ref) {
   if (!match) e.stride = stride;
   e.last_addr = ref.addr;
   if (e.state != 2 || e.stride == 0) return out;
-  const LineAddr own = ref.addr >> pc.line_shift;
+  const LineAddr own = ref.addr / line_bytes_;
   for (std::uint32_t i = 0; i < pc.degree; ++i) {
     const Addr target = static_cast<Addr>(
         static_cast<std::int64_t>(ref.addr) +
         e.stride * static_cast<std::int64_t>(pc.distance + i));
-    const LineAddr line = target >> pc.line_shift;
+    const LineAddr line = target / line_bytes_;
     if (line == own || (!out.empty() && line == out.back())) continue;
     out.push_back(line);
   }

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "harness/run.h"
 #include "prefetch/stride_prefetcher.h"
 
 namespace redhip {
@@ -136,6 +137,36 @@ TEST(Stride, TableLookupsCounted) {
   StridePrefetcher p(cfg());
   for (int i = 0; i < 25; ++i) observe(p, 9, static_cast<Addr>(i) * 64);
   EXPECT_EQ(p.events().table_lookups, 25u);
+}
+
+TEST(Stride, EmitsLinesOfTheGivenSize) {
+  StridePrefetcher p(cfg(1, 1), /*line_shift=*/7);
+  observe(p, 1, 0);
+  observe(p, 1, 128);
+  const auto out = observe(p, 1, 256);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 384u >> 7);
+}
+
+// The prefetcher names lines of the machine's own size: on a streaming
+// workload nearly every prefetch is used whatever the line size.  With
+// 64 B lines assumed on a 32 B or 128 B machine, every prefetch names the
+// wrong line and none is used.
+TEST(Stride, PrefetchesAreUsefulOnEveryLineSize) {
+  for (const std::uint32_t line_bytes : {32u, 64u, 128u}) {
+    RunSpec spec;
+    spec.bench = BenchmarkId::kBwaves;
+    spec.scheme = Scheme::kRedhip;
+    spec.scale = 16;
+    spec.refs_per_core = 20'000;
+    spec.prefetch = true;
+    spec.tweak = [line_bytes](HierarchyConfig& c) {
+      for (LevelSpec& lvl : c.levels) lvl.geom.line_bytes = line_bytes;
+    };
+    const PrefetchEvents pf = run_spec(spec).prefetch;
+    ASSERT_GT(pf.issued, 1'000u) << line_bytes;
+    EXPECT_GT(pf.useful, pf.issued * 9 / 10) << line_bytes;
+  }
 }
 
 TEST(Stride, ConfigValidation) {
