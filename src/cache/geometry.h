@@ -29,6 +29,22 @@ struct CacheGeometry {
 
   void validate() const {
     REDHIP_CHECK_MSG(size_bytes > 0, "cache size must be positive");
+    REDHIP_CHECK_MSG(ways >= 1, "at least one way");
+    // Each policy's per-set state (see TagArray) bounds its associativity.
+    switch (replacement) {
+      case ReplacementKind::kLru:
+        REDHIP_CHECK_MSG(ways <= 255, "lru supports at most 255 ways");
+        break;
+      case ReplacementKind::kTreePlru:
+        REDHIP_CHECK_MSG(is_pow2(ways) && ways >= 2 && ways <= 32,
+                         "tree-plru needs a power-of-two way count in 2..32");
+        break;
+      case ReplacementKind::kNru:
+        REDHIP_CHECK_MSG(ways <= 32, "nru supports at most 32 ways");
+        break;
+      case ReplacementKind::kRandom:
+        break;
+    }
     REDHIP_CHECK_MSG(is_pow2(line_bytes), "line size must be a power of two");
     REDHIP_CHECK_MSG(size_bytes % line_bytes == 0,
                      "size must be a multiple of the line size");

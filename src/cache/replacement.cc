@@ -1,8 +1,5 @@
 #include "cache/replacement.h"
 
-#include "common/bitops.h"
-#include "common/check.h"
-
 namespace redhip {
 
 std::string to_string(ReplacementKind kind) {
@@ -17,111 +14,6 @@ std::string to_string(ReplacementKind kind) {
       return "random";
   }
   return "unknown";
-}
-
-std::unique_ptr<ReplacementPolicy> ReplacementPolicy::create(
-    ReplacementKind kind, std::uint64_t sets, std::uint32_t ways,
-    std::uint64_t seed) {
-  switch (kind) {
-    case ReplacementKind::kLru:
-      return std::make_unique<LruPolicy>(sets, ways);
-    case ReplacementKind::kTreePlru:
-      return std::make_unique<TreePlruPolicy>(sets, ways);
-    case ReplacementKind::kNru:
-      return std::make_unique<NruPolicy>(sets, ways);
-    case ReplacementKind::kRandom:
-      return std::make_unique<RandomPolicy>(ways, seed);
-  }
-  REDHIP_CHECK_MSG(false, "unreachable replacement kind");
-  return nullptr;
-}
-
-// ---------------------------------------------------------------- LruPolicy
-
-LruPolicy::LruPolicy(std::uint64_t sets, std::uint32_t ways)
-    : ways_(ways), rank_(sets * ways) {
-  REDHIP_CHECK(ways >= 1 && ways <= 255);
-  // Initialize each set to ranks [0 .. ways): way 0 is MRU, last way is LRU.
-  for (std::uint64_t s = 0; s < sets; ++s) {
-    for (std::uint32_t w = 0; w < ways; ++w) {
-      rank_[s * ways + w] = static_cast<std::uint8_t>(w);
-    }
-  }
-}
-
-std::uint8_t LruPolicy::rank(std::uint64_t set, std::uint32_t way) const {
-  return rank_[set * ways_ + way];
-}
-
-// ----------------------------------------------------------- TreePlruPolicy
-
-TreePlruPolicy::TreePlruPolicy(std::uint64_t sets, std::uint32_t ways)
-    : ways_(ways), levels_(log2_exact(ways)), bits_(sets, 0) {
-  REDHIP_CHECK_MSG(ways >= 2 && ways <= 32, "tree PLRU needs 2..32 ways");
-}
-
-void TreePlruPolicy::touch(std::uint64_t set, std::uint32_t way) {
-  // Walk root -> leaf; at each node flip the bit to point *away* from the
-  // touched way.  Node numbering: root = 1, children of n are 2n, 2n+1.
-  std::uint32_t node = 1;
-  std::uint32_t word = bits_[set];
-  for (std::uint32_t level = 0; level < levels_; ++level) {
-    const std::uint32_t bit = (way >> (levels_ - 1 - level)) & 1u;
-    if (bit) {
-      word &= ~(1u << node);  // went right; point left
-    } else {
-      word |= (1u << node);  // went left; point right
-    }
-    node = node * 2 + bit;
-  }
-  bits_[set] = word;
-}
-
-std::uint32_t TreePlruPolicy::victim(std::uint64_t set) {
-  std::uint32_t node = 1;
-  std::uint32_t way = 0;
-  const std::uint32_t word = bits_[set];
-  for (std::uint32_t level = 0; level < levels_; ++level) {
-    const std::uint32_t bit = (word >> node) & 1u;
-    way = (way << 1) | bit;
-    node = node * 2 + bit;
-  }
-  return way;
-}
-
-// ---------------------------------------------------------------- NruPolicy
-
-NruPolicy::NruPolicy(std::uint64_t sets, std::uint32_t ways)
-    : ways_(ways), ref_bits_(sets, 0) {
-  REDHIP_CHECK(ways >= 1 && ways <= 32);
-}
-
-void NruPolicy::touch(std::uint64_t set, std::uint32_t way) {
-  std::uint32_t& mask = ref_bits_[set];
-  mask |= (1u << way);
-  const std::uint32_t full = ways_ == 32 ? ~0u : ((1u << ways_) - 1);
-  if (mask == full) mask = (1u << way);  // epoch reset, keep current way
-}
-
-std::uint32_t NruPolicy::victim(std::uint64_t set) {
-  const std::uint32_t mask = ref_bits_[set];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (!(mask & (1u << w))) return w;
-  }
-  return 0;  // unreachable in practice: touch() keeps at least one bit clear
-}
-
-// ------------------------------------------------------------- RandomPolicy
-
-RandomPolicy::RandomPolicy(std::uint32_t ways, std::uint64_t seed)
-    : ways_(ways), rng_(seed) {
-  REDHIP_CHECK(ways >= 1);
-}
-
-void RandomPolicy::touch(std::uint64_t, std::uint32_t) {}
-
-std::uint32_t RandomPolicy::victim(std::uint64_t) {
-  return static_cast<std::uint32_t>(rng_.below(ways_));
 }
 
 }  // namespace redhip

@@ -1,133 +1,23 @@
 // Replacement policies for set-associative tag arrays.
 //
 // The paper's hierarchy uses LRU; the other policies exist for the
-// replacement-policy ablation bench and to demonstrate the TagArray's
-// pluggable design.  A policy owns all of its per-set state; the TagArray
-// calls `touch` on hits and fills and asks for a `victim` only when the set
-// is full (invalid ways are always preferred by the TagArray itself).
+// replacement-policy ablation bench.  TagArray keeps every policy's per-set
+// state itself (see the replacement section of cache/tag_array.h), and
+// CacheGeometry::validate() holds each policy's associativity limit.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/rng.h"
 
 namespace redhip {
 
 enum class ReplacementKind : std::uint8_t {
-  kLru,       // true LRU via per-way ranks
+  kLru,       // true LRU
   kTreePlru,  // tree pseudo-LRU (binary decision tree per set)
   kNru,       // not-recently-used (single reference bit per way)
   kRandom,    // uniform random victim
 };
 
 std::string to_string(ReplacementKind kind);
-
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-
-  // Called when `way` of `set` is accessed (hit) or filled.
-  virtual void touch(std::uint64_t set, std::uint32_t way) = 0;
-  // Choose a victim way in a full set.
-  virtual std::uint32_t victim(std::uint64_t set) = 0;
-
-  virtual ReplacementKind kind() const = 0;
-
-  static std::unique_ptr<ReplacementPolicy> create(ReplacementKind kind,
-                                                   std::uint64_t sets,
-                                                   std::uint32_t ways,
-                                                   std::uint64_t seed);
-};
-
-// True LRU.  Per (set, way) an 8-bit rank: 0 = most recent.  touch() promotes
-// a way to rank 0 and ages only the ways that were more recent than it, so
-// ranks remain a permutation of [0, ways).
-//
-// touch()/victim() are inline (and have non-virtual equivalents) because LRU
-// is the paper machine's policy and these sit on the simulator's hottest
-// path; TagArray calls them directly when the configured policy is LRU.
-class LruPolicy final : public ReplacementPolicy {
- public:
-  LruPolicy(std::uint64_t sets, std::uint32_t ways);
-
-  void touch_inline(std::uint64_t set, std::uint32_t way) {
-    std::uint8_t* r = &rank_[set * ways_];
-    const std::uint8_t old = r[way];
-    // Re-touching the MRU way is a no-op (no rank is below 0), and repeated
-    // hits to the same line are the single most common access pattern.
-    if (old == 0) return;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (r[w] < old) ++r[w];
-    }
-    r[way] = 0;
-  }
-  std::uint32_t victim_inline(std::uint64_t set) const {
-    const std::uint8_t* r = &rank_[set * ways_];
-    std::uint32_t worst = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w) {
-      if (r[w] > r[worst]) worst = w;
-    }
-    return worst;
-  }
-
-  void touch(std::uint64_t set, std::uint32_t way) override {
-    touch_inline(set, way);
-  }
-  std::uint32_t victim(std::uint64_t set) override { return victim_inline(set); }
-  ReplacementKind kind() const override { return ReplacementKind::kLru; }
-
-  // Exposed for tests: current rank of a way (0 = MRU).
-  std::uint8_t rank(std::uint64_t set, std::uint32_t way) const;
-
- private:
-  std::uint32_t ways_;
-  std::vector<std::uint8_t> rank_;  // sets * ways
-};
-
-// Tree pseudo-LRU: ways must be a power of two; one bit per internal node of
-// a complete binary tree (ways - 1 bits per set, stored in a uint32).
-class TreePlruPolicy final : public ReplacementPolicy {
- public:
-  TreePlruPolicy(std::uint64_t sets, std::uint32_t ways);
-  void touch(std::uint64_t set, std::uint32_t way) override;
-  std::uint32_t victim(std::uint64_t set) override;
-  ReplacementKind kind() const override { return ReplacementKind::kTreePlru; }
-
- private:
-  std::uint32_t ways_;
-  std::uint32_t levels_;
-  std::vector<std::uint32_t> bits_;  // one word per set
-};
-
-// NRU: one reference bit per way; victim = lowest-index way with a clear
-// bit; when all are set, all bits (except the touched way on the triggering
-// access) are cleared.
-class NruPolicy final : public ReplacementPolicy {
- public:
-  NruPolicy(std::uint64_t sets, std::uint32_t ways);
-  void touch(std::uint64_t set, std::uint32_t way) override;
-  std::uint32_t victim(std::uint64_t set) override;
-  ReplacementKind kind() const override { return ReplacementKind::kNru; }
-
- private:
-  std::uint32_t ways_;
-  std::vector<std::uint32_t> ref_bits_;  // bitmask per set
-};
-
-// Random replacement with a deterministic, seeded generator.
-class RandomPolicy final : public ReplacementPolicy {
- public:
-  RandomPolicy(std::uint32_t ways, std::uint64_t seed);
-  void touch(std::uint64_t set, std::uint32_t way) override;
-  std::uint32_t victim(std::uint64_t set) override;
-  ReplacementKind kind() const override { return ReplacementKind::kRandom; }
-
- private:
-  std::uint32_t ways_;
-  Xoshiro256 rng_;
-};
 
 }  // namespace redhip

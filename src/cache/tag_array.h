@@ -7,18 +7,19 @@
 // TagArray reports *events*, it does not price them.
 //
 // Storage is structure-of-arrays (SoA).  The authoritative state is the
-// packed 64-bit entry per way (tag + flags) plus, for LRU with <= 16 ways,
-// one 64-bit recency word per set holding the LRU order (see
-// touch_recency).  Alongside the entries every way carries a 16-bit
-// *partial tag* in a dense per-set lane.  A probe scans the lane four
-// partial tags per 64-bit word with SWAR arithmetic (plain integer code, so
-// every host and build runs the same instructions) and only touches the
-// 8-byte entries of lanes whose partial tag matched.  The common
-// deep-hierarchy *miss* (the exact case ReDHiP exists to skip in hardware)
-// therefore costs two 8-byte lane words for an 8-way set instead of a
-// 64-byte entry sweep.  The lane is derived state: every mutation that
-// changes residency rewrites it, and checkpoint restore rebuilds it from the
-// entries.
+// packed 64-bit entry per way (tag + flags) plus the replacement policy's
+// state, which the array keeps itself (see repl_touch): for LRU with <= 16
+// ways, the paper machine's policy, one 64-bit recency word per set holding
+// the LRU order (see touch_recency).  Alongside the entries every way
+// carries a 16-bit *partial tag* in a dense per-set lane.  A probe scans
+// the lane four partial tags per 64-bit word with SWAR arithmetic (plain
+// integer code, so every host and build runs the same instructions) and
+// only touches the 8-byte entries of lanes whose partial tag matched.  The
+// common deep-hierarchy *miss* (the exact case ReDHiP exists to skip in
+// hardware) therefore costs two 8-byte lane words for an 8-way set instead
+// of a 64-byte entry sweep.  The lane is derived state: every mutation that
+// changes residency rewrites it, and checkpoint restore rebuilds it from
+// the entries.
 #pragma once
 
 #include <bit>
@@ -28,6 +29,7 @@
 
 #include "cache/geometry.h"
 #include "common/bytestream.h"
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace redhip {
@@ -50,14 +52,14 @@ class TagArray {
     bool victim_was_dirty = false;       // eviction requires a writeback
   };
 
-  // `seed` only matters for ReplacementKind::kRandom.
+  // `seed` only matters for ReplacementKind::kRandom (it seeds rng_).
   explicit TagArray(const CacheGeometry& geom, std::uint64_t seed = 0);
 
   // The per-access methods below are defined inline (bottom of this header):
   // they are the simulator's hottest instructions — every simulated
-  // reference runs several of them — and out-of-line calls plus the virtual
-  // replacement-policy dispatch cost more than the tag match itself.  LRU
-  // (the paper machine's policy) is dispatched non-virtually.
+  // reference runs several of them — and an out-of-line call costs more
+  // than the tag match itself.  Only embedded LRU (the paper machine's
+  // policy) keeps its replacement updates inline as well.
 
   // Probe for `line`; on a hit, promotes it in the replacement order and
   // consumes its prefetched mark.  `is_write` marks the line dirty.
@@ -137,35 +139,34 @@ class TagArray {
   // (receiving a writeback is not a use).  Returns false if absent.
   bool mark_dirty(LineAddr line);
 
-  // Whether the packed entries and recency words are the whole per-set
-  // state (LRU with <= 16 ways, the paper machine's configuration).
-  // Policies with side state (tree-PLRU, NRU, wide LRU's rank array, the
-  // random policy's RNG) are not self-contained.  The partial-tag lanes are
-  // derived from the entries, so they never need to be captured.
-  bool state_is_self_contained() const { return embedded_lru_; }
-
   // Whole-array snapshot for checkpoint/restore, in the checkpoint format:
-  // the entry count, then one packed entry per way (little-endian u64)
-  // with the way's LRU rank (its position in the set's recency word, 0 =
-  // MRU) in bits 60..63.  The live entries never carry the rank; it is
-  // derived as each word is written straight into `w`.  The snapshot is
-  // the complete state only when state_is_self_contained() (src/ckpt
-  // refuses to checkpoint otherwise).
+  // the entry count, then one packed entry per way (little-endian u64).
+  // With embedded LRU each entry carries the way's LRU rank (its position
+  // in the set's recency word, 0 = MRU) in bits 60..63, and that is the
+  // whole section.  The live entries never carry the rank; it is derived
+  // as each word is written straight into `w`.  Every other policy's
+  // entries carry rank 0, and its side state follows as one
+  // length-prefixed section (u64 byte count): a little-endian u32 per set
+  // (tree-PLRU node bits, NRU reference mask), a rank byte per way (wide
+  // LRU), or the four xoshiro256** state words (random).  The partial-tag
+  // lanes are derived from the entries, so they are never captured.
   void ckpt_save(ByteWriter& w) const;
   // Restore a ckpt_save() section from `r`, reading the words where they
   // lie.  The whole section is validated before the array changes, so it
   // fails closed — returns false and leaves the array untouched — on a
   // size mismatch, a short section, a set whose ranks are not exactly a
-  // permutation of 0..ways-1 (embedded LRU), or any rank bit in an array
-  // without embedded LRU.  Recounts the valid-line tally from the valid
-  // bits rather than trusting the file, and rebuilds the recency words and
-  // the derived partial-tag lanes.
+  // permutation of 0..ways-1 (embedded or wide LRU), any rank bit in an
+  // array without embedded LRU, a side section of the wrong length, a
+  // tree-PLRU bit outside the tree's nodes, an NRU mask with a bit past
+  // the ways or with every way set, or an all-zero RNG state.  Recounts
+  // the valid-line tally from the valid bits rather than trusting the
+  // file, and rebuilds the recency words and the derived partial-tag
+  // lanes.
   bool ckpt_load(ByteReader& r);
-  // The same snapshot as a vector of ranked entries, and its inverse (true
-  // only when `entries` is exactly one valid section): conveniences for
-  // tests and the reference model that compare whole arrays.
+  // The entry part of the snapshot as a vector of ranked entries (the side
+  // section left out): a convenience for tests and the reference model
+  // that compare whole arrays.
   std::vector<std::uint64_t> ckpt_entries() const;
-  bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries);
 
  private:
   // One way, packed into a single word: bit 0 valid, bit 1 prefetched,
@@ -312,11 +313,11 @@ class TagArray {
 
   // Embedded LRU: the set's recency word lists its ways from MRU (nibble 0)
   // to LRU (nibble ways-1); nibbles past ways-1 stay zero.  A way's nibble
-  // position is exactly the rank LruPolicy would keep for it — same
+  // position is exactly the rank wide LRU keeps for it in rank_ — same
   // promotions, same way-index initial order, same victim — so the
   // permutation evolves identically; only the storage is inverted (position
-  // -> way instead of way -> rank).  Invalidation leaves the word alone:
-  // LruPolicy never learns about invalidations either.
+  // -> way instead of way -> rank).  Invalidation leaves the word alone: no
+  // policy learns about invalidations.
   //
   // Promote `way` to MRU: find its position p with the exact zero test on
   // nibbles, shift nibbles 0..p-1 up one position and put the way in
@@ -324,7 +325,7 @@ class TagArray {
   // they sit above every live position and the lowest match is the real
   // one.
   void touch_recency(std::uint64_t set, std::uint32_t way) {
-    std::uint64_t& word = recency_[set];
+    std::uint64_t& word = set_word_[set];
     const std::uint64_t z = zero_fields(
         word ^ (std::uint64_t{0x1111111111111111} * way), 0x7777777777777777);
     const int shift = std::countr_zero(z) - 3;  // 4 * p
@@ -334,43 +335,52 @@ class TagArray {
     word = above | below << 4 | way;
   }
   std::uint32_t victim_recency(std::uint64_t set) const {
-    return static_cast<std::uint32_t>(recency_[set] >> victim_shift_) & 0xF;
+    return static_cast<std::uint32_t>(set_word_[set] >> victim_shift_) & 0xF;
   }
   // Promote the way a fill just evicted: the victim sat in the LRU nibble,
   // so the promote is a plain shift that drops it off the live end.
   void touch_evicted_recency(std::uint64_t set, std::uint32_t way) {
-    recency_[set] = ((recency_[set] << 4) | way) & live_mask_;
+    set_word_[set] = ((set_word_[set] << 4) | way) & live_mask_;
   }
 
-  // Promote (set, way) in the replacement order.  The paper machine is LRU
-  // at every level, so the recency-word path is the common case; wide LRU
-  // (> 16 ways) still uses LruPolicy's side array non-virtually, everything
-  // else pays the virtual dispatch.
+  // Promote (set, way) in the replacement order, and pick a full set's
+  // victim (invalid ways are always preferred by the callers themselves).
+  // The paper machine is LRU at every level, so the recency-word path is
+  // the common case and stays inline; every other policy keeps its side
+  // state here and goes through one switch out of line:
+  //   tree-PLRU          set_word_: node bits 1..ways-1 of a binary tree
+  //                      (root 1, children of n are 2n and 2n+1)
+  //   NRU                set_word_: one reference bit per way
+  //   LRU, 17..255 ways  rank_: one rank byte per way, 0 = MRU
+  //   random             rng_
   void repl_touch(std::uint64_t set, std::uint32_t way) {
     if (embedded_lru_) {
       touch_recency(set, way);
-    } else if (lru_ != nullptr) {
-      lru_->touch_inline(set, way);
     } else {
-      repl_->touch(set, way);
+      touch_side(set, way);
     }
   }
   std::uint32_t repl_victim(std::uint64_t set) {
     if (embedded_lru_) return victim_recency(set);
-    if (lru_ != nullptr) return lru_->victim_inline(set);
-    return repl_->victim(set);
+    return victim_side(set);
   }
   // Promote a way repl_victim just returned (see touch_evicted_recency);
   // identical promotion to repl_touch, cheaper on the embedded path.
   void repl_touch_evicted(std::uint64_t set, std::uint32_t way) {
     if (embedded_lru_) {
       touch_evicted_recency(set, way);
-    } else if (lru_ != nullptr) {
-      lru_->touch_inline(set, way);
     } else {
-      repl_->touch(set, way);
+      touch_side(set, way);
     }
   }
+  void touch_side(std::uint64_t set, std::uint32_t way);
+  std::uint32_t victim_side(std::uint64_t set);
+  // The side section ckpt_save writes after the entries: its byte count,
+  // whether `in` (that many bytes) holds a state this array could reach,
+  // and adopting it.
+  std::uint64_t side_bytes() const;
+  bool side_valid(const std::uint8_t* in) const;
+  void side_load(const std::uint8_t* in);
 
   CacheGeometry geom_;
   std::uint64_t sets_;
@@ -379,11 +389,12 @@ class TagArray {
   std::uint32_t lane_stride_;  // ways rounded up to a multiple of 4
   std::vector<Entry> entries_;
   std::vector<PTag> ptags_;  // derived partial-tag lanes, see rebuild_lane()
-  std::unique_ptr<ReplacementPolicy> repl_;
-  LruPolicy* lru_ = nullptr;  // repl_ downcast when the policy is LRU
-  bool embedded_lru_ = false;  // LRU with <= 16 ways: recency_ holds the order
-  std::vector<std::uint64_t> recency_;  // one word per set when embedded_lru_
-  std::uint64_t live_mask_ = 0;         // nibbles 0..ways-1
+  bool embedded_lru_ = false;  // LRU, <= 16 ways: set_word_ is the order
+  // Replacement state, see repl_touch.
+  std::vector<std::uint64_t> set_word_;  // recency word, PLRU bits, NRU mask
+  std::vector<std::uint8_t> rank_;       // wide LRU: sets * ways
+  Xoshiro256 rng_;                       // random
+  std::uint64_t live_mask_ = 0;          // nibbles 0..ways-1
   std::uint32_t victim_shift_ = 0;      // 4 * (ways - 1)
   std::uint64_t valid_count_ = 0;
 };
@@ -507,8 +518,8 @@ inline bool TagArray::invalidate(LineAddr line, bool* was_dirty) {
   const std::uint32_t w = match_way(e, lane, want, ptag_of(tag));
   if (w == kNoWay) return false;
   if (was_dirty != nullptr) *was_dirty = (e[w] & kDirtyBit) != 0;
-  // The way keeps its place in the LRU order: LruPolicy never learns about
-  // invalidations either.
+  // The way keeps its place in the replacement order: no policy learns
+  // about invalidations.
   e[w] = 0;
   lane[w] = 0;
   --valid_count_;

@@ -44,18 +44,6 @@ std::uint64_t thread_cpu_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-// The support gate both directions share: a machine whose tag arrays do
-// not keep their whole state in the payload can neither write a complete
-// checkpoint nor be completed by one.
-Status check_supported(const MulticoreSimulator& sim,
-                       const std::string& path) {
-  if (sim.ckpt_supported()) return Status::Ok();
-  return Status(StatusCode::kFailedPrecondition,
-                std::string(kEnvelope.what) + " " + path +
-                    ": this configuration's tag-array state is not "
-                    "self-contained");
-}
-
 }  // namespace
 
 std::uint64_t ckpt_key(const std::string& bench, std::uint32_t scale,
@@ -72,7 +60,6 @@ std::uint64_t ckpt_key(const std::string& bench, std::uint32_t scale,
 
 Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
                        std::uint64_t key) {
-  if (Status st = check_supported(sim, path); !st.ok()) return st;
   const std::uint64_t t0 = thread_cpu_ns();
   ByteWriter w;
   w.reserve(sim.ckpt_size_hint());
@@ -91,7 +78,6 @@ Status save_checkpoint(const MulticoreSimulator& sim, const std::string& path,
 
 Status load_checkpoint(const std::string& path, std::uint64_t key,
                        MulticoreSimulator& sim) {
-  if (Status st = check_supported(sim, path); !st.ok()) return st;
   Result<std::string> payload = open_envelope(kEnvelope, key, path);
   if (!payload.ok()) return payload.status();
   ByteReader r(reinterpret_cast<const std::uint8_t*>(payload.value().data()),

@@ -7,8 +7,8 @@
 //
 // The payload captures everything a run needs to continue bit-identically
 // from a safe boundary: per-core micro-state, every statistics counter,
-// all tag arrays (complete state only for embedded-LRU arrays — gated by
-// ckpt_supported()), predictor tables, prefetcher tables, the fault
+// all tag arrays (replacement state included), predictor tables,
+// prefetcher tables, the fault
 // injector's RNG cursors, the observability accumulators including the
 // emitted JSONL prefix, and each core's trace position: its generator
 // state plus the unconsumed tail of its refill buffer (schema v4), so
@@ -42,15 +42,6 @@ constexpr std::size_t kMemRefBytes = [] {
 }();
 
 }  // namespace
-
-bool MulticoreSimulator::ckpt_supported() const {
-  // A checkpoint must capture tag-array state completely; packed entries
-  // and recency words are the whole state only for embedded-LRU arrays.
-  for (const TagArray& a : private_) {
-    if (!a.state_is_self_contained()) return false;
-  }
-  return shared_->state_is_self_contained();
-}
 
 std::size_t MulticoreSimulator::ckpt_size_hint() const {
   // The tag arrays and the LLC directory are the bulk of a payload; the

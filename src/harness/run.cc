@@ -127,11 +127,6 @@ SimResult run_spec(const RunSpec& spec) {
       for (const std::string& path : candidates) {
         const Status st = load_checkpoint(path, key, *sim);
         if (st.code() == StatusCode::kNotFound) continue;  // sim untouched
-        if (st.code() == StatusCode::kFailedPrecondition) {
-          std::fprintf(stderr, "warning: %s; running without checkpoints\n",
-                       st.to_string().c_str());
-          break;  // sim untouched, and no other candidate can fit it
-        }
         if (st.ok() &&
             sim->ckpt_refs_done() <= spec.refs_per_core * config.cores) {
           break;  // restored

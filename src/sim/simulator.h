@@ -98,11 +98,6 @@ class MulticoreSimulator {
     ckpt_ctl_ = ctl;
     if (ctl != nullptr && obs_ != nullptr) obs_->ckpt_enable_capture();
   }
-  // Whether a checkpoint of this simulator can be complete: every tag array
-  // must keep its full state in its packed entries and recency words
-  // (TagArray::state_is_self_contained()).  save_checkpoint and
-  // load_checkpoint refuse a simulator without it.
-  bool ckpt_supported() const;
   // Payload codec, defined in src/ckpt/sim_state.cc — the subsystem that
   // owns the on-disk format; member functions so they keep private access.
   // serialize captures everything a run needs to continue from a safe

@@ -9,6 +9,8 @@
 #include "cache/geometry.h"
 #include "cache/replacement.h"
 #include "cache/tag_array.h"
+#include "common/bytestream.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 
 namespace redhip {
@@ -52,83 +54,176 @@ TEST(Geometry, PaperLlcGeometry) {
 }
 
 // ------------------------------------------------------------- replacement
+//
+// TagArray keeps every policy's state; these drive one set through it and
+// read the policy off the victims.
+
+// Fill a one-set array with lines 0..ways-1 (way w holds line w, touched
+// in way order).
+TagArray one_set(ReplacementKind kind, std::uint32_t ways,
+                 std::uint64_t seed = 0) {
+  TagArray arr(small_geom(ways * std::uint64_t{64}, ways, kind), seed);
+  for (LineAddr l = 0; l < ways; ++l) EXPECT_EQ(arr.fill(l).way, l);
+  return arr;
+}
 
 TEST(Lru, EvictsLeastRecentlyUsed) {
-  LruPolicy lru(1, 4);
-  for (std::uint32_t w = 0; w < 4; ++w) lru.touch(0, w);
-  // Order now: 3 (MRU) 2 1 0 (LRU).
-  EXPECT_EQ(lru.victim(0), 0u);
-  lru.touch(0, 0);
-  EXPECT_EQ(lru.victim(0), 1u);
-  lru.touch(0, 1);
-  EXPECT_EQ(lru.victim(0), 2u);
+  // Embedded (recency word) and wide (rank bytes) LRU.
+  for (std::uint32_t ways : {4u, 32u}) {
+    SCOPED_TRACE(ways);
+    TagArray arr = one_set(ReplacementKind::kLru, ways);
+    // Order now: ways-1 (MRU) ... 1 0 (LRU).
+    EXPECT_TRUE(arr.lookup(0).hit);
+    EXPECT_EQ(arr.fill(ways).victim, 1u);
+    EXPECT_TRUE(arr.lookup(2).hit);
+    EXPECT_EQ(arr.fill(ways + 1).victim, 3u);
+  }
 }
 
 TEST(Lru, RanksStayAPermutation) {
-  LruPolicy lru(2, 8);
-  Xoshiro256 rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t set = rng.below(2);
-    lru.touch(set, static_cast<std::uint32_t>(rng.below(8)));
-    std::set<std::uint8_t> ranks;
-    for (std::uint32_t w = 0; w < 8; ++w) ranks.insert(lru.rank(set, w));
-    ASSERT_EQ(ranks.size(), 8u);
-    ASSERT_EQ(*ranks.rbegin(), 7u);
+  // A snapshot restores only when every set's ranks are a permutation of
+  // 0..ways-1 (SoaTagArray.RestoreRejectsRanksThatAreNotAPermutation).
+  for (std::uint32_t ways : {8u, 32u}) {
+    SCOPED_TRACE(ways);
+    const CacheGeometry g = small_geom(2 * ways * std::uint64_t{64}, ways);
+    TagArray arr(g);
+    Xoshiro256 rng(5);
+    for (int i = 0; i < 1000; ++i) {
+      const LineAddr line = rng.below(4 * ways);
+      if (!arr.lookup(line).hit) arr.fill(line);
+      ByteWriter w;
+      arr.ckpt_save(w);
+      ByteReader r(w.buffer().data(), w.buffer().size());
+      TagArray copy(g);
+      ASSERT_TRUE(copy.ckpt_load(r) && r.exhausted());
+    }
   }
 }
 
 TEST(TreePlru, VictimNeverMostRecentlyTouched) {
-  TreePlruPolicy plru(1, 8);
+  TagArray arr = one_set(ReplacementKind::kTreePlru, 8);
+  std::vector<LineAddr> line_at{0, 1, 2, 3, 4, 5, 6, 7};
   Xoshiro256 rng(9);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint32_t w = static_cast<std::uint32_t>(rng.below(8));
-    plru.touch(0, w);
-    EXPECT_NE(plru.victim(0), w);
+  for (LineAddr next = 8; next < 2008; ++next) {
+    const LineAddr touched = line_at[rng.below(8)];
+    ASSERT_TRUE(arr.lookup(touched).hit);
+    const TagArray::FillResult r = arr.fill(next);
+    ASSERT_TRUE(r.evicted);
+    EXPECT_NE(r.victim, touched);
+    line_at[r.way] = next;
   }
 }
 
 TEST(TreePlru, CyclicTouchApproximatesLru) {
-  TreePlruPolicy plru(1, 4);
-  // Touch 0,1,2,3 in order; PLRU should pick 0 (the oldest) as victim.
-  for (std::uint32_t w = 0; w < 4; ++w) plru.touch(0, w);
-  EXPECT_EQ(plru.victim(0), 0u);
+  // Fills touched ways 0,1,2,3 in order; PLRU picks 0 (the oldest).
+  TagArray arr = one_set(ReplacementKind::kTreePlru, 4);
+  EXPECT_EQ(arr.fill(4).victim, 0u);
 }
 
 TEST(Nru, VictimHasClearReferenceBit) {
-  NruPolicy nru(1, 4);
-  nru.touch(0, 1);
-  nru.touch(0, 2);
-  const std::uint32_t v = nru.victim(0);
-  EXPECT_TRUE(v == 0 || v == 3);
+  // Touching way 3 set the last clear bit, so a new epoch kept only it.
+  TagArray arr = one_set(ReplacementKind::kNru, 4);
+  EXPECT_TRUE(arr.lookup(1).hit);  // bits {1, 3}
+  EXPECT_EQ(arr.fill(4).victim, 0u);  // way 0; bits {0, 1, 3}
+  EXPECT_TRUE(arr.lookup(3).hit);
+  EXPECT_EQ(arr.fill(5).victim, 2u);  // way 2, the one clear bit
 }
 
 TEST(Nru, EpochResetKeepsLastTouched) {
-  NruPolicy nru(1, 2);
-  nru.touch(0, 0);
-  nru.touch(0, 1);  // all bits set -> reset, way 1 kept
-  EXPECT_EQ(nru.victim(0), 0u);
+  TagArray arr = one_set(ReplacementKind::kNru, 2);  // reset kept way 1
+  EXPECT_EQ(arr.fill(2).victim, 0u);  // all set again -> reset keeps way 0
+  EXPECT_EQ(arr.fill(3).victim, 1u);
+}
+
+std::vector<std::uint32_t> random_victim_ways(std::uint32_t ways,
+                                              std::uint64_t seed, int n) {
+  TagArray arr = one_set(ReplacementKind::kRandom, ways, seed);
+  std::vector<std::uint32_t> got;
+  for (LineAddr next = ways; got.size() < static_cast<std::size_t>(n);
+       ++next) {
+    got.push_back(arr.fill(next).way);
+  }
+  return got;
 }
 
 TEST(Random, DeterministicUnderSeed) {
-  RandomPolicy a(8, 123), b(8, 123);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.victim(0), b.victim(0));
+  EXPECT_EQ(random_victim_ways(8, 123, 100), random_victim_ways(8, 123, 100));
+  EXPECT_NE(random_victim_ways(8, 123, 100), random_victim_ways(8, 124, 100));
 }
 
 TEST(Random, CoversAllWays) {
-  RandomPolicy p(4, 7);
-  std::set<std::uint32_t> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(p.victim(0));
-  EXPECT_EQ(seen.size(), 4u);
+  const std::vector<std::uint32_t> ways = random_victim_ways(4, 7, 200);
+  EXPECT_EQ(std::set<std::uint32_t>(ways.begin(), ways.end()).size(), 4u);
 }
 
-TEST(Replacement, FactoryProducesRequestedKinds) {
+// Victim streams pinned per policy.  One seeded stream of lookups, fills
+// (with and without the prefetched and dirty marks) and invalidations runs
+// through a 16-set array; the digest covers every fill's way, whether it
+// evicted, and its victim.  The pins were recorded from the per-policy
+// classes the array's own replacement state replaced, so a change to any
+// policy's victim choice, promotion rule or initial order shows here.
+std::uint64_t victim_digest(ReplacementKind kind, std::uint32_t ways) {
+  const CacheGeometry g = small_geom(16 * ways * std::uint64_t{64}, ways, kind);
+  TagArray arr(g, 0x5EED);
+  Xoshiro256 rng(0xD1CE + ways);
+  Fnv1a h;
+  const std::uint64_t universe = g.lines() * 3;
+  for (int i = 0; i < 40'000; ++i) {
+    const LineAddr line = rng.below(universe);
+    const std::uint64_t op = rng.below(8);
+    if (op == 0) {
+      arr.invalidate(line);
+      continue;
+    }
+    if (op < 3) {
+      TagArray::FillResult r;
+      if (!arr.fill_if_absent(line, op == 1, op == 2, &r)) continue;
+      h.u32(r.way).u8(r.evicted).u64(r.victim);
+    } else if (!arr.lookup(line, op == 3).hit) {
+      const TagArray::FillResult r = arr.fill(line);
+      h.u32(r.way).u8(r.evicted).u64(r.victim);
+    }
+  }
+  return h.digest();
+}
+
+TEST(ReplacementPin, VictimStreamsMatchPinnedDigests) {
+  struct Pin {
+    ReplacementKind kind;
+    std::uint32_t ways;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {ReplacementKind::kTreePlru, 2, 0xa0155ff846272f2f},
+      {ReplacementKind::kTreePlru, 8, 0xb0c36a2810e6859a},
+      {ReplacementKind::kTreePlru, 32, 0xe3d0360c3d4fbce7},
+      {ReplacementKind::kNru, 1, 0xd28709f59e703b62},
+      {ReplacementKind::kNru, 4, 0x128aac98c0af0dae},
+      {ReplacementKind::kNru, 32, 0x288c817836512a62},
+      {ReplacementKind::kRandom, 4, 0x8e4a9cb45792da7c},
+      {ReplacementKind::kRandom, 16, 0x1f186550e09304bc},
+      {ReplacementKind::kLru, 4, 0x9c368e7f1e4382fe},
+      {ReplacementKind::kLru, 16, 0x9e5353786f0d43e8},
+      {ReplacementKind::kLru, 32, 0xb491a71ed2238add},
+      {ReplacementKind::kLru, 80, 0x9b8b82705c562b2c},
+      {ReplacementKind::kLru, 255, 0xe085a56f2ee881e3},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(victim_digest(p.kind, p.ways), p.digest)
+        << to_string(p.kind) << " " << p.ways << "-way";
+  }
+}
+
+TEST(Replacement, TagArrayRunsEveryKind) {
+  // Each kind reaches its own policy: the same stream evicts differently.
+  std::set<std::uint64_t> digests;
   for (ReplacementKind k :
        {ReplacementKind::kLru, ReplacementKind::kTreePlru,
         ReplacementKind::kNru, ReplacementKind::kRandom}) {
-    auto p = ReplacementPolicy::create(k, 16, 4, 1);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->kind(), k);
+    EXPECT_EQ(TagArray(small_geom(4_KiB, 4, k)).geometry().replacement, k);
+    digests.insert(victim_digest(k, 4));
   }
+  EXPECT_EQ(digests.size(), 4u);
 }
 
 // ----------------------------------------------------------------- TagArray

@@ -4,16 +4,24 @@
 // uninterrupted run: stats_identical, byte-identical json_report, and a
 // byte-identical JSONL event trace.  A corrupted checkpoint degrades to a
 // cold start (with the file evicted), never to a wrong result.  Sampled
-// runs' shareable warm snapshots restore across run lengths.
+// runs' shareable warm snapshots restore across run lengths, and every
+// replacement policy's state restores.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/checkpoint_io.h"
+#include "common/bytestream.h"
+#include "common/checksum.h"
+#include "common/file_io.h"
 #include "harness/json_report.h"
 #include "harness/run.h"
 #include "sim/stats.h"
@@ -357,53 +365,124 @@ TEST_F(SampledRestoreTest, MainFileAheadOfTheRun) {
 // entries, so no checkpoint of it can be complete: src/ckpt refuses both
 // directions, and a run asked to checkpoint writes nothing and simulates
 // exactly what a plain run does.
-TEST_F(CkptRestoreTest, TreePlruMachineNeitherSavesNorRestores) {
-  RunSpec spec;
-  spec.bench = BenchmarkId::kMcf;
-  spec.scheme = Scheme::kRedhip;
-  spec.scale = 32;
-  spec.refs_per_core = 10'000;
-  spec.tweak = [](HierarchyConfig& hc) {
-    for (LevelSpec& lvl : hc.levels) {
-      lvl.geom.replacement = ReplacementKind::kTreePlru;
-    }
-  };
-  const SimResult plain = run_spec(spec);
+// Every replacement policy checkpoints.  A tag array whose policy keeps
+// side state (tree-PLRU node bits, NRU reference masks, the random
+// policy's RNG, LRU rank bytes past 16 ways) writes it after its entries;
+// a run saved at an interval and restored continues the uninterrupted
+// run.  A side section the policy could not have written, resealed under
+// a fresh checksum, fails as DATA_LOSS.
+class SideStateRestoreTest : public CkptRestoreTest {
+ protected:
+  // Rewrites the LLC's side section of a saved file and reseals it.
+  using Corrupt = std::function<void(std::uint8_t* side)>;
 
-  const std::string ckpt = (dir_ / "plru.ckpt").string();
-  RunSpec saving = spec;
-  saving.ckpt_path = ckpt;
-  saving.ckpt_interval_refs = 20'000;
-  saving.ckpt_save_at_refs = 30'000;
-  saving.ckpt_restore = true;
-  expect_same_run(plain, run_spec(saving), "tree-PLRU with checkpoints on");
-  EXPECT_FALSE(std::filesystem::exists(ckpt)) << "unrestorable file written";
+  void check(ReplacementKind kind, std::uint32_t ways,
+             const std::vector<std::pair<std::string, Corrupt>>& corrupt) {
+    RunSpec spec;
+    spec.bench = BenchmarkId::kMcf;
+    spec.scheme = Scheme::kRedhip;
+    spec.scale = 32;
+    spec.refs_per_core = 10'000;
+    spec.tweak = [kind, ways](HierarchyConfig& hc) {
+      for (LevelSpec& lvl : hc.levels) {
+        lvl.geom.replacement = kind;
+        // Every level below L1 (16 lines at scale 32) takes `ways`.
+        if (&lvl != &hc.levels.front()) lvl.geom.ways = ways;
+      }
+    };
+    const SimResult plain = run_spec(spec);
 
-  // A file at the path (here an LRU machine's) is neither read nor evicted.
-  RunSpec lru = spec;
-  lru.tweak = nullptr;
-  lru.ckpt_path = ckpt;
-  lru.ckpt_save_at_refs = 30'000;
-  run_spec(lru);
-  ASSERT_TRUE(std::filesystem::exists(ckpt));
+    const std::string ckpt = (dir_ / "side.ckpt").string();
+    RunSpec saving = spec;
+    saving.ckpt_path = ckpt;
+    saving.ckpt_interval_refs = 30'000;  // saves at 30k and 60k of 80k
+    expect_same_run(plain, run_spec(saving), "saving");
+    ASSERT_TRUE(std::filesystem::exists(ckpt));
+    const std::string good = slurp(ckpt);
 
-  const HierarchyConfig config = resolved_config(spec);
-  std::vector<std::unique_ptr<TraceSource>> traces;
-  std::vector<std::uint32_t> cpis;
-  for (CoreId c = 0; c < config.cores; ++c) {
-    traces.push_back(make_workload(spec.bench, c, spec.scale, spec.seed));
-    cpis.push_back(workload_cpi_centi(spec.bench, c));
+    RunSpec resuming = spec;
+    resuming.ckpt_path = ckpt;
+    resuming.ckpt_restore = true;
+    expect_same_run(plain, run_spec(resuming), "restored");
+
+    // Find the LLC's section in the payload: a simulator restored from the
+    // file serializes its LLC to the same bytes.
+    auto sim = fresh_sim(spec);
+    ASSERT_TRUE(load_checkpoint(ckpt, ckpt_key(spec), *sim).ok());
+    ByteWriter llc;
+    sim->level_array_for_test(resolved_config(spec).num_levels() - 1, 0)
+        .ckpt_save(llc);
+    const std::string section(llc.buffer().begin(), llc.buffer().end());
+    const std::size_t at = good.find(section);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t side_len = at + 8 + 8 * load_le64(section.data());
+
+    auto reject = [&](const std::string& what, const Corrupt& edit) {
+      std::string bad = good;
+      edit(reinterpret_cast<std::uint8_t*>(&bad[side_len + 8]));
+      reseal(bad);
+      write(ckpt, bad);
+      EXPECT_EQ(load_checkpoint(ckpt, ckpt_key(spec), *fresh_sim(spec)).code(),
+                StatusCode::kDataLoss)
+          << what;
+    };
+    for (const auto& [what, edit] : corrupt) reject(what, edit);
+    // A wrong length: the section claims one more byte than it has.
+    reject("wrong length", [](std::uint8_t* side) {
+      store_le64(side - 8, load_le64(side - 8) + 1);
+    });
+    write(ckpt, good);  // the untouched file still restores
+    EXPECT_TRUE(load_checkpoint(ckpt, ckpt_key(spec), *fresh_sim(spec)).ok());
   }
-  MulticoreSimulator sim(config, std::move(traces), std::move(cpis));
-  EXPECT_EQ(load_checkpoint(ckpt, ckpt_key(lru), sim).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(std::filesystem::exists(ckpt));
-  const std::string other = (dir_ / "plru-save.ckpt").string();
-  EXPECT_EQ(save_checkpoint(sim, other, ckpt_key(spec)).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(std::filesystem::exists(other));
-  // Untouched by the refused load: it runs as the plain run did.
-  EXPECT_TRUE(stats_identical(plain, sim.run(spec.refs_per_core)));
+
+  static std::unique_ptr<MulticoreSimulator> fresh_sim(const RunSpec& spec) {
+    const HierarchyConfig config = resolved_config(spec);
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    std::vector<std::uint32_t> cpis;
+    for (CoreId c = 0; c < config.cores; ++c) {
+      traces.push_back(make_workload(spec.bench, c, spec.scale, spec.seed));
+      cpis.push_back(workload_cpi_centi(spec.bench, c));
+    }
+    return std::make_unique<MulticoreSimulator>(config, std::move(traces),
+                                                std::move(cpis));
+  }
+
+  // Recompute the envelope's trailing checksum over the payload.
+  static void reseal(std::string& file) {
+    const std::size_t payload =
+        file.size() - kEnvelopeHeaderBytes - kEnvelopeTrailerBytes;
+    store_le64(&file[kEnvelopeHeaderBytes + payload],
+               checksum64(file.data() + kEnvelopeHeaderBytes, payload));
+  }
+
+  static void write(const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary) << bytes;
+  }
+};
+
+TEST_F(SideStateRestoreTest, TreePlru) {
+  check(ReplacementKind::kTreePlru, 16,
+        {{"bit 0 is no tree node", [](std::uint8_t* s) { s[0] |= 1; }},
+         {"bit 16 is past 15 nodes", [](std::uint8_t* s) { s[2] |= 1; }}});
+}
+
+TEST_F(SideStateRestoreTest, Nru) {
+  check(ReplacementKind::kNru, 16,
+        {{"every way referenced",
+          [](std::uint8_t* s) { s[0] = s[1] = 0xFF; }},
+         {"a bit past the ways", [](std::uint8_t* s) { s[2] |= 1; }}});
+}
+
+TEST_F(SideStateRestoreTest, Random) {
+  check(ReplacementKind::kRandom, 16,
+        {{"all-zero RNG state",
+          [](std::uint8_t* s) { std::memset(s, 0, 32); }}});
+}
+
+TEST_F(SideStateRestoreTest, WideLru) {
+  check(ReplacementKind::kLru, 32,
+        {{"repeated rank", [](std::uint8_t* s) { s[1] = s[0]; }},
+         {"rank past the ways", [](std::uint8_t* s) { s[0] = 32; }}});
 }
 
 }  // namespace

@@ -150,7 +150,6 @@ std::uint64_t ckpt_digest(const CkptPin& pin, BenchmarkId bench) {
   }
   {
     auto sim = build();
-    EXPECT_TRUE(sim->ckpt_supported());
     sim->set_ckpt_control(&ctl);
     sim->run(spec.refs_per_core);
   }

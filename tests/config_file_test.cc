@@ -324,6 +324,43 @@ table_bits = 1K
                std::logic_error);
 }
 
+// Each replacement policy's associativity limit is checked at parse time,
+// naming the policy, not when the simulator builds its tag arrays.
+TEST(ConfigFile, ReplacementAssociativityLimitsFailAtParse) {
+  const auto text = [](const std::string& policy, std::uint32_t ways) {
+    // Sixteen sets of `ways` 64-byte lines, then a plain LLC.
+    return "scheme = base\n[level]\nsize = " + std::to_string(ways * 1024) +
+           "\nways = " + std::to_string(ways) + "\nreplacement = " + policy +
+           "\n[level]\nsize = 1M\nways = 16\n";
+  };
+  const std::pair<const char*, std::uint32_t> bad[] = {
+      {"tree-plru", 3}, {"tree-plru", 64}, {"nru", 64}, {"lru", 256}};
+  for (const auto& [policy, ways] : bad) {
+    SCOPED_TRACE(std::string(policy) + " ways=" + std::to_string(ways));
+    try {
+      parse_config_text(text(policy, ways));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(policy) + " "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const std::pair<const char*, std::uint32_t> edges[] = {
+      {"tree-plru", 2}, {"tree-plru", 32}, {"nru", 32}, {"lru", 255}};
+  for (const auto& [policy, ways] : edges) {
+    EXPECT_NO_THROW(parse_config_text(text(policy, ways)))
+        << policy << " ways=" << ways;
+  }
+}
+
+TEST(ConfigFile, ZeroWaysFailsAtParse) {
+  // Used to divide by zero in CacheGeometry::validate().
+  EXPECT_THROW(parse_config_text("[level]\nsize = 1K\nways = 0\n"
+                                 "[level]\nsize = 1M\nways = 16\n"),
+               std::logic_error);
+}
+
 TEST(ConfigFile, RoundTripsThroughText) {
   const HierarchyConfig original = HierarchyConfig::scaled(8, Scheme::kCbf);
   const std::string text = config_to_text(original);

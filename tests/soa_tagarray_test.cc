@@ -1,7 +1,7 @@
 // SoA tag-array equivalence: the partial-tag-lane + recency-word layout
 // must be observably identical to a plain per-way model (tagarray_fuzz.h),
-// and checkpoint snapshots must round-trip (and reject ranks that are not
-// a permutation).  Whole simulations are checked against the independent
+// and checkpoint snapshots must round-trip for every replacement policy
+// (and reject ranks that are not a permutation).  Whole simulations are checked against the independent
 // hierarchy model in tests/model.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cache/tag_array.h"
+#include "common/bytestream.h"
 #include "common/rng.h"
 #include "tagarray_fuzz.h"
 
@@ -25,6 +26,24 @@ TEST(SoaTagArray, RandomizedEquivalenceVsShadowModel) {
   }
 }
 
+// The checkpoint section of `arr`, and restoring one (true only when
+// `bytes` is exactly one valid section).
+std::vector<std::uint8_t> snapshot(const TagArray& arr) {
+  ByteWriter w;
+  arr.ckpt_save(w);
+  return w.take();
+}
+bool restore(TagArray& arr, const std::vector<std::uint8_t>& bytes) {
+  ByteReader r(bytes.data(), bytes.size());
+  return arr.ckpt_load(r) && r.exhausted();
+}
+// An embedded-LRU array's whole section is its ranked entries.
+bool restore_entries(TagArray& arr, const std::vector<std::uint64_t>& e) {
+  ByteWriter w;
+  w.u64_vec(e);
+  return restore(arr, w.take());
+}
+
 // Build two arrays that should be in identical states and require they
 // behave identically under a shared random op stream.
 void expect_arrays_equivalent(TagArray& a, TagArray& b,
@@ -37,7 +56,7 @@ void expect_arrays_equivalent(TagArray& a, TagArray& b,
     ASSERT_EQ(la, lb) << "set " << s;
     for (LineAddr l : la) ASSERT_EQ(a.is_dirty(l), b.is_dirty(l));
   }
-  ASSERT_EQ(a.ckpt_entries(), b.ckpt_entries());
+  ASSERT_EQ(snapshot(a), snapshot(b));
   // Behavioural check: fills exercise the lane-derived invalid-way choice
   // and the replacement state, which the state walk above cannot see.
   Xoshiro256 rng(seed);
@@ -61,7 +80,7 @@ void expect_arrays_equivalent(TagArray& a, TagArray& b,
       ASSERT_EQ(a.invalidate(gone), b.invalidate(gone)) << "invalidate " << i;
     }
   }
-  ASSERT_EQ(a.ckpt_entries(), b.ckpt_entries());
+  ASSERT_EQ(snapshot(a), snapshot(b));
 }
 
 // Churn an array into an arbitrary state: fills, hits, dirties,
@@ -88,19 +107,38 @@ void churn(TagArray& arr, const CacheGeometry& g, std::uint64_t seed,
   }
 }
 
+const ReplacementKind kKinds[] = {ReplacementKind::kLru,
+                                  ReplacementKind::kTreePlru,
+                                  ReplacementKind::kNru,
+                                  ReplacementKind::kRandom};
+
+bool policy_fits(const CacheGeometry& g) {
+  try {
+    g.validate();
+    return true;
+  } catch (const std::logic_error&) {
+    return false;
+  }
+}
+
 TEST(SoaTagArray, CheckpointRoundTripRebuildsLanes) {
   std::uint64_t seed = 0xC0FFEE;
-  for (const CacheGeometry& g : fuzz::fuzz_geometries()) {
-    if (g.ways > 16) continue;  // wide LRU is not checkpointable
-    SCOPED_TRACE("ways=" + std::to_string(g.ways));
-    TagArray arr(g);
-    churn(arr, g, seed++, 30'000);
+  for (CacheGeometry g : fuzz::fuzz_geometries()) {
+    for (ReplacementKind kind : kKinds) {
+      g.replacement = kind;
+      if (!policy_fits(g)) continue;
+      SCOPED_TRACE(to_string(kind) + " ways=" + std::to_string(g.ways));
+      TagArray arr(g, seed);
+      churn(arr, g, seed++, 30'000);
 
-    // Round-trip the snapshot into a fresh array; the partial-tag lanes and
-    // recency words are not serialized, so equivalence proves the rebuild.
-    TagArray restored(g);
-    ASSERT_TRUE(restored.ckpt_restore_entries(arr.ckpt_entries()));
-    expect_arrays_equivalent(arr, restored, g, seed++);
+      // Round-trip the snapshot into a fresh array (seeded differently, so
+      // a random policy's stream must come from the file).  The lanes and
+      // recency words are not serialized, so equivalence proves the
+      // rebuild.
+      TagArray restored(g, seed++);
+      ASSERT_TRUE(restore(restored, snapshot(arr)));
+      expect_arrays_equivalent(arr, restored, g, seed++);
+    }
   }
 
   // Size mismatch must be rejected, not truncated.
@@ -111,7 +149,7 @@ TEST(SoaTagArray, CheckpointRoundTripRebuildsLanes) {
   CacheGeometry small = g;
   small.size_bytes /= 2;
   TagArray other(small);
-  EXPECT_FALSE(other.ckpt_restore_entries(arr.ckpt_entries()));
+  EXPECT_FALSE(restore(other, snapshot(arr)));
 }
 
 // A snapshot whose ranks in some set are not a permutation of 0..ways-1
@@ -135,29 +173,42 @@ TEST(SoaTagArray, RestoreRejectsRanksThatAreNotAPermutation) {
     TagArray target(g);
     churn(target, g, 0xBADC0DE, 5'000);
     const std::vector<std::uint64_t> before = target.ckpt_entries();
-    EXPECT_FALSE(target.ckpt_restore_entries(dup));
+    EXPECT_FALSE(restore_entries(target, dup));
     EXPECT_EQ(target.ckpt_entries(), before);
 
     // A rank outside 0..ways-1.
     if (ways < 16) {
       std::vector<std::uint64_t> out_of_range = good;
       out_of_range[set] |= kRank;
-      EXPECT_FALSE(target.ckpt_restore_entries(out_of_range));
+      EXPECT_FALSE(restore_entries(target, out_of_range));
       EXPECT_EQ(target.ckpt_entries(), before);
     }
 
-    ASSERT_TRUE(target.ckpt_restore_entries(good));
+    ASSERT_TRUE(restore_entries(target, good));
     EXPECT_EQ(target.ckpt_entries(), good);
   }
 
-  // Arrays without embedded LRU carry no ranks at all.
-  CacheGeometry wide;
-  wide.ways = 32;
-  wide.size_bytes = 64 * 32 * std::uint64_t{64};
-  TagArray arr(wide);
-  std::vector<std::uint64_t> ranked = arr.ckpt_entries();
-  ranked[3] |= std::uint64_t{1} << 60;
-  EXPECT_FALSE(arr.ckpt_restore_entries(ranked));
+  // Arrays without embedded LRU carry no ranks at all: their entries
+  // carry rank 0 and a side section follows.
+  for (const auto& [kind, ways] :
+       {std::pair{ReplacementKind::kLru, 32u},
+        std::pair{ReplacementKind::kTreePlru, 4u},
+        std::pair{ReplacementKind::kNru, 4u},
+        std::pair{ReplacementKind::kRandom, 4u}}) {
+    SCOPED_TRACE(to_string(kind) + " ways=" + std::to_string(ways));
+    CacheGeometry g;
+    g.ways = ways;
+    g.size_bytes = 64 * ways * std::uint64_t{64};
+    g.replacement = kind;
+    TagArray arr(g);
+    churn(arr, g, 0xFACE, 5'000);
+    const std::vector<std::uint8_t> before = snapshot(arr);
+    std::vector<std::uint8_t> ranked = before;
+    ranked[8 + 8 * 3 + 7] |= 0x10;  // rank 1 on entry 3, past the count
+    EXPECT_FALSE(restore(arr, ranked));
+    EXPECT_EQ(snapshot(arr), before);
+    EXPECT_TRUE(restore(arr, before));
+  }
 }
 
 }  // namespace
