@@ -218,7 +218,7 @@ void TagArray::ckpt_save(ByteWriter& w) const {
   w.u64(side_bytes());
   switch (geom_.replacement) {
     case ReplacementKind::kLru:
-      w.bytes(rank_.data(), rank_.size());
+      w.put(uncounted(rank_));
       return;
     case ReplacementKind::kTreePlru:
     case ReplacementKind::kNru:
@@ -283,7 +283,7 @@ std::vector<std::uint64_t> TagArray::ckpt_entries() const {
   ByteWriter w;
   ckpt_save(w);
   ByteReader r(w.buffer().data(), w.buffer().size());
-  return r.u64_vec();
+  return r.read<std::vector<std::uint64_t>>();
 }
 
 void TagArray::for_each_valid_in_set(

@@ -22,6 +22,7 @@
 // kCkptSchemaVersion (checkpoint_io.h).
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <tuple>
 
 #include "common/bytestream.h"
@@ -55,16 +56,33 @@ std::size_t MulticoreSimulator::ckpt_size_hint() const {
          (std::size_t{1} << 17);
 }
 
+template <class S>
+auto MulticoreSimulator::ckpt_totals(S& s) {
+  return field_list(
+      s.global_stall_cycles_, s.recal_stall_cycles_, s.memory_accesses_,
+      s.demand_memory_accesses_, s.memory_writebacks_, uncounted(s.events_),
+      s.prefetch_events_, s.audit_checks_, s.invariant_violations_,
+      s.recovery_recals_, s.recovery_stall_cycles_, s.predictor_active_,
+      s.epoch_refs_seen_, s.epoch_start_misses_, s.epoch_start_lookups_,
+      s.epoch_start_absents_, s.disable_backoff_, s.disabled_epochs_left_,
+      s.predictor_disabled_refs_, s.excl_l1_misses_);
+}
+
+template <class S>
+auto MulticoreSimulator::ckpt_sampling(S& s) {
+  return std::tie(s.sample_skipped_refs_, s.sample_warmed_refs_,
+                  s.sample_win_open_, s.sample_win_start_, s.sample_windows_);
+}
+
+// Around the field lists, what the restoring simulator checks against its
+// own configuration stays hand-written (DESIGN.md "Field lists").
 void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   // Structural echo, validated on restore before anything is applied.
   w.u32(config_.cores);
   w.u32(config_.num_levels());
 
   for (const CoreState& cs : cores_) {
-    w.u64(cs.refs_done);
-    w.u64(cs.clock);
-    w.u32(static_cast<std::uint32_t>(cs.cpi.remainder_centi()));
-    w.boolean(cs.exhausted);
+    w.put(cs);
     // Generator state: lets restore reposition the trace in O(state)
     // instead of replaying skip(refs_done) from the origin — at deep
     // positions that replay costs seconds, which is exactly the prefix a
@@ -77,8 +95,7 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
     const bool trace_state = cs.trace->ckpt_save_state(tw);
     w.boolean(trace_state);
     if (trace_state) {
-      w.u64(tw.buffer().size());
-      w.bytes(tw.buffer().data(), tw.buffer().size());
+      w.put(tw.buffer());
       w.u32(cs.buf_len - cs.buf_pos);
       for (std::uint32_t i = cs.buf_pos; i < cs.buf_len; ++i) {
         w.put(cs.buf[i]);
@@ -86,27 +103,7 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
     }
   }
 
-  w.u64(global_stall_cycles_);
-  w.u64(recal_stall_cycles_);
-  w.u64(memory_accesses_);
-  w.u64(demand_memory_accesses_);
-  w.u64(memory_writebacks_);
-  for (const LevelEvents& ev : events_) w.put(ev);
-  w.put(prefetch_events_);
-  w.u64(audit_checks_);
-  w.u64(invariant_violations_);
-  w.u64(recovery_recals_);
-  w.u64(recovery_stall_cycles_);
-
-  w.boolean(predictor_active_);
-  w.u64(epoch_refs_seen_);
-  w.u64(epoch_start_misses_);
-  w.u64(epoch_start_lookups_);
-  w.u64(epoch_start_absents_);
-  w.u32(disable_backoff_);
-  w.u32(disabled_epochs_left_);
-  w.u64(predictor_disabled_refs_);
-  w.u64(excl_l1_misses_);
+  w.put(ckpt_totals(*this));
 
   // Only the packed entries are serialized, each carrying its way's LRU
   // rank in the top nibble (derived from the set's recency word as it is
@@ -117,10 +114,7 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   shared_->ckpt_save(w);
 
   w.boolean(llc_dir_on_);
-  if (llc_dir_on_) {
-    w.u64(llc_dir_.size());
-    w.bytes(llc_dir_.data(), llc_dir_.size());
-  }
+  if (llc_dir_on_) w.put(llc_dir_);
 
   w.boolean(llc_pred_ != nullptr);
   if (llc_pred_ != nullptr) llc_pred_->ckpt_save(w);
@@ -149,11 +143,7 @@ void MulticoreSimulator::ckpt_serialize(ByteWriter& w) const {
   w.u64(sampling_.period_refs);
   w.u64(sampling_.window_refs);
   w.u64(sampling_.warmup_refs);
-  w.u64(sample_skipped_refs_);
-  w.u64(sample_warmed_refs_);
-  w.boolean(sample_win_open_);
-  w.put(sample_win_start_);
-  w.put(sample_windows_);
+  w.put(ckpt_sampling(*this));
 }
 
 bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
@@ -162,17 +152,12 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   if (r.u32() != config_.num_levels()) return false;
 
   for (CoreState& cs : cores_) {
-    cs.refs_done = r.u64();
-    cs.clock = r.u64();
-    const std::uint32_t rem = r.u32();
-    if (rem >= 100) return false;
-    cs.cpi.set_remainder_centi(rem);
+    r.get(cs);
+    if (!r.ok() || cs.cpi.remainder_centi() >= 100) return false;
     // The L1 memo is derived state, not stored; an empty memo is always
     // sound.
     cs.l1_memo = empty_l1_memo();
     cs.l1_memo_dirty = 0;
-    cs.exhausted = r.boolean();
-    if (!r.ok()) return false;
     cs.buf_pos = 0;
     cs.buf_len = 0;
     if (r.boolean()) {
@@ -202,27 +187,13 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
     }
   }
 
-  global_stall_cycles_ = r.u64();
-  recal_stall_cycles_ = r.u64();
-  memory_accesses_ = r.u64();
-  demand_memory_accesses_ = r.u64();
-  memory_writebacks_ = r.u64();
-  for (LevelEvents& ev : events_) r.get(ev);
-  r.get(prefetch_events_);
-  audit_checks_ = r.u64();
-  invariant_violations_ = r.u64();
-  recovery_recals_ = r.u64();
-  recovery_stall_cycles_ = r.u64();
-
-  predictor_active_ = r.boolean();
-  epoch_refs_seen_ = r.u64();
-  epoch_start_misses_ = r.u64();
-  epoch_start_lookups_ = r.u64();
-  epoch_start_absents_ = r.u64();
-  disable_backoff_ = r.u32();
-  disabled_epochs_left_ = r.u32();
-  predictor_disabled_refs_ = r.u64();
-  excl_l1_misses_ = r.u64();
+  r.get(ckpt_totals(*this));
+  // A paused predictor waits at least one more epoch, and the backoff is
+  // at least one: a zero would wrap the epoch countdown.
+  if (disable_backoff_ == 0 ||
+      (!predictor_active_ && disabled_epochs_left_ == 0)) {
+    return false;
+  }
 
   for (TagArray& a : private_) {
     if (!a.ckpt_load(r)) return false;
@@ -230,10 +201,7 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   if (!shared_->ckpt_load(r)) return false;
 
   if (r.boolean() != llc_dir_on_) return false;
-  if (llc_dir_on_) {
-    if (r.u64() != llc_dir_.size()) return false;
-    if (!r.raw(llc_dir_.data(), llc_dir_.size())) return false;
-  }
+  if (llc_dir_on_) r.get(std::span(llc_dir_));
 
   if (r.boolean() != (llc_pred_ != nullptr)) return false;
   if (llc_pred_ != nullptr && !llc_pred_->ckpt_load(r)) return false;
@@ -255,10 +223,7 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   }
 
   if (r.boolean() != (injector_ != nullptr)) return false;
-  if (injector_ != nullptr) {
-    r.get(*injector_);
-    if (!r.ok()) return false;
-  }
+  if (injector_ != nullptr) r.get(*injector_);
 
   if (r.boolean() != (obs_ != nullptr)) return false;
   if (obs_ != nullptr && !obs_->ckpt_load(r)) return false;
@@ -267,11 +232,7 @@ bool MulticoreSimulator::ckpt_restore_payload(ByteReader& r) {
   if (r.u64() != sampling_.period_refs) return false;
   if (r.u64() != sampling_.window_refs) return false;
   if (r.u64() != sampling_.warmup_refs) return false;
-  sample_skipped_refs_ = r.u64();
-  sample_warmed_refs_ = r.u64();
-  sample_win_open_ = r.boolean();
-  r.get(sample_win_start_);
-  r.get(sample_windows_);
+  r.get(ckpt_sampling(*this));
 
   if (!r.ok()) return false;
   // Checkpoint accounting resumes from the restored position: the state

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -24,25 +25,24 @@ class CpiAccumulator {
   // Returns the number of whole cycles `instructions` non-memory
   // instructions take, carrying fractional cycles to the next call.
   Cycles advance(std::uint64_t instructions) {
-    remainder_centi_ += instructions * cpi_centi_;
-    Cycles whole = remainder_centi_ / 100;
-    remainder_centi_ %= 100;
-    return whole;
+    const std::uint64_t centi = remainder_centi_ + instructions * cpi_centi_;
+    remainder_centi_ = static_cast<std::uint32_t>(centi % 100);
+    return centi / 100;
   }
 
   std::uint32_t cpi_centi() const { return cpi_centi_; }
-  std::uint64_t remainder_centi() const { return remainder_centi_; }
-  // Checkpoint restore: reinstate a remainder previously read via
-  // remainder_centi().  Always < 100 after any advance(), so the value
-  // round-trips through a byte.
-  void set_remainder_centi(std::uint64_t r) {
-    REDHIP_DCHECK(r < 100);
-    remainder_centi_ = r;
+  // Always < 100 after any advance().
+  std::uint32_t remainder_centi() const { return remainder_centi_; }
+  // The checkpointed state (common/bytestream.h): the remainder carries
+  // across a restore; the CPI is configuration.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.remainder_centi_);
   }
 
  private:
   std::uint32_t cpi_centi_;
-  std::uint64_t remainder_centi_ = 0;
+  std::uint32_t remainder_centi_ = 0;
 };
 
 }  // namespace redhip

@@ -194,28 +194,18 @@ void ObsCollector::ckpt_enable_capture() {
 }
 
 void ObsCollector::ckpt_save(ByteWriter& w) const {
-  w.u64(total_refs_);
-  w.u64(epoch_refs_);
-  w.u64(epoch_start_cycles_);
-  w.put(prev_);
-  w.put(epochs_);
-  metrics_.ckpt_save(w);
+  w.put(*this);
   // Between a restore and run(), the restored prefix is still the trace.
-  if (!restored_prefix_.empty()) {
-    w.str(restored_prefix_);
+  if (!restored_prefix_.empty() || capture_ == nullptr) {
+    w.put(restored_prefix_);
   } else {
-    w.str(capture_ != nullptr ? capture_->captured() : std::string());
+    w.put(capture_->captured());
   }
 }
 
 bool ObsCollector::ckpt_load(ByteReader& r) {
-  total_refs_ = r.u64();
-  epoch_refs_ = r.u64();
-  epoch_start_cycles_ = r.u64();
-  r.get(prev_);
-  r.get(epochs_);
-  if (!metrics_.ckpt_load(r)) return false;
-  restored_prefix_ = r.str();
+  r.get(*this);
+  r.get(restored_prefix_);
   return r.ok() && (restored_prefix_.empty() ||
                     restored_prefix_.rfind("{\"ev\":\"run_begin\"", 0) == 0);
 }

@@ -155,6 +155,13 @@ class ObsCollector final : public RecalObserver {
   // the load.
   void ckpt_save(ByteWriter& w) const;
   bool ckpt_load(ByteReader& r);
+  // The saved state before the trace prefix, in on-disk order
+  // (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.total_refs_, s.epoch_refs_, s.epoch_start_cycles_,
+                    s.prev_, s.epochs_, s.metrics_);
+  }
 
  private:
   void emit_epoch(const EpochSample& s);

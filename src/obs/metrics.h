@@ -17,6 +17,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -62,12 +63,11 @@ class MetricsRegistry {
 
   // --- Checkpoint ----------------------------------------------------------
   // The per-core counters and histograms feed the run_end trace event, so
-  // they are part of the bit-identity contract and must survive a restore.
-  void ckpt_save(ByteWriter& w) const { w.put(slots_); }
-  bool ckpt_load(ByteReader& r) {
-    if (r.u64() != slots_.size()) return false;
-    for (CoreSlot& s : slots_) r.get(s);
-    return r.ok();
+  // they are part of the bit-identity contract and must survive a restore
+  // (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(std::span(s.slots_));
   }
 
  private:

@@ -69,6 +69,18 @@ void CountingBloomFilter::on_evict(LineAddr line) {
   if (counters_[i] > 0) --counters_[i];
 }
 
+bool CountingBloomFilter::state_ok() const {
+  std::uint64_t disabled_entries = 0;
+  for (std::uint64_t i = 0; i < counters_.size(); ++i) {
+    if (counters_[i] > max_count_) return false;
+    if (disabled(i)) {
+      if (counters_[i] != max_count_) return false;
+      ++disabled_entries;
+    }
+  }
+  return disabled_entries == disabled_count();
+}
+
 std::uint64_t CountingBloomFilter::disabled_count() const {
   std::uint64_t n = 0;
   for (std::uint64_t w : disabled_) {

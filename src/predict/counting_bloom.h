@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "predict/predictor.h"
@@ -43,21 +44,17 @@ class CountingBloomFilter final : public LlcPredictor {
   std::string name() const override { return "CBF"; }
 
   // --- Checkpoint ----------------------------------------------------------
-  void ckpt_save(ByteWriter& w) const override {
-    LlcPredictor::ckpt_save(w);
-    w.u64(counters_.size());
-    w.bytes(counters_.data(), counters_.size());
-    w.u64_vec(disabled_);
+  // The saved state, in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(s.events_, std::span(s.counters_),
+                      std::span(s.disabled_));
   }
-  bool ckpt_load(ByteReader& r) override {
-    if (!LlcPredictor::ckpt_load(r)) return false;
-    if (r.u64() != counters_.size()) return false;
-    if (!r.raw(counters_.data(), counters_.size())) return false;
-    std::vector<std::uint64_t> disabled = r.u64_vec();
-    if (!r.ok() || disabled.size() != disabled_.size()) return false;
-    disabled_ = std::move(disabled);
-    return true;
-  }
+  void ckpt_save(ByteWriter& w) const override { w.put(*this); }
+  bool ckpt_load(ByteReader& r) override { return r.get_checked(*this); }
+  // No counter above the maximum, every disabled counter at it, and no
+  // disabled bit past the last entry.
+  bool state_ok() const;
 
   // --- Introspection -------------------------------------------------------
   const CbfConfig& config() const { return config_; }

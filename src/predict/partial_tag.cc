@@ -21,6 +21,15 @@ PartialTagPredictor::PartialTagPredictor(const PartialTagConfig& config,
   slots_.resize(sets_ * ways_);
 }
 
+bool PartialTagPredictor::state_ok() const {
+  std::uint64_t valid = 0;
+  for (const Slot& s : slots_) {
+    if ((s.partial & ~partial_mask()) != 0) return false;
+    valid += s.valid;
+  }
+  return valid == occupied_;
+}
+
 Prediction PartialTagPredictor::query(LineAddr line) {
   ++events_.lookups;
   const std::uint16_t p = partial_of(line);

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "predict/predictor.h"
@@ -43,25 +45,15 @@ class PartialTagPredictor final : public LlcPredictor {
   std::string name() const override { return "PartialTag"; }
 
   // --- Checkpoint ----------------------------------------------------------
-  void ckpt_save(ByteWriter& w) const override {
-    LlcPredictor::ckpt_save(w);
-    w.u64(slots_.size());
-    for (const Slot& s : slots_) {
-      w.u16(s.partial);
-      w.u8(s.valid ? 1 : 0);
-    }
-    w.u64(occupied_);
+  // The saved state, in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(s.events_, std::span(s.slots_), s.occupied_);
   }
-  bool ckpt_load(ByteReader& r) override {
-    if (!LlcPredictor::ckpt_load(r)) return false;
-    if (r.u64() != slots_.size()) return false;
-    for (Slot& s : slots_) {
-      s.partial = r.u16();
-      s.valid = r.u8() != 0;
-    }
-    occupied_ = r.u64();
-    return r.ok();
-  }
+  void ckpt_save(ByteWriter& w) const override { w.put(*this); }
+  bool ckpt_load(ByteReader& r) override { return r.get_checked(*this); }
+  // Every partial tag fits its width, and occupancy counts the valid slots.
+  bool state_ok() const;
 
   // --- Introspection -------------------------------------------------------
   const PartialTagConfig& config() const { return config_; }
@@ -74,12 +66,19 @@ class PartialTagPredictor final : public LlcPredictor {
   struct Slot {
     std::uint16_t partial = 0;
     bool valid = false;
+
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.partial, s.valid);
+    }
   };
 
   std::uint64_t set_of(LineAddr line) const { return line & (sets_ - 1); }
+  std::uint16_t partial_mask() const {
+    return static_cast<std::uint16_t>((1u << config_.partial_bits) - 1);
+  }
   std::uint16_t partial_of(LineAddr line) const {
-    return static_cast<std::uint16_t>((line >> set_bits_) &
-                                      ((1u << config_.partial_bits) - 1));
+    return static_cast<std::uint16_t>((line >> set_bits_) & partial_mask());
   }
   Slot* set_begin(std::uint64_t set) { return &slots_[set * ways_]; }
 

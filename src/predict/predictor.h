@@ -54,10 +54,10 @@ class LlcPredictor {
   const PredictorEvents& events() const { return events_; }
 
   // Checkpoint/restore (common/bytestream.h codec).  The base serializes
-  // the event counters; stateful implementations call the base then append
-  // their structures, and must read back exactly what they wrote.
-  // ckpt_load returns false on any structural mismatch (the payload was
-  // written by a differently-configured predictor).
+  // the event counters; a stateful implementation lists them first in its
+  // own field list, followed by its structures.  ckpt_load returns false on
+  // any structural mismatch (the payload was written by a
+  // differently-configured predictor) or a value no writer produces.
   virtual void ckpt_save(ByteWriter& w) const { w.put(events_); }
   virtual bool ckpt_load(ByteReader& r) {
     r.get(events_);

@@ -149,6 +149,14 @@ bool RedhipTable::corrupt_set_bit(std::uint64_t index) {
   return true;
 }
 
+bool RedhipTable::state_ok() const {
+  const std::uint64_t wrap =
+      std::max<std::uint64_t>(config_.recal_interval_l1_misses, 1);
+  const std::uint64_t sets = covered_ != nullptr ? covered_->sets() : 1;
+  return misses_since_recal_ < wrap && rolling_credit_ < wrap &&
+         rolling_cursor_ < sets;
+}
+
 bool RedhipTable::test_bit(std::uint64_t index) const {
   return (words_[index >> 6] >> (index & 63)) & 1u;
 }

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "predict/predictor.h"
@@ -81,9 +82,10 @@ class RedhipTable final : public LlcPredictor {
   Cycles recalibrate_sets(const TagArray& covered, std::uint64_t first_set,
                           std::uint64_t count);
 
-  // Optional standing reference to the covered tag array.  Only used for
-  // the interval == 1 ("perfect recalibration", Fig. 12's leftmost point)
-  // configuration: a table recalibrated after *every* L1 miss always equals
+  // Optional standing reference to the covered tag array.  It bounds the
+  // rolling cursor a checkpoint may restore, and drives the interval == 1
+  // ("perfect recalibration", Fig. 12's leftmost point) configuration: a
+  // table recalibrated after *every* L1 miss always equals
   // the exact decode of the LLC, which is maintained incrementally in
   // O(ways) by rebuilding just the evicted line's set on each eviction —
   // semantically identical to the paper's definition, and O(sets) cheaper
@@ -117,25 +119,19 @@ class RedhipTable final : public LlcPredictor {
   void set_recal_observer(RecalObserver* observer) { observer_ = observer; }
 
   // --- Checkpoint ----------------------------------------------------------
-  void ckpt_save(ByteWriter& w) const override {
-    LlcPredictor::ckpt_save(w);
-    w.u64_vec(words_);
-    w.u64(l1_misses_);
-    w.u64(misses_since_recal_);
-    w.u64(rolling_cursor_);
-    w.u64(rolling_credit_);
+  // The saved state, in on-disk order (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(s.events_, std::span(s.words_), s.l1_misses_,
+                      s.misses_since_recal_, s.rolling_cursor_,
+                      s.rolling_credit_);
   }
-  bool ckpt_load(ByteReader& r) override {
-    if (!LlcPredictor::ckpt_load(r)) return false;
-    std::vector<std::uint64_t> words = r.u64_vec();
-    if (!r.ok() || words.size() != words_.size()) return false;
-    words_ = std::move(words);
-    l1_misses_ = r.u64();
-    misses_since_recal_ = r.u64();
-    rolling_cursor_ = r.u64();
-    rolling_credit_ = r.u64();
-    return r.ok();
-  }
+  void ckpt_save(ByteWriter& w) const override { w.put(*this); }
+  bool ckpt_load(ByteReader& r) override { return r.get_checked(*this); }
+  // Counters the interval wraps stay below it, and the rolling cursor names
+  // a set of the covered array (an unattached table has none, so its cursor
+  // must be 0): a larger one would rebuild past the array's last set.
+  bool state_ok() const;
 
   // --- Introspection -------------------------------------------------------
   const RedhipConfig& config() const { return config_; }

@@ -55,6 +55,14 @@ void StridePrefetcher::observe(std::uint32_t pc, Addr addr,
   }
 }
 
+bool StridePrefetcher::state_ok() const {
+  const std::uint32_t tag_bits = 32 - config_.index_bits;
+  for (const Entry& e : table_) {
+    if (e.valid ? (e.tag >> tag_bits) != 0 : e != Entry{}) return false;
+  }
+  return true;
+}
+
 StridePrefetcher::State StridePrefetcher::state_of(std::uint32_t pc) const {
   const Entry& e = table_[index_of(pc)];
   return e.valid && e.tag == (pc >> config_.index_bits) ? e.state

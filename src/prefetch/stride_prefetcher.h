@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -60,17 +61,17 @@ class StridePrefetcher {
   std::int64_t stride_of(std::uint32_t pc) const;
 
   // Checkpoint/restore: the reference prediction table plus the event
-  // counters are the prefetcher's complete state.
-  void ckpt_save(ByteWriter& w) const {
-    w.put(table_);
-    w.put(events_);
+  // counters are the prefetcher's complete state, in on-disk order
+  // (common/bytestream.h).
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(std::span(s.table_), s.events_);
   }
-  bool ckpt_load(ByteReader& r) {
-    if (r.u64() != table_.size()) return false;
-    for (Entry& e : table_) r.get(e);
-    r.get(events_);
-    return r.ok();
-  }
+  void ckpt_save(ByteWriter& w) const { w.put(*this); }
+  bool ckpt_load(ByteReader& r) { return r.get_checked(*this); }
+  // Every valid entry's tag fits above the index bits, and every invalid
+  // entry is untouched (observe validates an entry on its first write).
+  bool state_ok() const;
 
  private:
   struct Entry {
@@ -84,6 +85,7 @@ class StridePrefetcher {
     static auto fields(S& s) {
       return std::tie(s.tag, s.valid, s.state, s.last_addr, s.stride);
     }
+    bool operator==(const Entry&) const = default;
   };
 
   std::uint64_t index_of(std::uint32_t pc) const {

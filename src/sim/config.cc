@@ -159,30 +159,17 @@ HierarchyConfig HierarchyConfig::scaled(std::uint32_t scale, Scheme scheme,
       make_level(4_MiB / scale, 16, 4, phased, true),
       make_level(64_MiB / scale, 16, 8, phased, true),
   };
-  // ReDHiP: 512KB of 1-bit entries = 2^22 bits, recalibration every 1M L1
-  // misses, 4 banks — all divided by `scale`.
-  c.redhip.table_bits = (std::uint64_t{1} << 22) / scale;
+  // ReDHiP: 512KB of 1-bit entries = 2^22 bits (sized from the LLC below),
+  // recalibration every 1M L1 misses, 4 banks — all divided by `scale`.
   c.redhip.recal_interval_l1_misses = 1'000'000 / scale;
   c.redhip.banks = 4;
-  c.redhip.energy = CactiLite::pt_params(c.redhip.table_bits / 8);
-  // The 5-cycle wire delay is the physical distance from the core to the
-  // PT beside the L4; a geometry-scaled chip shrinks it in proportion to
-  // the L4's own access time (22 cycles at full size).
-  c.redhip.energy.wire_delay = std::max<Cycles>(
-      1, (5 * c.levels[3].energy.data_delay + 11) / 22);
   // The paper's deployed design recalibrates incrementally (§IV:
   // "Recalibration is performed incrementally with an update for every
   // table entry every 1 million L1 misses").
   c.redhip.recal_mode = RecalMode::kRolling;
-  // CBF: same area budget as the PT.
-  c.cbf = CbfConfig::for_area_budget(c.redhip.table_bits / 8);
-  c.cbf.energy = c.redhip.energy;
-  // Partial-tag mirror: 8-bit partial tags, priced at its own (larger)
-  // geometry but the same placement beside the L4.
+  // Partial-tag mirror: 8-bit partial tags.
   c.partial_tag.partial_bits = 8;
-  c.partial_tag.energy = CactiLite::pt_params(
-      c.levels[3].geom.lines() * (c.partial_tag.partial_bits + 1) / 8);
-  c.partial_tag.energy.wire_delay = c.redhip.energy.wire_delay;
+  c.size_predictors_from_llc();
   // Stride prefetcher: large table ("accuracy comparable with the best").
   c.prefetcher.index_bits = 12;
   c.prefetcher.degree = 2;
@@ -216,16 +203,29 @@ HierarchyConfig HierarchyConfig::with_depth(std::uint32_t depth,
       break;
     }
   }
-  // Re-derive the PT (and the CBF budget) against the new LLC: same 0.78%
-  // area ratio, same one-PT-line-per-set structure.
-  c.redhip.table_bits = c.llc().geom.size_bytes / 16;
-  c.redhip.energy = CactiLite::pt_params(c.redhip.table_bits / 8);
-  c.redhip.energy.wire_delay = std::max<Cycles>(
-      1, (5 * c.llc().energy.data_delay + 11) / 22);
-  c.cbf = CbfConfig::for_area_budget(c.redhip.table_bits / 8);
-  c.cbf.energy = c.redhip.energy;
+  c.size_predictors_from_llc();
   c.validate();
   return c;
+}
+
+void HierarchyConfig::size_predictors_from_llc() {
+  // The PT keeps the paper's 0.78% area ratio against the LLC: 2^22 bits
+  // for 64 MB, one PT line per set.
+  redhip.table_bits = llc().geom.size_bytes / 16;
+  redhip.energy = CactiLite::pt_params(redhip.table_bits / 8);
+  // The 5-cycle wire delay is the physical distance from the core to the
+  // PT beside the LLC; a smaller or larger chip scales it with the LLC's
+  // own access time (22 cycles for the 64 MB L4).
+  redhip.energy.wire_delay =
+      std::max<Cycles>(1, (5 * llc().energy.data_delay + 11) / 22);
+  // CBF: same area budget as the PT.
+  cbf = CbfConfig::for_area_budget(redhip.table_bits / 8);
+  cbf.energy = redhip.energy;
+  // The partial-tag mirror is priced at its own (larger) geometry, one
+  // partial tag and a valid bit per LLC line, in the same place.
+  partial_tag.energy = CactiLite::pt_params(
+      llc().geom.lines() * (partial_tag.partial_bits + 1) / 8);
+  partial_tag.energy.wire_delay = redhip.energy.wire_delay;
 }
 
 std::uint64_t HierarchyConfig::redhip_bits_for_size(

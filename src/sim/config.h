@@ -145,6 +145,10 @@ struct HierarchyConfig {
   // against whatever the LLC is.
   static HierarchyConfig with_depth(std::uint32_t depth, std::uint32_t scale,
                                     Scheme scheme);
+  // Size and price the LLC predictors from the current LLC: the PT at the
+  // 0.78% area ratio with its wire delay, the CBF at the PT's budget, and
+  // the partial-tag mirror at its own geometry.
+  void size_predictors_from_llc();
 
   // Derived ReDHiP config for one level of an exclusive hierarchy: a PT at
   // the same area ratio as the LLC's (paper §III-C: "duplicated and scaled

@@ -361,14 +361,7 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
       bool was_dirty = false;
       if (!level_array(lvl, core).invalidate(victim, &was_dirty)) return;
       ++events_[lvl].invalidations;
-      if (was_dirty && config_.model_writebacks) {
-        if (below_level + 1 < config_.num_levels()) {
-          ++events_[below_level + 1].writebacks;
-          level_array(below_level + 1, core).mark_dirty(victim);
-        } else {
-          ++memory_writebacks_;
-        }
-      }
+      if (was_dirty) note_writeback(below_level, core, victim);
     }
     return;
   }
@@ -378,14 +371,7 @@ void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
     bool was_dirty = false;
     if (level_array(lvl, core).invalidate(victim, &was_dirty)) {
       ++events_[lvl].invalidations;
-      if (was_dirty && config_.model_writebacks) {
-        if (below_level + 1 < config_.num_levels()) {
-          ++events_[below_level + 1].writebacks;
-          level_array(below_level + 1, core).mark_dirty(victim);
-        } else {
-          ++memory_writebacks_;
-        }
-      }
+      if (was_dirty) note_writeback(below_level, core, victim);
       return;
     }
   }
@@ -416,14 +402,7 @@ void MulticoreSimulator::insert_with_cascade(std::uint32_t lvl, CoreId core,
   // Victim of the last level is dropped (exclusive LLC — a dirty drop goes
   // to memory) or already covered by the inclusive LLC (hybrid chain, where
   // the LLC copy absorbs the dirty data).
-  if (incoming_dirty && config_.model_writebacks) {
-    if (last_level + 1 == config_.num_levels()) {
-      ++memory_writebacks_;
-    } else {
-      ++events_[last_level + 1].writebacks;
-      level_array(last_level + 1, core).mark_dirty(incoming);
-    }
-  }
+  if (incoming_dirty) note_writeback(last_level, core, incoming);
 }
 
 // ------------------------------------------------------- predictor plumbing

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "cache/tag_array.h"
@@ -173,7 +174,20 @@ class MulticoreSimulator {
     // time, so access() always re-derives the authoritative line from the
     // (possibly perturbed) reference.
     std::vector<LineAddr> lines;
+
+    // The checkpointed scalars, in on-disk order (src/ckpt/sim_state.cc).
+    template <class S>
+    static auto fields(S& s) {
+      return std::tie(s.refs_done, s.clock, s.cpi, s.exhausted);
+    }
   };
+  // The run totals, audit counters and auto-disable state, and the
+  // sampling progress: the simulator's own checkpointed members, in on-disk
+  // order (defined in src/ckpt/sim_state.cc).
+  template <class S>
+  static auto ckpt_totals(S& s);
+  template <class S>
+  static auto ckpt_sampling(S& s);
 
   TagArray& level_array(std::uint32_t level, CoreId core);
   const TagArray& level_array(std::uint32_t level, CoreId core) const;

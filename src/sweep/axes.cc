@@ -186,8 +186,8 @@ SweepAxis depth_axis(const std::string& axis,
   return out;
 }
 
-// Paper-scale LLC capacity; the PT, CBF budget and wire delay re-derive
-// against the new LLC exactly as HierarchyConfig::with_depth does.
+// Paper-scale LLC capacity; the predictors re-derive against the new LLC
+// exactly as HierarchyConfig::with_depth does.
 SweepAxis llc_capacity_axis(const std::string& axis,
                             const std::vector<std::string>& vals,
                             const ExperimentOptions& opts) {
@@ -204,12 +204,7 @@ SweepAxis llc_capacity_axis(const std::string& axis,
         LevelSpec& llc = c.levels.back();
         llc.geom.size_bytes = bytes / scale;
         llc.energy = CactiLite::cache_params(llc.geom.size_bytes, true);
-        c.redhip.table_bits = llc.geom.size_bytes / 16;
-        c.redhip.energy = CactiLite::pt_params(c.redhip.table_bits / 8);
-        c.redhip.energy.wire_delay = std::max<Cycles>(
-            1, (5 * llc.energy.data_delay + 11) / 22);
-        c.cbf = CbfConfig::for_area_budget(c.redhip.table_bits / 8);
-        c.cbf.energy = c.redhip.energy;
+        c.size_predictors_from_llc();
       });
     }});
   }

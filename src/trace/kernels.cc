@@ -1,5 +1,7 @@
 #include "trace/kernels.h"
 
+#include <algorithm>
+
 #include "common/bitops.h"
 #include "common/check.h"
 
@@ -312,8 +314,8 @@ void SteppedKernel<K>::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
 }
 
 // ------------------------------------------------------------- checkpointing
-// Mutable state only: each kernel's State, through its field list
-// (kernels.h), and StreamKernel's cursors.  Regions, weights, LCG constants
+// Mutable state only: each kernel's field list (kernels.h), which is its
+// State, and for StreamKernel the cursors too.  Regions, weights, LCG constants
 // and sampler tables are construction-time values the restored kernel was
 // rebuilt with (the checkpoint key's config digest guarantees the same
 // recipe).  The reader fail-latches, so a load reads everything and then
@@ -336,29 +338,21 @@ bool is_row_start(const Region& region, Addr addr, std::uint64_t row_bytes) {
 
 template <class K>
 void SteppedKernel<K>::ckpt_save(ByteWriter& w) const {
-  w.put(static_cast<const K&>(*this).state_);
+  w.put(static_cast<const K&>(*this));
 }
 
 template <class K>
 bool SteppedKernel<K>::ckpt_load(ByteReader& r) {
   K& k = static_cast<K&>(*this);
-  r.get(k.state_);
+  r.get(k);
   return r.ok() && k.state_ok(k.state_);
 }
 
-// The stream cursors follow the State.
-void StreamKernel::ckpt_save(ByteWriter& w) const {
-  SteppedKernel::ckpt_save(w);
-  for (std::uint64_t c : cursor_) w.u64(c);
-}
-
-bool StreamKernel::ckpt_load(ByteReader& r) {
-  bool ok = SteppedKernel::ckpt_load(r);
-  for (std::uint64_t& c : cursor_) {
-    c = r.u64();
-    ok = ok && c < slice_;
-  }
-  return ok && r.ok();
+bool StreamKernel::state_ok(const State& s) const {
+  return s.turn < streams_ && s.repeat_left >= 1 &&
+         s.repeat_left <= repeats_ &&
+         std::all_of(cursor_.begin(), cursor_.end(),
+                     [this](std::uint64_t c) { return c < slice_; });
 }
 
 bool SparseGatherKernel::state_ok(const State& s) const {

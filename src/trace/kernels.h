@@ -69,9 +69,9 @@ class Kernel {
 // registers across such updates.  The loops are instantiated for the
 // eight kernels in kernels.cc.
 //
-// The checkpoint is State's field list (common/bytestream.h); K also
-// defines `bool state_ok(const State& s) const`, the range check a load
-// applies after reading it.
+// The checkpoint is K's field list (common/bytestream.h): its State, unless
+// K lists more; K also defines `bool state_ok(const State& s) const`, the
+// range check a load applies after reading the list.
 template <class K>
 class SteppedKernel : public Kernel {
  public:
@@ -79,8 +79,12 @@ class SteppedKernel : public Kernel {
   void next_n(MemRef* out, std::size_t n) final;
   void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
                       std::uint64_t gap_bound) final;
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
+  void ckpt_save(ByteWriter& w) const final;
+  bool ckpt_load(ByteReader& r) final;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.state_);
+  }
 };
 
 // ----------------------------------------------------------------- Streaming
@@ -96,8 +100,11 @@ class StreamKernel final : public SteppedKernel<StreamKernel> {
   StreamKernel(Region region, std::uint32_t streams, std::uint32_t stride_bytes,
                std::uint32_t write_ppm, std::uint32_t pc_base,
                std::uint64_t seed, std::uint32_t repeats = 1);
-  void ckpt_save(ByteWriter& w) const override;
-  bool ckpt_load(ByteReader& r) override;
+  // The stream cursors follow the State.
+  template <class S>
+  static auto fields(S& s) {
+    return field_list(s.state_, uncounted(s.cursor_));
+  }
 
  private:
   friend SteppedKernel;
@@ -113,10 +120,7 @@ class StreamKernel final : public SteppedKernel<StreamKernel> {
   };
   template <class Emit>
   void step(State& s, Emit&& emit);
-  bool state_ok(const State& s) const {
-    return s.turn < streams_ && s.repeat_left >= 1 &&
-           s.repeat_left <= repeats_;
-  }
+  bool state_ok(const State& s) const;
 
   Region region_;
   std::uint32_t streams_;

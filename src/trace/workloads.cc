@@ -425,20 +425,16 @@ void SyntheticTrace::skip(std::uint64_t n) {
 }
 
 bool SyntheticTrace::ckpt_save_state(ByteWriter& w) const {
-  w.put(rng_);
-  w.u64(active_);
-  w.u64(burst_left_);
+  w.put(*this);
   for (const Component& c : components_) c.kernel->ckpt_save(w);
   return true;
 }
 
 bool SyntheticTrace::ckpt_load_state(ByteReader& r) {
-  r.get(rng_);
-  const std::uint64_t active = r.u64();
-  if (!r.ok() || active >= components_.size()) return false;
-  active_ = static_cast<std::size_t>(active);
-  burst_left_ = r.u64();
-  if (!r.ok() || burst_left_ > kMaxBurst) return false;
+  r.get(*this);
+  if (!r.ok() || active_ >= components_.size() || burst_left_ > kMaxBurst) {
+    return false;
+  }
   for (Component& c : components_) {
     if (!c.kernel->ckpt_load(r)) return false;
   }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -92,6 +93,12 @@ class SyntheticTrace final : public TraceSource {
   // snapshot resume on billion-reference sampled runs.
   bool ckpt_save_state(ByteWriter& w) const override;
   bool ckpt_load_state(ByteReader& r) override;
+  // The scheduler's saved state, in on-disk order (common/bytestream.h);
+  // the kernels' states follow it.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.rng_, s.active_, s.burst_left_);
+  }
 
  private:
   void reschedule();
@@ -101,7 +108,7 @@ class SyntheticTrace final : public TraceSource {
   std::vector<Component> components_;
   std::uint32_t gap_mean_;
   Xoshiro256 rng_;
-  std::size_t active_ = 0;
+  std::uint64_t active_ = 0;
   std::uint64_t burst_left_ = 0;
 };
 

@@ -24,6 +24,8 @@
 #include "common/file_io.h"
 #include "harness/json_report.h"
 #include "harness/run.h"
+#include "obs/collector.h"
+#include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sweep/sweep.h"
 
@@ -361,10 +363,6 @@ TEST_F(SampledRestoreTest, MainFileAheadOfTheRun) {
   EXPECT_TRUE(std::filesystem::exists(ckpt_)) << "valid file wrongly evicted";
 }
 
-// A tree-PLRU machine keeps replacement state outside the packed tag
-// entries, so no checkpoint of it can be complete: src/ckpt refuses both
-// directions, and a run asked to checkpoint writes nothing and simulates
-// exactly what a plain run does.
 // Every replacement policy checkpoints.  A tag array whose policy keeps
 // side state (tree-PLRU node bits, NRU reference masks, the random
 // policy's RNG, LRU rank bytes past 16 ways) writes it after its entries;
@@ -483,6 +481,206 @@ TEST_F(SideStateRestoreTest, WideLru) {
   check(ReplacementKind::kLru, 32,
         {{"repeated rank", [](std::uint8_t* s) { s[1] = s[0]; }},
          {"rank past the ways", [](std::uint8_t* s) { s[0] = 32; }}});
+}
+
+// Each component reads its fields through its field list and then checks
+// them: a value its writer never produces, or a view whose count differs
+// from the component's own shape, fails as DATA_LOSS even when the file is
+// resealed under a fresh checksum.
+class ResealedFieldTest : public SideStateRestoreTest {
+ protected:
+  static RunSpec machine(Scheme scheme) {
+    RunSpec spec;
+    spec.bench = BenchmarkId::kMcf;
+    spec.scheme = scheme;
+    spec.scale = 32;
+    spec.refs_per_core = 10'000;
+    return spec;
+  }
+
+  // Saves `spec` mid-run, and returns a simulator restored from the file.
+  std::unique_ptr<MulticoreSimulator> save(const RunSpec& spec) {
+    RunSpec saving = spec;
+    saving.ckpt_path = path();
+    saving.ckpt_save_at_refs = 40'000;
+    run_spec(saving);
+    good_ = slurp(path());
+    auto sim = fresh_sim(spec);
+    EXPECT_TRUE(load_checkpoint(path(), ckpt_key(spec), *sim).ok());
+    return sim;
+  }
+
+  // Where `section` starts in the saved file; it must occur exactly once.
+  std::size_t find(const ByteWriter& section) const {
+    const std::string bytes(section.buffer().begin(), section.buffer().end());
+    const std::size_t at = good_.find(bytes);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(at, good_.rfind(bytes));
+    return at;
+  }
+
+  // The saved file with `edit` applied at byte `at`, resealed, must fail
+  // as DATA_LOSS.
+  void expect_rejected(const RunSpec& spec, std::size_t at,
+                       const Corrupt& edit, const std::string& what) {
+    std::string bad = good_;
+    edit(reinterpret_cast<std::uint8_t*>(&bad[at]));
+    reseal(bad);
+    write(path(), bad);
+    EXPECT_EQ(load_checkpoint(path(), ckpt_key(spec), *fresh_sim(spec)).code(),
+              StatusCode::kDataLoss)
+        << what;
+    write(path(), good_);
+  }
+
+  static void add_u64(std::uint8_t* p, std::uint64_t delta) {
+    store_le64(p, load_le64(p) + delta);
+  }
+  static Corrupt set_u64(std::uint64_t v) {
+    return [v](std::uint8_t* p) { store_le64(p, v); };
+  }
+  static std::size_t bytes_of(const PredictorEvents& events) {
+    ByteWriter w;
+    w.put(events);
+    return w.buffer().size();
+  }
+
+  std::string path() const { return (dir_ / "field.ckpt").string(); }
+  std::string good_;
+};
+
+TEST_F(ResealedFieldTest, RedhipTable) {
+  const RunSpec spec = machine(Scheme::kRedhip);
+  auto sim = save(spec);
+  const RedhipTable& pt = *sim->llc_redhip_for_test();
+  ByteWriter section;
+  pt.ckpt_save(section);
+  const std::size_t at = find(section);
+  const std::size_t end = at + section.buffer().size();
+  const HierarchyConfig config = resolved_config(spec);
+  ASSERT_EQ(config.redhip.recal_mode, RecalMode::kRolling);
+  const std::uint64_t sets = config.llc().geom.sets();
+  const std::uint64_t interval = config.redhip.recal_interval_l1_misses;
+
+  expect_rejected(spec, at + bytes_of(pt.events()),
+                  [](std::uint8_t* p) { add_u64(p, 1); }, "PT one word long");
+  // The rolling cursor and credit are the last two words.
+  expect_rejected(spec, end - 16, set_u64(sets), "cursor past the last set");
+  expect_rejected(spec, end - 16, set_u64(sets + 1000), "cursor far past");
+  expect_rejected(spec, end - 8, set_u64(interval), "credit at the interval");
+  // The last set is a cursor the writer can produce.
+  std::string edge = good_;
+  store_le64(&edge[end - 16], sets - 1);
+  reseal(edge);
+  write(path(), edge);
+  EXPECT_TRUE(load_checkpoint(path(), ckpt_key(spec), *fresh_sim(spec)).ok());
+}
+
+TEST_F(ResealedFieldTest, CountingBloomFilter) {
+  const RunSpec spec = machine(Scheme::kCbf);
+  auto sim = save(spec);
+  const LlcPredictor& cbf = *sim->llc_predictor_for_test();
+  ByteWriter section;
+  cbf.ckpt_save(section);
+  const std::size_t counters = find(section) + bytes_of(cbf.events()) + 8;
+  const std::uint64_t entries = resolved_config(spec).cbf.entries();
+  ASSERT_EQ(load_le64(&good_[counters - 8]), entries);
+  expect_rejected(spec, counters, [](std::uint8_t* c) { c[0] = 8; },
+                  "counter above 2^3 - 1");
+  // Disabled bit 0 on a counter below the maximum.
+  expect_rejected(spec, counters,
+                  [entries](std::uint8_t* c) {
+                    c[0] = 1;
+                    c[entries + 8] |= 1;
+                  },
+                  "disabled counter below the maximum");
+  expect_rejected(spec, counters - 8,
+                  [](std::uint8_t* p) { add_u64(p, 1); },
+                  "one counter too many");
+}
+
+TEST_F(ResealedFieldTest, PartialTagPredictor) {
+  const RunSpec spec = machine(Scheme::kPartialTag);
+  auto sim = save(spec);
+  const LlcPredictor& mirror = *sim->llc_predictor_for_test();
+  ByteWriter section;
+  mirror.ckpt_save(section);
+  const std::size_t at = find(section);
+  // Each slot is a u16 partial tag and a valid byte.
+  const std::size_t slots = at + bytes_of(mirror.events()) + 8;
+  expect_rejected(spec, slots + 2, [](std::uint8_t* v) { *v = 2; },
+                  "valid byte 2");
+  expect_rejected(spec, at + section.buffer().size() - 8,
+                  [](std::uint8_t* p) { add_u64(p, 1); },
+                  "occupancy one past the valid slots");
+  expect_rejected(spec, slots,
+                  [](std::uint8_t* p) { p[0] = p[1] = 0xFF; },
+                  "partial tag wider than 8 bits");
+}
+
+TEST_F(ResealedFieldTest, StridePrefetcher) {
+  RunSpec spec = machine(Scheme::kRedhip);
+  spec.prefetch = true;
+  save(spec);
+  const HierarchyConfig config = resolved_config(spec);
+  // The prefetcher count, then the first table's entry count.
+  ByteWriter head;
+  head.u32(config.cores);
+  head.u64(config.prefetcher.entries());
+  expect_rejected(spec, find(head) + 4,
+                  [](std::uint8_t* p) { add_u64(p, 1); },
+                  "table one entry long");
+}
+
+// The auto-disable state closes the simulator's totals, just ahead of the
+// first tag array (core 0's L1): ..., predictor_active (1 byte), four u64
+// epoch counters, disable_backoff and disabled_epochs_left (u32 each), and
+// two u64 counters.
+TEST_F(ResealedFieldTest, AutoDisableState) {
+  const RunSpec spec = machine(Scheme::kRedhip);
+  auto sim = save(spec);
+  ByteWriter l1;
+  sim->level_array_for_test(0, 0).ckpt_save(l1);
+  const std::size_t at = find(l1);
+  const std::size_t backoff = at - 24;
+  const std::size_t left = at - 20;
+  const std::size_t active = at - 57;
+  ASSERT_EQ(load_le32(&good_[backoff]), 1u);
+  ASSERT_EQ(load_le32(&good_[left]), 0u);
+  ASSERT_EQ(good_[active], 1);
+  expect_rejected(spec, backoff, [](std::uint8_t* p) { p[0] = 0; },
+                  "backoff 0");
+  expect_rejected(spec, active, [](std::uint8_t* p) { p[0] = 0; },
+                  "paused with no epoch left");
+  // Paused with one epoch left is a state the writer produces.
+  std::string paused = good_;
+  paused[active] = 0;
+  paused[left] = 1;
+  reseal(paused);
+  write(path(), paused);
+  EXPECT_TRUE(load_checkpoint(path(), ckpt_key(spec), *fresh_sim(spec)).ok());
+}
+
+TEST_F(ResealedFieldTest, ObsMetrics) {
+  RunSpec spec = machine(Scheme::kRedhip);
+  spec.tweak = [](HierarchyConfig& hc) {
+    hc.obs.enabled = true;
+    hc.obs.epoch_refs = 20'000;
+  };
+  auto sim = save(spec);
+  const ObsCollector& obs = *sim->obs_for_test();
+  ByteWriter section;
+  obs.ckpt_save(section);
+  // The metrics slots close the collector's field list.
+  ByteWriter fields;
+  fields.put(ObsCollector::fields(obs));
+  ByteWriter metrics;
+  metrics.put(obs.metrics());
+  const std::size_t slots =
+      find(section) + fields.buffer().size() - metrics.buffer().size();
+  ASSERT_EQ(load_le64(&good_[slots]), resolved_config(spec).cores);
+  expect_rejected(spec, slots, [](std::uint8_t* p) { add_u64(p, 1); },
+                  "one metrics slot too many");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <tuple>
@@ -411,17 +413,18 @@ Tree sample_tree() {
 TEST(ByteStream, PutWritesFieldsInOrderAtTheirWidths) {
   const Tree t = sample_tree();
   ByteWriter by_hand;
-  by_hand.u16(t.tag);
-  by_hand.u8(1);
+  by_hand.put(t.tag);
+  by_hand.put(std::uint8_t{1});
   by_hand.u32(t.words[0]);
   by_hand.u32(t.words[1]);
-  by_hand.f64(t.weight);
+  by_hand.u64(std::bit_cast<std::uint64_t>(t.weight));
   by_hand.u64(2);
-  by_hand.i64(-3);
+  by_hand.u64(static_cast<std::uint64_t>(-3));
   by_hand.boolean(true);
-  by_hand.i64(1ll << 40);
+  by_hand.u64(std::uint64_t{1} << 40);
   by_hand.boolean(false);
-  by_hand.u64_vec(t.ids);
+  by_hand.u64(t.ids.size());
+  for (const std::uint64_t id : t.ids) by_hand.u64(id);
   ByteWriter w;
   w.put(t);
   EXPECT_EQ(w.buffer(), by_hand.buffer());

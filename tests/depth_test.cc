@@ -2,7 +2,9 @@
 // the hierarchy-depth extension bench.
 #include <gtest/gtest.h>
 
+#include "energy/cacti_lite.h"
 #include "harness/run.h"
+#include "sim/config_digest.h"
 #include "sim/simulator.h"
 #include "trace/workloads.h"
 
@@ -20,6 +22,36 @@ TEST(Depth, ShapesAreAsSpecified) {
                     static_cast<double>(c.llc().geom.size_bytes),
                 0.0078, 0.0001);
     EXPECT_GT(c.redhip.index_bits(), c.llc().geom.set_bits());
+  }
+}
+
+// Depth 4 is Table I: the machine scaled() builds, for every scheme.
+TEST(Depth, DepthFourIsTheScaledMachine) {
+  for (const Scheme s : {Scheme::kBase, Scheme::kPhased, Scheme::kCbf,
+                         Scheme::kRedhip, Scheme::kOracle,
+                         Scheme::kPartialTag}) {
+    for (const std::uint32_t scale : {1u, 8u, 32u}) {
+      EXPECT_EQ(config_digest(HierarchyConfig::with_depth(4, scale, s)),
+                config_digest(HierarchyConfig::scaled(scale, s)))
+          << to_string(s) << " at scale " << scale;
+    }
+  }
+}
+
+// Every LLC predictor is priced from the machine's own LLC, the
+// partial-tag mirror included: one partial tag and a valid bit per line,
+// beside the LLC.
+TEST(Depth, PartialTagMirrorIsPricedFromItsOwnLlc) {
+  for (std::uint32_t d = 2; d <= 5; ++d) {
+    const HierarchyConfig c =
+        HierarchyConfig::with_depth(d, 8, Scheme::kPartialTag);
+    const PredictorEnergyParams want = CactiLite::pt_params(
+        c.llc().geom.lines() * (c.partial_tag.partial_bits + 1) / 8);
+    const PredictorEnergyParams& got = c.partial_tag.energy;
+    EXPECT_EQ(got.access_delay, want.access_delay) << "depth " << d;
+    EXPECT_EQ(got.access_energy_nj, want.access_energy_nj) << "depth " << d;
+    EXPECT_EQ(got.leakage_w, want.leakage_w) << "depth " << d;
+    EXPECT_EQ(got.wire_delay, c.redhip.energy.wire_delay) << "depth " << d;
   }
 }
 

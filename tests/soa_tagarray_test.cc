@@ -40,7 +40,7 @@ bool restore(TagArray& arr, const std::vector<std::uint8_t>& bytes) {
 // An embedded-LRU array's whole section is its ranked entries.
 bool restore_entries(TagArray& arr, const std::vector<std::uint64_t>& e) {
   ByteWriter w;
-  w.u64_vec(e);
+  w.put(e);
   return restore(arr, w.take());
 }
 

@@ -231,7 +231,7 @@ std::uint64_t refs_checksum(const std::vector<MemRef>& refs) {
   for (const MemRef& m : refs) {
     w.u64(m.addr);
     w.u32(m.pc);
-    w.u16(m.gap);
+    w.put(m.gap);
     w.boolean(m.is_write);
   }
   return checksum64(w.buffer().data(), w.buffer().size());
